@@ -11,6 +11,12 @@ sign and phase information lives only in the per-entry leaf layer:
 
 * phases: phi_z = atan2(im, re) reduced to [0, 2*pi), 0 for zero entries
 * signs (real data only): s_z = 1 iff the entry is negative
+
+The angles are computed one tree level at a time: the children at height
+h + 1 split into left ``[0::2]`` and right ``[1::2]`` halves and the formula
+runs over the whole level as array operations, so the K-1 angles cost k
+array passes (the Grover-Rudolph / Kerenidis-Prakash norm tree). The levels,
+concatenated from the root down, are ordered by memory index z = 1..K-1.
 """
 from __future__ import annotations
 
@@ -80,23 +86,27 @@ class ComplexAngleTree:
         return int(self.signs[z])
 
 
+def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """2 * arcsin(sqrt(R / (L + R))) for each sibling pair; 0 where L + R is 0."""
+    total = left + right
+    ratio = np.divide(right, total, out=np.zeros_like(total), where=total > 0.0)
+    # clip guards against ratios like 1 + 1e-17 from the division
+    root = np.sqrt(np.clip(ratio, 0.0, 1.0))
+    # math.asin, not np.arcsin: SIMD builds of np.arcsin can differ in the
+    # last ulps, which moves rounded cells at high t
+    return 2.0 * np.fromiter(map(math.asin, root.tolist()), dtype=np.float64, count=root.size)
+
+
 def splitting_angle(z: int, tree: WeightTree) -> float:
     """Rotation angle that splits the weight reaching node z between its children."""
-    t_left, t_right = sibling_weights(z, tree)
-    total = t_left + t_right
-    if total <= 0.0:
-        return 0.0
-    # clamp guards against ratios like 1 + 1e-17 from the division
-    ratio = min(max(t_right / total, 0.0), 1.0)
-    return 2.0 * math.asin(math.sqrt(ratio))
+    left, right = sibling_weights(z, tree)
+    return float(_split_angles(np.array([left]), np.array([right]))[0])
 
 
 def build_angle_tree(tree: WeightTree) -> np.ndarray:
     """All K-1 splitting angles, ordered by memory index z = 1..K-1."""
-    out = np.fromiter(
-        (splitting_angle(z, tree) for z in range(1, tree.size)),
-        dtype=np.float64,
-        count=tree.size - 1,
+    out = np.concatenate(
+        [_split_angles(children[0::2], children[1::2]) for children in tree.levels[1:]]
     )
     out.setflags(write=False)
     return out

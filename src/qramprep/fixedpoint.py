@@ -7,15 +7,21 @@ Two grid conventions, both t bits wide:
 * phases: value = bits * 2*pi / 2**t, covering [0, 2*pi); phases are
   reduced modulo 2*pi before encoding
 
-Encoding rounds to the nearest grid point; exact half-grid ties round up
-(away from zero). The half-turn pi sits exactly on the phase grid for every
-t, so sign flips encoded as phases survive the codec without error.
+Encoding is vectorized: :func:`encode_magnitude_angles` and
+:func:`encode_phases` round whole arrays with one rule, ``floor(x / grid +
+0.5)`` into int64, which is exact for every t <= 62. Exact half-grid ties
+therefore round up (away from zero). The scalar :func:`encode_magnitude_angle`
+and :func:`encode_phase` are thin wrappers over the array encoders, so there
+is one rounding rule. The half-turn pi sits exactly on the phase grid for
+every t, so sign flips encoded as phases survive the codec without error.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from numbers import Integral
+
+import numpy as np
 
 from .errors import AngleOutOfRangeError, PrecisionOutOfRangeError
 
@@ -74,34 +80,62 @@ class FixedPhase:
         return self.bits * phase_grid(self.t)
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def _as_floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AngleOutOfRangeError(f"{what} must be real numbers: {exc}") from exc
 
 
-def encode_magnitude_angle(theta: float, t: int) -> FixedAngle:
-    """Round theta in [0, pi] to the nearest magnitude grid point.
+def _first_bad(bad: np.ndarray, x: np.ndarray, what: str, allowed: str) -> None:
+    if bad.any():
+        z = int(np.argmax(bad))
+        raise AngleOutOfRangeError(f"{what} must {allowed}, got {x[z]!r} at index {z}")
+
+
+def _round_half_up(x: np.ndarray) -> np.ndarray:
+    return np.floor(x + 0.5).astype(np.int64)
+
+
+def encode_magnitude_angles(thetas, t: int) -> np.ndarray:
+    """Bits of every theta in [0, pi] rounded to the magnitude grid, as int64.
 
     The rounding error is at most half a grid step, 2**(1-t).
     """
     check_precision(t)
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta)) or not 0.0 <= theta <= math.pi:
-        raise AngleOutOfRangeError(f"theta must lie in [0, pi], got {theta!r}")
-    return FixedAngle(_round_half_up(theta / magnitude_grid(t)), t)
+    x = _as_floats(thetas, "theta")
+    _first_bad(~((x >= 0.0) & (x <= math.pi)), x, "theta", "lie in [0, pi]")  # NaN fails too
+    return _round_half_up(x / magnitude_grid(t))
 
 
-def encode_phase(phi: float, t: int) -> FixedPhase:
-    """Reduce phi modulo 2*pi and round to the nearest phase grid point.
+def encode_phases(phis, t: int) -> np.ndarray:
+    """Bits of every phi reduced modulo 2*pi and rounded to the phase grid, as int64.
 
     The circular rounding error is at most pi * 2**(-t).
     """
     check_precision(t)
-    if not (isinstance(phi, (int, float)) and math.isfinite(phi)):
+    x = _as_floats(phis, "phi")
+    _first_bad(~np.isfinite(x), x, "phi", "be finite")
+    reduced = np.mod(x, math.tau)
+    # float mod can land exactly on the modulus (tiny negatives do)
+    reduced = np.where(reduced >= math.tau, 0.0, reduced)
+    return _round_half_up(reduced / phase_grid(t)) % (1 << t)
+
+
+def encode_magnitude_angle(theta: float, t: int) -> FixedAngle:
+    """Scalar form of :func:`encode_magnitude_angles`."""
+    check_precision(t)
+    if not isinstance(theta, (int, float)):
+        raise AngleOutOfRangeError(f"theta must lie in [0, pi], got {theta!r}")
+    return FixedAngle(int(encode_magnitude_angles([theta], t)[0]), t)
+
+
+def encode_phase(phi: float, t: int) -> FixedPhase:
+    """Scalar form of :func:`encode_phases`."""
+    check_precision(t)
+    if not isinstance(phi, (int, float)):
         raise AngleOutOfRangeError(f"phi must be finite, got {phi!r}")
-    reduced = phi % math.tau
-    if reduced >= math.tau:  # float mod can land exactly on the modulus
-        reduced = 0.0
-    bits = _round_half_up(reduced / phase_grid(t)) % (1 << t)
-    return FixedPhase(bits, t)
+    return FixedPhase(int(encode_phases([phi], t)[0]), t)
 
 
 def decode_magnitude_angle(a: FixedAngle) -> float:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -154,18 +156,46 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
-def _require_number(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+def _require_number(x, what: str) -> None:
+    if type(x) not in (int, float):
         raise ParseError(f"{what} must be a number, got {x!r}")
-    if not math.isfinite(x):
+    try:
+        value = float(x)
+    except OverflowError as exc:
+        raise ParseError(f"{what} is too large for a float") from exc
+    if not math.isfinite(value):
         raise ParseError(f"{what} must be finite, got {x!r}")
-    return float(x)
+
+
+def _raise_first_bad_entry(entries: list) -> NoReturn:
+    """Name the first entry that is not a pair of finite numbers."""
+    for z, pair in enumerate(entries):
+        if type(pair) is not list or len(pair) != 2:
+            raise ParseError(f"entry {z} must be a [re, im] pair, got {pair!r}")
+        _require_number(pair[0], f"entry {z} real part")
+        _require_number(pair[1], f"entry {z} imaginary part")
+    raise ParseError("entries must be [re, im] pairs of finite numbers")
+
+
+def _entry_array(entries: list) -> np.ndarray:
+    """Validate all [re, im] pairs in bulk; only a bad input is scanned entry by entry."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2} \
+            or not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+        _raise_first_bad_entry(entries)  # also rejects bools, strings and nulls
+    try:
+        parts = np.fromiter(itertools.chain.from_iterable(entries), dtype=np.float64,
+                            count=2 * len(entries))
+    except OverflowError:
+        _raise_first_bad_entry(entries)  # an integer beyond the float range
+    if not np.isfinite(parts).all():
+        _raise_first_bad_entry(entries)
+    return parts.view(np.complex128)
 
 
 def _load_json(text: str) -> ComplexMatrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -183,15 +213,7 @@ def _load_json(text: str) -> ComplexMatrix:
         raise ParseError("entries must be a list")
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for z, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"entry {z} must be a [re, im] pair, got {pair!r}")
-        flat[z] = complex(
-            _require_number(pair[0], f"entry {z} real part"),
-            _require_number(pair[1], f"entry {z} imaginary part"),
-        )
-    return ComplexMatrix.from_array(flat.reshape(rows, cols))
+    return ComplexMatrix.from_array(_entry_array(entries).reshape(rows, cols))
 
 
 def parse_complex_literal(text: str) -> complex:

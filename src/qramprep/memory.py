@@ -15,16 +15,24 @@ A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
 query costs k time units (one per tree level).
 
+Layouts encode whole arrays of angles and leaf fields with the array codecs
+of :mod:`qramprep.fixedpoint` and pack each cell as a Python int, so cells
+wider than 64 bits (complex mode above t = 32) stay exact.
+
 JSON wire format: {"mode": ..., "t": t, "k": k, "cells": [unsigned ints]}.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .angles import MODES, ComplexAngleTree, build_angle_structures
 from .errors import (
+    InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
     ParseError,
@@ -35,13 +43,22 @@ from .fixedpoint import (
     FixedAngle,
     FixedPhase,
     check_precision,
-    encode_magnitude_angle,
-    encode_phase,
+    encode_magnitude_angles,
+    encode_phases,
 )
 from .matrix import ComplexMatrix
 
 if TYPE_CHECKING:
     from .simulator import BranchState
+
+
+def cell_width(t: int, mode: str) -> int:
+    """Bits per cell: a t-bit angle field plus a t-bit phase (complex) or one sign bit."""
+    if mode == "complex":
+        return 2 * t
+    if mode == "real_signed":
+        return t + 1
+    raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +73,13 @@ class MemoryImage:
 
     def __post_init__(self):
         check_precision(self.t)
+        for name, error in (("width", WidthMismatchError), ("k", InvalidDimensionsError)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise error(f"{name} must be an integer, got {value!r}")
         for name in ("width", "t", "k"):  # fixed-width ints would overflow cell shifts
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.mode not in MODES:
-            raise WrongModeError(f"mode must be one of {MODES}, got {self.mode!r}")
-        expected = 2 * self.t if self.mode == "complex" else self.t + 1
+        expected = cell_width(self.t, self.mode)
         if self.width != expected:
             raise WidthMismatchError(
                 f"{self.mode} cells must be {expected} bits wide, got {self.width}"
@@ -71,7 +90,7 @@ class MemoryImage:
             )
         limit = 1 << self.width
         for z, cell in enumerate(self.cells):
-            if not isinstance(cell, int) or not 0 <= cell < limit:
+            if type(cell) is not int or not 0 <= cell < limit:
                 raise WidthMismatchError(f"cell {z} does not fit in {self.width} bits")
 
     @property
@@ -116,8 +135,8 @@ class MemoryImage:
             raise ParseError(f"memory image document missing key: {exc}") from exc
         if not isinstance(cells, list):
             raise ParseError("cells must be a list of unsigned integers")
-        width = 2 * t if mode == "complex" else t + 1
-        return cls(cells=tuple(cells), width=width, t=t, mode=mode, k=k)
+        check_precision(t)
+        return cls(cells=tuple(cells), width=cell_width(t, mode), t=t, mode=mode, k=k)
 
 
 @dataclass
@@ -143,6 +162,19 @@ def _check_pow2_cells(n: int) -> int:
     return n.bit_length() - 1
 
 
+def _pack(angle_bits: np.ndarray, aux_bits: np.ndarray, t: int, mode: str, k: int) -> MemoryImage:
+    """Cells ``angle << aux_width | aux`` as Python ints, so any width fits."""
+    width = cell_width(t, mode)
+    aux = width - t
+    cells = tuple([(a << aux) | b for a, b in zip(angle_bits.tolist(), aux_bits.tolist())])
+    return MemoryImage(cells=cells, width=width, t=t, mode=mode, k=k)
+
+
+def _angle_fields(thetas, t: int) -> np.ndarray:
+    """Encoded angles of cells 0..K-1; cell 0 has no sibling pair and holds 0."""
+    return np.concatenate((np.zeros(1, dtype=np.int64), encode_magnitude_angles(thetas, t)))
+
+
 def layout_complex(thetas, phases, t: int) -> MemoryImage:
     """Pack K-1 angles and K phases into K cells of width 2t.
 
@@ -156,13 +188,7 @@ def layout_complex(thetas, phases, t: int) -> MemoryImage:
             f"need K-1 angles for K phases, got {len(thetas)} and {len(phases)}"
         )
     k = _check_pow2_cells(len(phases))
-    cells = [encode_phase(float(phases[0]), t).bits]
-    for theta, phi in zip(thetas, phases[1:]):
-        cells.append(
-            (encode_magnitude_angle(float(theta), t).bits << t)
-            | encode_phase(float(phi), t).bits
-        )
-    return MemoryImage(cells=tuple(cells), width=2 * t, t=t, mode="complex", k=k)
+    return _pack(_angle_fields(thetas, t), encode_phases(phases, t), t, "complex", k)
 
 
 def layout_real_signed(thetas, signs, t: int) -> MemoryImage:
@@ -178,13 +204,17 @@ def layout_real_signed(thetas, signs, t: int) -> MemoryImage:
             f"need K-1 angles for K signs, got {len(thetas)} and {len(signs)}"
         )
     k = _check_pow2_cells(len(signs))
-    bits = [int(s) for s in signs]
-    if any(b not in (0, 1) for b in bits):
+    bits = np.asarray(signs)
+    if not np.all((bits == 0) | (bits == 1)):
         raise LengthMismatchError("sign bits must be 0 or 1")
-    cells = [bits[0]]
-    for theta, s in zip(thetas, bits[1:]):
-        cells.append((encode_magnitude_angle(float(theta), t).bits << 1) | s)
-    return MemoryImage(cells=tuple(cells), width=t + 1, t=t, mode="real_signed", k=k)
+    return _pack(_angle_fields(thetas, t), bits.astype(np.int64), t, "real_signed", k)
+
+
+def layout_image(gamma: ComplexAngleTree, t: int) -> MemoryImage:
+    """Lay out an angle structure's angles and leaf layer at precision t, in its mode."""
+    if gamma.mode == "complex":
+        return layout_complex(gamma.thetas, gamma.phases, t)
+    return layout_real_signed(gamma.thetas, gamma.signs, t)
 
 
 def build_memory_image(
@@ -192,9 +222,7 @@ def build_memory_image(
 ) -> tuple[MemoryImage, ComplexAngleTree]:
     """Preprocess a matrix all the way to its memory image."""
     gamma = build_angle_structures(m, mode)
-    if mode == "complex":
-        return layout_complex(gamma.thetas, gamma.phases, t), gamma
-    return layout_real_signed(gamma.thetas, gamma.signs, t), gamma
+    return layout_image(gamma, t), gamma
 
 
 def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "BranchState":

@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .angles import MODES
+from .angles import build_angle_structures
 from .errors import (
     DirtyStateError,
     LengthMismatchError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fixedpoint import check_precision
 from .matrix import ComplexMatrix, frobenius_norm
-from .memory import MemoryImage, QueryLedger, build_memory_image
+from .memory import MemoryImage, QueryLedger, build_memory_image, cell_width, layout_image
 from .simulator import BranchState, prepare_complex, prepare_real
 
 SIM_MODES = ("fixed", "ideal")
@@ -139,26 +139,27 @@ def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
         raise NotPowerOfTwoError(f"K must be a power of two >= 2, got {K!r}")
     K = int(K)
     check_precision(t)
-    if mode not in MODES:
-        raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
     k = K.bit_length() - 1
-    if mode == "complex":
-        qubits, cell = k + 2 * t + 1, 2 * t
-    else:
-        qubits, cell = k + t + 2, t + 1
+    cell = cell_width(t, mode)  # refuses an unknown mode
     queries = 2 * k + 2
     return ResourceReport(
         mode=mode,
         K=K,
         k=k,
         t=t,
-        qpu_qubits=qubits,
+        qpu_qubits=k + cell + 1,  # address, both work registers, marker
         cell_width_bits=cell,
         memory_bits=cell * K,
         query_count=queries,
         routing_time=queries * k,
         preprocessing_ops=2 * K - 1,
     )
+
+
+def _prepare(img: MemoryImage, **kwargs) -> tuple[BranchState, QueryLedger]:
+    """Run the preparation procedure that matches the image's mode."""
+    prepare = prepare_complex if img.mode == "complex" else prepare_real
+    return prepare(img, **kwargs)
 
 
 def run_preparation(
@@ -173,8 +174,7 @@ def run_preparation(
         raise WrongModeError(f"sim must be one of {SIM_MODES}, got {sim!r}")
     img, gamma = build_memory_image(m, t, mode)
     exact = gamma if sim == "ideal" else None
-    prepare = prepare_complex if mode == "complex" else prepare_real
-    state, ledger = prepare(img, exact=exact, on_iteration=on_iteration)
+    state, ledger = _prepare(img, exact=exact, on_iteration=on_iteration)
     return state, ledger, img
 
 
@@ -188,14 +188,17 @@ class SweepRow:
 def precision_sweep(
     m: ComplexMatrix, t_values, mode: str = "complex"
 ) -> list[SweepRow]:
-    """Quantized-run error against the budget for each precision, sorted by t."""
+    """Quantized-run error against the budget for each precision, sorted by t.
+
+    The angle structure is built once; only the layout and the run repeat per t.
+    """
     oracle = oracle_state(m)
+    gamma = build_angle_structures(m, mode)
     rows = []
     for t in sorted(set(int(t) for t in t_values)):
-        state, _, _ = run_preparation(m, t, mode=mode, sim="fixed")
-        rows.append(
-            SweepRow(t=t, measured_error=state_error(state, oracle), bound=error_bound(m.depth, t))
-        )
+        # keep neither the state nor the query ledger alive into the next run
+        error = state_error(_prepare(layout_image(gamma, t))[0], oracle)
+        rows.append(SweepRow(t=t, measured_error=error, bound=error_bound(m.depth, t)))
     return rows
 
 

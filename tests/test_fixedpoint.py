@@ -11,7 +11,9 @@ from qramprep.fixedpoint import (
     decode_magnitude_angle,
     decode_phase,
     encode_magnitude_angle,
+    encode_magnitude_angles,
     encode_phase,
+    encode_phases,
     magnitude_grid,
     phase_distance,
     phase_grid,
@@ -62,6 +64,14 @@ class TestMagnitudeCodec:
             for theta in thetas:
                 err = abs(decode_magnitude_angle(encode_magnitude_angle(theta, t)) - theta)
                 assert err <= bound
+
+    def test_rounding_bound_random_array(self):
+        rng = np.random.default_rng(2024)
+        thetas = rng.uniform(0.0, math.pi, 10_000)
+        for t in range(4, 17):
+            bound = 2.0 ** (1 - t)
+            err = np.abs(encode_magnitude_angles(thetas, t) * magnitude_grid(t) - thetas)
+            assert err.max() <= bound
 
     @pytest.mark.parametrize("theta", [-0.1, math.pi + 0.01, math.nan, math.inf])
     def test_angle_out_of_range(self, theta):
@@ -117,6 +127,15 @@ class TestPhaseCodec:
                 d = phase_distance(decode_phase(encode_phase(phi, t)), phi)
                 assert d <= bound * (1 + 1e-9)
 
+    def test_rounding_bound_random_array(self):
+        rng = np.random.default_rng(55)
+        phis = rng.uniform(-10 * math.pi, 10 * math.pi, 10_000)
+        for t in (4, 8, 12, 16):
+            bound = math.pi * 2.0 ** -t
+            decoded = encode_phases(phis, t) * phase_grid(t)
+            for got, phi in zip(decoded.tolist(), phis.tolist()):
+                assert phase_distance(got, phi) <= bound * (1 + 1e-9)
+
     @given(st.integers(2, 20), st.integers(min_value=0))
     def test_round_trip_identity_on_grid(self, t, raw):
         bits = raw % (1 << t)
@@ -135,6 +154,108 @@ class TestPhaseCodec:
     def test_precision_out_of_range(self):
         with pytest.raises(PrecisionOutOfRangeError):
             encode_phase(1.0, 63)
+
+
+def scalar_magnitude_bits(theta: float, t: int) -> int:
+    """The per-cell rounding rule the array encoders replaced, kept as an oracle."""
+    return math.floor(theta / 2.0 ** (2 - t) + 0.5)
+
+
+def scalar_phase_bits(phi: float, t: int) -> int:
+    reduced = phi % math.tau
+    if reduced >= math.tau:
+        reduced = 0.0
+    return math.floor(reduced / (math.tau / (1 << t)) + 0.5) % (1 << t)
+
+
+precisions = st.integers(2, 62)
+grid_steps = st.integers(0, (1 << 62) - 1)
+
+
+@st.composite
+def angle_samples(draw):
+    """Thetas in [0, pi]: arbitrary floats, exact half-grid ties and the endpoints."""
+    t = draw(precisions)
+    grid = magnitude_grid(t)
+    top = math.floor(math.pi / grid)  # ties at (n + 0.5) * grid must stay <= pi
+    ties = st.integers(0, top - 1).map(lambda n: (n + 0.5) * grid) if top >= 1 else st.just(0.0)
+    values = st.one_of(
+        st.floats(0.0, math.pi),
+        ties,
+        st.sampled_from([0.0, math.pi, math.nextafter(math.pi, 0.0), grid / 2]),
+    )
+    return t, draw(st.lists(values, min_size=1, max_size=40))
+
+
+@st.composite
+def phase_samples(draw):
+    """Phases anywhere on the line, with ties, values just below 2*pi and signed zeros."""
+    t = draw(precisions)
+    grid = phase_grid(t)
+    values = st.one_of(
+        st.floats(-1e6, 1e6),
+        grid_steps.map(lambda n: ((n % (1 << t)) + 0.5) * grid),
+        st.sampled_from([
+            0.0, -0.0, math.pi, -math.pi, math.tau, -math.tau,
+            math.nextafter(math.tau, 0.0), math.tau - grid / 2, math.tau - grid / 4,
+            -5e-324, -1e-300, -1e-17, 5e-324,
+        ]),
+    )
+    return t, draw(st.lists(values, min_size=1, max_size=40))
+
+
+class TestArrayEncodersMatchScalarRule:
+    @given(angle_samples())
+    def test_magnitude_bits(self, sample):
+        t, thetas = sample
+        got = encode_magnitude_angles(np.array(thetas), t)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_magnitude_bits(x, t) for x in thetas]
+
+    @given(phase_samples())
+    def test_phase_bits(self, sample):
+        t, phis = sample
+        got = encode_phases(np.array(phis), t)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_phase_bits(x, t) for x in phis]
+
+    @pytest.mark.parametrize("t", range(2, 63))
+    def test_fixed_points_every_precision(self, t):
+        grid_m, grid_p = magnitude_grid(t), phase_grid(t)
+        thetas = [0.0, math.pi, grid_m / 2, 1.5 * grid_m, math.pi / 2]
+        phis = [0.0, -0.0, math.pi, math.nextafter(math.tau, 0.0), -1e-300,
+                math.tau - grid_p / 2, 0.5 * grid_p, -0.5 * grid_p]
+        assert encode_magnitude_angles(thetas, t).tolist() == [
+            scalar_magnitude_bits(x, t) for x in thetas
+        ]
+        assert encode_phases(phis, t).tolist() == [scalar_phase_bits(x, t) for x in phis]
+
+    def test_scalar_wrappers_share_the_rule(self):
+        rng = np.random.default_rng(8)
+        for t in (2, 17, 32, 62):
+            for theta, phi in zip(rng.uniform(0, math.pi, 50), rng.uniform(-9, 9, 50)):
+                assert encode_magnitude_angle(float(theta), t).bits == scalar_magnitude_bits(theta, t)
+                assert encode_phase(float(phi), t).bits == scalar_phase_bits(phi, t)
+
+    def test_first_bad_index_named(self):
+        with pytest.raises(AngleOutOfRangeError, match="index 2"):
+            encode_magnitude_angles([0.0, 1.0, math.nan, -1.0], 8)
+        with pytest.raises(AngleOutOfRangeError, match="index 1"):
+            encode_magnitude_angles([0.0, math.pi + 1e-9], 8)
+        with pytest.raises(AngleOutOfRangeError, match="index 3"):
+            encode_phases([0.0, 1.0, -7.0, math.inf], 8)
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(AngleOutOfRangeError):
+            encode_phases([0.0, object()], 8)
+        with pytest.raises(AngleOutOfRangeError):
+            encode_magnitude_angle("1.0", 8)
+
+    def test_precision_checked(self):
+        with pytest.raises(PrecisionOutOfRangeError):
+            encode_phases([0.0], 63)
+        with pytest.raises(PrecisionOutOfRangeError):
+            encode_magnitude_angles([0.0], True)
 
 
 class TestPhaseDistance:

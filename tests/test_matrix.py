@@ -107,6 +107,40 @@ class TestLoadMatrix:
         with pytest.raises(ParseError):
             load_matrix(doc, "json")
 
+    def test_integer_beyond_float_range(self):
+        # a bare OverflowError used to escape from the int -> float conversion
+        doc = '{"rows": 1, "cols": 2, "entries": [[1' + "0" * 400 + ', 0], [1, 0]]}'
+        with pytest.raises(ParseError, match="entry 0 real part"):
+            load_matrix(doc, "json")
+
+    def test_integer_past_digit_limit(self):
+        doc = '{"rows": 1, "cols": 2, "entries": [[1' + "0" * 5000 + ', 0], [1, 0]]}'
+        with pytest.raises(ParseError):
+            load_matrix(doc, "json")
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([[1, 0], [True, 0]], "entry 1 real part"),
+            ([[1, 0], [0, None]], "entry 1 imaginary part"),
+            ([[1, 0], [1, 1e999], ["x", 0], [0, 0]], "entry 1 imaginary part"),
+            ([[1, 0], [0, 0], [1, 2, 3], [0, 0]], "entry 2 must be a"),
+            ([[1, 0], 5], "entry 1 must be a"),
+        ],
+    )
+    def test_first_bad_entry_named(self, bad, message):
+        cols = len(bad)
+        doc = json.dumps({"rows": 1, "cols": cols, "entries": bad}).replace("Infinity", "1e999")
+        with pytest.raises(ParseError, match=message):
+            load_matrix(doc, "json")
+
+    def test_large_integers_match_float_conversion(self):
+        big = [2 ** 60 + 1, 10 ** 30, -(2 ** 70) - 3]
+        doc = json.dumps({"rows": 1, "cols": 4, "entries": [[b, 1] for b in big] + [[0.5, -0.0]]})
+        m = load_matrix(doc, "json")
+        assert m.entries.tolist() == [complex(float(b), 1.0) for b in big] + [0.5 + 0j]
+        assert math.copysign(1.0, m.entries[3].imag) == -1.0
+
     def test_csv_ragged(self):
         with pytest.raises(ParseError):
             load_matrix("1,2\n3\n", "csv")

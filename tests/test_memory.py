@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qramprep.errors import (
+    InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
     ParseError,
+    PrecisionOutOfRangeError,
     WidthMismatchError,
     WrongModeError,
 )
@@ -17,6 +19,7 @@ from qramprep.memory import (
     MemoryImage,
     QueryLedger,
     build_memory_image,
+    cell_width,
     layout_complex,
     layout_real_signed,
     query,
@@ -86,6 +89,11 @@ class TestLayoutRealSigned:
         with pytest.raises(LengthMismatchError):
             layout_real_signed([1.0], [0, 2], 8)
 
+    def test_sign_bits_as_bools(self):
+        img = layout_real_signed([0.0], [False, True], 8)
+        assert img.cells == (0, 1)
+        assert all(type(c) is int for c in img.cells)
+
     def test_mode_guards(self):
         m = ComplexMatrix.from_array([[1.0, -1.0]])
         img, _ = build_memory_image(m, 8, "real_signed")
@@ -108,6 +116,51 @@ class TestJsonRoundTrip:
             MemoryImage.from_json_dict(
                 {"mode": "complex", "t": 4, "k": 1, "cells": [0, 1 << 8]}
             )
+
+
+class TestCellWidth:
+    @pytest.mark.parametrize("t", [2, 8, 32, 62])
+    def test_formula(self, t):
+        assert cell_width(t, "complex") == 2 * t
+        assert cell_width(t, "real_signed") == t + 1
+
+    def test_unknown_mode(self):
+        with pytest.raises(WrongModeError):
+            cell_width(8, "polar")
+
+    def test_wide_cells_stay_exact(self):
+        m = random_matrix(4, 4, seed=8)
+        img, _ = build_memory_image(m, 62, "complex")
+        assert img.width == 124
+        assert max(img.cells) >= 1 << 64
+        assert all(type(c) is int for c in img.cells)
+
+
+class TestImageTypes:
+    DOC = {"mode": "complex", "t": 4, "k": 1, "cells": [0, 3]}
+
+    @pytest.mark.parametrize("cells", [[True, 3], [0, False], [0, 3.0], [0, "3"], [0, None]])
+    def test_non_int_cell_rejected(self, cells):
+        with pytest.raises(WidthMismatchError, match="cell"):
+            MemoryImage.from_json_dict({**self.DOC, "cells": cells})
+
+    def test_numpy_cell_rejected(self):
+        with pytest.raises(WidthMismatchError):
+            MemoryImage(cells=(0, np.int64(3)), width=8, t=4, mode="complex", k=1)
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1", None])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(InvalidDimensionsError):
+            MemoryImage.from_json_dict({**self.DOC, "k": k})
+
+    @pytest.mark.parametrize("t", [True, 4.0, "4", None])
+    def test_non_int_t_rejected(self, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            MemoryImage.from_json_dict({**self.DOC, "t": t})
+
+    def test_bool_width_rejected(self):
+        with pytest.raises(WidthMismatchError):
+            MemoryImage(cells=(0, 1), width=True, t=4, mode="complex", k=1)
 
 
 class TestQuery:

@@ -1,0 +1,40 @@
+"""The benchmark's workloads, run once each at K=2^6 so a refactor cannot silently break them.
+
+Imports ``perfbench/workloads.py`` and runs every workload's op and its
+check, the same pair the timed benchmark loop runs; the whole module takes
+well under a second.
+"""
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop(spec.name, None)
+
+
+@pytest.mark.parametrize("name", ["preprocess", "prepare_image", "sweep"])
+def test_workload_op_passes_its_check(workloads, name):
+    assert name in workloads.NAMES
+    wl = workloads.build(name, seed=401, k=6)
+    use = wl.check(wl.op())
+    assert 0.0 <= use <= 1.0
+
+
+def test_check_rejects_a_corrupted_image(workloads):
+    wl = workloads.build("preprocess", seed=401, k=6)
+    doc = json.loads(wl.op())
+    doc["cells"][5] ^= 1 << (2 * doc["t"] - 1)  # top bit of one angle field
+    with pytest.raises(workloads.CheckFailure):
+        wl.check(json.dumps(doc))

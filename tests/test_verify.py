@@ -186,6 +186,15 @@ class TestPrecisionSweep:
         for lo, hi in zip(medians[1:], medians[:-1]):
             assert lo < hi
 
+    @pytest.mark.parametrize("mode,real", [("complex", False), ("real_signed", True)])
+    def test_rows_equal_independent_runs(self, mode, real):
+        # the sweep builds the angle structure once; each row must equal a full run at its t
+        m = random_matrix(8, 8, seed=41, real=real, zero_fraction=0.5)
+        oracle = oracle_state(m)
+        for row in precision_sweep(m, range(6, 22), mode):
+            state, _, _ = run_preparation(m, row.t, mode=mode, sim="fixed")
+            assert row.measured_error == state_error(state, oracle)
+
     def test_csv_format(self, example):
         rows = precision_sweep(example, [8, 6, 7])
         text = sweep_csv(rows)
