@@ -40,7 +40,6 @@ from .memory import (
     layout_complex,
     layout_real_signed,
     query,
-    query_cost,
 )
 from .simulator import (
     BranchState,
@@ -111,7 +110,6 @@ __all__ = [
     "prepare_complex",
     "prepare_real",
     "query",
-    "query_cost",
     "random_matrix",
     "resource_report",
     "run_preparation",

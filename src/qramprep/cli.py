@@ -15,10 +15,11 @@ from pathlib import Path
 from .errors import ExampleMismatchError, ParseError, QramPrepError
 from .fixedpoint import phase_distance
 from .matrix import ComplexMatrix, load_matrix, random_matrix, squared_moduli
-from .memory import MemoryImage, build_memory_image, query_cost
-from .simulator import dump_state, prepare_complex, prepare_real
+from .memory import MemoryImage, build_memory_image
+from .simulator import dump_state, prepare_complex
 from .verify import (
     ERROR_SLACK,
+    _prepare,
     error_bound,
     oracle_state,
     precision_sweep,
@@ -62,6 +63,7 @@ EXAMPLE_STEP_MODULI = {
 ANGLE_TOL = 1e-3  # recorded angles and phases carry three decimals
 STEP_TOL = 1e-6
 FINAL_TOL = 1e-10
+NORM_TOL = 1e-12  # a run from a memory image has no oracle; it must stay a unit vector
 
 
 def example_matrix() -> ComplexMatrix:
@@ -129,20 +131,27 @@ def cmd_prepare(args) -> int:
     if img is not None:
         if args.sim == "ideal":
             raise ParseError("ideal mode needs a matrix input (exact angles are not in the image)")
-        prepare = prepare_complex if img.mode == "complex" else prepare_real
-        state, ledger = prepare(img)
+        state, ledger = _prepare(img)
+        norm_error = abs(state.norm() - 1.0)
+        clean = state.work_clean()
+        marked = state.marker_set()
+        ok = norm_error <= NORM_TOL and clean and marked
         print(f"queries: {ledger.query_count}")
-        print(f"routing_time: {query_cost(ledger, img.k)}")
+        print(f"routing_time: {ledger.routing_time}")
+        print(f"norm_error: {norm_error:.6e}")
+        print(f"work_clean: {clean}")
+        print(f"marker_set: {marked}")
+        print(f"status: {'PASS' if ok else 'FAIL'}")
         if args.output:
             _write_text(args.output, json.dumps(dump_state(state), sort_keys=True) + "\n")
             print(f"wrote {args.output}")
-        return 0
-    state, ledger, image = run_preparation(m, args.t, mode=args.mode, sim=args.sim)
+        return 0 if ok else 1
+    state, ledger, _ = run_preparation(m, args.t, mode=args.mode, sim=args.sim)
     err = state_error(state, oracle_state(m))
     tol = FINAL_TOL if args.sim == "ideal" else ERROR_SLACK * error_bound(m.depth, args.t)
     ok = err <= tol
     print(f"queries: {ledger.query_count}")
-    print(f"routing_time: {query_cost(ledger, image.k)}")
+    print(f"routing_time: {ledger.routing_time}")
     print(f"state_error: {err:.6e}")
     print(f"tolerance: {tol:.6e}")
     print(f"status: {'PASS' if ok else 'FAIL'}")

@@ -13,7 +13,10 @@ field (phase or sign of entry 0) is live.
 
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
-query costs k time units (one per tree level).
+query costs k time units (one per tree level). It gathers from per-field
+uint64 arrays (``MemoryImage.field_arrays``), derived from the cells once per
+image; each field is at most 62 bits, so the split fits machine words even
+where a whole cell does not.
 
 Layouts encode whole arrays of angles and leaf fields with the array codecs
 of :mod:`qramprep.fixedpoint` and pack each cell as a Python int, so cells
@@ -24,7 +27,8 @@ JSON wire format: {"mode": ..., "t": t, "k": k, "cells": [unsigned ints]}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -102,6 +106,18 @@ class MemoryImage:
         """Width of the low (phase or sign) field."""
         return self.width - self.t
 
+    @cached_property
+    def field_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(angle fields, aux fields) of cells 0..K-1 as read-only uint64 arrays."""
+        if self.width <= 64:
+            cells = np.array(self.cells, dtype=np.uint64)
+        else:  # wider than a machine word: split the Python ints first
+            cells = np.array(self.cells, dtype=object)
+        angle = (cells >> self.aux_width).astype(np.uint64)
+        aux = (cells & ((1 << self.aux_width) - 1)).astype(np.uint64)
+        angle.flags.writeable = aux.flags.writeable = False
+        return angle, aux
+
     def angle_field(self, z: int) -> int:
         return self.cells[z] >> self.aux_width
 
@@ -152,8 +168,11 @@ class QueryLedger:
         return self.query_count * self.k
 
     def record(self, addresses) -> None:
+        """Count one query and log the sorted distinct addresses it reached."""
+        reached = np.zeros(1 << self.k, dtype=bool)
+        reached[np.asarray(addresses, dtype=np.intp)] = True
         self.query_count += 1
-        self.access_log.append(tuple(sorted(set(addresses))))
+        self.access_log.append(tuple(np.flatnonzero(reached).tolist()))
 
 
 def _check_pow2_cells(n: int) -> int:
@@ -237,16 +256,8 @@ def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "Branc
         raise WidthMismatchError(
             f"data registers {state.t}+{state.aux_width} bits, cells {img.t}+{img.aux_width}"
         )
-    addr_mask = (1 << img.k) - 1
-    shift = img.k + 1
-    cells = img.cells
-    out = {}
-    for label, amp in state.branches.items():
-        out[label ^ (cells[label & addr_mask] << shift)] = amp
-    ledger.record(label & addr_mask for label in state.branches)
-    return replace(state, branches=out)
-
-
-def query_cost(ledger: QueryLedger, k: int) -> int:
-    """Total routing time: queries * k under unit depth per tree level."""
-    return ledger.query_count * k
+    angle, aux = img.field_arrays
+    addr = state.addr
+    out = state._evolve(w_angle=state.w_angle ^ angle[addr], w_aux=state.w_aux ^ aux[addr])
+    ledger.record(addr)
+    return out

@@ -1,25 +1,39 @@
 """Exact sparse statevector simulation of the two-step preparation procedure.
 
-A branch basis label packs four registers into one integer,
+A branch is one basis state of four registers,
 
     [ w_angle : t bits | w_aux : t or 1 bits | v : 1 bit | a : k bits ]
 
-with the address in the low bits (a_{k-1} most significant inside its field).
-Amplitudes live in a dict keyed by label, so the state stays sparse: after
-every uncompute the work registers are zero on all branches and at most 2**k
-branches remain, whatever t is. A dense vector over k + 2t + 1 qubits would
-be hopeless for t = 32; the sparse map is exact and cheap.
+stored structure-of-arrays: ``BranchState`` keeps one uint64 array per
+register (``addr``, ``v``, ``w_angle``, ``w_aux``) and a complex128 array
+``amp``, entry i of each describing branch i. Every register is at most 62
+bits wide, so no packed label is ever formed while simulating. The state
+stays sparse: after every uncompute the work registers are zero on all
+branches and at most 2**k branches remain, whatever t is. A dense vector over
+k + 2t + 1 qubits would be hopeless for t = 32; the branch arrays are exact
+and cheap.
+
+Every operation is a whole-array pass. A query gathers the addressed cell
+fields and XORs them into the work registers; the y-rotation cascade pairs
+the branches that differ only in v and rotates every pair at once; the
+circular shift is bit arithmetic on the address and marker; the leaf steps
+multiply amplitudes by phases or signs.
 
 The magnitude loop runs k iterations of query -> y-rotation cascade ->
 uncompute query -> circular shift, threading a single marker bit through the
 address register; one final query pair applies the leaf phases (complex) or
 the leaf signs (real_signed). Total queries: 2k + 2.
 
-Cascades are applied as the composed single-qubit unitary per branch, which
-is mathematically identical to the bit-by-bit product of controlled rotations
-(the rotations commute and their angles sum to the decoded register value);
-:func:`ry_cascade_by_gates` keeps the literal bit-by-bit form as a reference
+Cascades are applied as the composed single-qubit unitary per branch pair,
+which is mathematically identical to the bit-by-bit product of controlled
+rotations (the rotations commute and their angles sum to the decoded register
+value); :func:`ry_cascade_by_gates` keeps the bit-by-bit form as a reference
 for equivalence tests.
+
+``state.branches`` presents the arrays as a mapping from the packed label
+(address in the low bits, a_{k-1} most significant inside its field) to the
+amplitude, built on first use; assigning a mapping to it, or passing one to
+the constructor, loads the arrays from the labels.
 
 State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
 "amp": [re, im]}]} sorted by address; dumping demands clean work registers.
@@ -27,9 +41,12 @@ State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import MutableMapping
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
+
+import numpy as np
 
 from .angles import ComplexAngleTree
 from .errors import (
@@ -46,15 +63,102 @@ from .weight_tree import WeightTree
 # amplitudes smaller than this are dropped in quantized runs (never in ideal runs)
 PRUNE_THRESHOLD = 1e-15
 
+_ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
+
+
+class _BranchView(MutableMapping):
+    """``state.branches``: packed label -> amplitude over the state's arrays.
+
+    ``len`` reads the array length. Reading a label builds the label dict
+    once per state. Writing a label reloads the arrays from the edited
+    mapping, which costs a pass over every branch.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: "BranchState"):
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._state.amp.size
+
+    def __getitem__(self, label):
+        return self._state._label_dict()[label]
+
+    def __iter__(self):
+        return iter(self._state._label_dict())
+
+    def __setitem__(self, label, amp) -> None:
+        self._state.branches = {**self._state._label_dict(), label: amp}
+
+    def __delitem__(self, label) -> None:
+        branches = dict(self._state._label_dict())
+        del branches[label]
+        self._state.branches = branches
+
+    def __repr__(self) -> str:
+        return repr(self._state._label_dict())
+
+
+class _Branches:
+    """Descriptor behind the ``branches`` field: a view on read, a load on write."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            raise AttributeError("branches")  # no default for the dataclass field
+        return _BranchView(state)
+
+    def __set__(self, state, branches) -> None:
+        state._labels = dict(branches)
+        if "k" in vars(state):  # during __init__ the widths are not set yet
+            state._load_labels()
+
 
 @dataclass
 class BranchState:
-    """Sparse register state: basis label -> complex amplitude."""
+    """Sparse register state: one entry per branch in each register array."""
 
-    branches: dict[int, complex]
+    branches: MutableMapping[int, complex] = _Branches()
     t: int
     aux_width: int
     k: int
+
+    def __post_init__(self):
+        self._load_labels()
+
+    def _load_labels(self) -> None:
+        labels = np.array(list(self._labels), dtype=object)  # Python ints of any width
+        fields = {
+            "addr": labels & self.addr_mask,
+            "v": (labels >> self.k) & 1,
+            "w_angle": labels >> self.angle_shift,
+            "w_aux": (labels >> self.aux_shift) & ((1 << self.aux_width) - 1),
+        }
+        for name, field in fields.items():
+            setattr(self, name, _frozen(field.astype(np.uint64)))
+        self.amp = _frozen(
+            np.fromiter(self._labels.values(), dtype=np.complex128, count=len(self._labels))
+        )
+
+    def _label_dict(self) -> dict[int, complex]:
+        if self._labels is None:
+            labels = (
+                (self.w_angle.astype(object) << self.angle_shift)
+                | (self.w_aux.astype(object) << self.aux_shift)
+                | (self.v.astype(object) << self.k)
+                | self.addr.astype(object)
+            )
+            self._labels = dict(zip(labels.tolist(), self.amp.tolist()))
+        return self._labels
+
+    def _evolve(self, **arrays: np.ndarray) -> "BranchState":
+        """A state of the same widths with the named register or ``amp`` arrays replaced."""
+        out = object.__new__(BranchState)
+        out.t, out.aux_width, out.k = self.t, self.aux_width, self.k
+        for name in _ARRAYS:
+            setattr(out, name, _frozen(arrays[name]) if name in arrays else getattr(self, name))
+        out._labels = None
+        return out
 
     @property
     def addr_mask(self) -> int:
@@ -93,13 +197,21 @@ class BranchState:
         return label >> self.angle_shift
 
     def work_clean(self) -> bool:
-        shift = self.aux_shift
-        return all(label >> shift == 0 for label in self.branches)
+        return not np.any(self.w_angle | self.w_aux)
+
+    def marker_set(self) -> bool:
+        """True iff v = 1 on every branch, as after the magnitude loop."""
+        return bool(np.all(self.v == 1))
 
     def norm(self) -> float:
-        return math.sqrt(
-            math.fsum(a.real * a.real + a.imag * a.imag for a in self.branches.values())
-        )
+        amp = self.amp
+        return math.sqrt(math.fsum((amp.real * amp.real + amp.imag * amp.imag).tolist()))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # states share arrays and cache their label dict, so nothing may write into one
+    array.flags.writeable = False
+    return array
 
 
 def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
@@ -117,34 +229,50 @@ def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
     return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=aux, k=k)
 
 
-def _half_angle_cos_sin(theta: float) -> tuple[float, float]:
-    # exact at full and zero splits so zero-weight branches never materialize
-    if theta == 0.0:
-        return 1.0, 0.0
-    if theta == math.pi:
-        return 0.0, 1.0
+def _half_angle_cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # exact at full and zero splits so zero-weight branches never materialize:
+    # cos(0) = 1, sin(0) = 0 and sin(pi/2) = 1 already are, cos(pi/2) is not
     half = 0.5 * theta
-    return math.cos(half), math.sin(half)
+    return np.where(theta == math.pi, 0.0, np.cos(half)), np.sin(half)
 
 
-def _phase_unit(phi: float) -> complex:
-    # half turns must be exact so a {0, pi} phase layer reproduces sign flips
-    if phi == 0.0:
-        return 1.0 + 0.0j
-    if phi == math.pi:
-        return -1.0 + 0.0j
-    return complex(math.cos(phi), math.sin(phi))
+def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
+    """Rotate the marker of every branch pair by ``theta`` (one angle per branch).
 
-
-_QUARTER_FACTORS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _phase_unit_bits(bits: int, t: int) -> complex:
-    quarters, rem = divmod(4 * bits, 1 << t)
-    if rem == 0:
-        return _QUARTER_FACTORS[quarters & 3]
-    phi = bits * (math.tau / (1 << t))
-    return complex(math.cos(phi), math.sin(phi))
+    A pair is the v = 0 and v = 1 branch with equal address and work
+    registers, found by a sort on (address, w_angle, w_aux); a branch without
+    a partner pairs with amplitude 0. Exactly zero results are dropped.
+    """
+    n = state.amp.size
+    if state.v.any():
+        order = np.lexsort((state.v, state.w_aux, state.w_angle, state.addr))
+        partner = np.ones(n - 1, dtype=bool)  # sorted branch i + 1 pairs with branch i
+        for reg in (state.addr, state.w_angle, state.w_aux):
+            ranked = reg[order]
+            partner &= ranked[1:] == ranked[:-1]
+        starts = np.concatenate(([True], ~partner))
+        group = np.cumsum(starts) - 1
+    else:  # no v = 1 branch: each branch is the v = 0 half of its own pair, no sort needed
+        order = group = np.arange(n)
+        starts = np.ones(n, dtype=bool)
+    rep = order[starts]
+    pair = np.zeros((rep.size, 2), dtype=np.complex128)
+    pair[group, state.v[order]] = state.amp[order]
+    c, s = _half_angle_cos_sin(theta[rep])
+    a0, a1 = pair[:, 0], pair[:, 1]
+    n0 = c * a0 - s * a1
+    n1 = s * a0 + c * a1
+    keep0, keep1 = np.flatnonzero(n0 != 0.0), np.flatnonzero(n1 != 0.0)
+    src = np.concatenate((rep[keep0], rep[keep1]))
+    marker = np.zeros(src.size, dtype=np.uint64)
+    marker[keep0.size:] = 1
+    return state._evolve(
+        addr=state.addr[src],
+        v=marker,
+        w_angle=state.w_angle[src],
+        w_aux=state.w_aux[src],
+        amp=np.concatenate((n0[keep0], n1[keep1])),
+    )
 
 
 def ry_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
@@ -153,123 +281,87 @@ def ry_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> Bra
     With ``exact`` given, the decoded register value is replaced by the exact
     angle stored for the branch address (quantization bypass for ideal runs).
     """
-    v_mask = state.v_mask
-    scale = 2.0 ** (2 - state.t)
-    angle_shift = state.angle_shift
-    addr_mask = state.addr_mask
-    branches = state.branches
-    out: dict[int, complex] = {}
-    done: set[int] = set()
-    for label in branches:
-        base = label & ~v_mask
-        if base in done:
-            continue
-        done.add(base)
-        a0 = branches.get(base, 0.0j)
-        a1 = branches.get(base | v_mask, 0.0j)
-        if exact is None:
-            theta = (base >> angle_shift) * scale
-        else:
-            theta = exact.theta(base & addr_mask)
-        c, s = _half_angle_cos_sin(theta)
-        n0 = c * a0 - s * a1
-        n1 = s * a0 + c * a1
-        if n0 != 0.0:
-            out[base] = n0
-        if n1 != 0.0:
-            out[base | v_mask] = n1
-    return replace(state, branches=out)
+    if exact is None:
+        theta = state.w_angle * 2.0 ** (2 - state.t)
+    else:
+        theta = np.concatenate(([0.0], exact.thetas))[state.addr]  # z = 0 is the dummy
+    return _rotate_pairs(state, theta)
 
 
 def ry_cascade_by_gates(state: BranchState) -> BranchState:
     """Reference cascade: one controlled y-rotation by 2**(j+2-t) per register bit j."""
     current = state
-    v_mask = state.v_mask
     for j in range(state.t):
-        delta = 2.0 ** (j + 2 - state.t)
-        c, s = math.cos(0.5 * delta), math.sin(0.5 * delta)
-        control = 1 << (state.angle_shift + j)
-        branches = current.branches
-        out: dict[int, complex] = {}
-        done: set[int] = set()
-        for label, amp in branches.items():
-            if not label & control:
-                out[label] = amp
-                continue
-            base = label & ~v_mask
-            if base in done:
-                continue
-            done.add(base)
-            a0 = branches.get(base, 0.0j)
-            a1 = branches.get(base | v_mask, 0.0j)
-            n0 = c * a0 - s * a1
-            n1 = s * a0 + c * a1
-            if n0 != 0.0:
-                out[base] = n0
-            if n1 != 0.0:
-                out[base | v_mask] = n1
-        current = replace(current, branches=out)
+        control = (current.w_angle >> j) & 1
+        current = _rotate_pairs(current, control * 2.0 ** (j + 2 - state.t))
     return current
+
+
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _phase_units(phi: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """e^{i phi}; exact where ``quarter`` >= 0 counts the quarter turns phi makes.
+
+    Exact quarter turns let a {0, pi} phase layer reproduce sign flips exactly.
+    """
+    units = np.empty(phi.shape, dtype=np.complex128)
+    units.real = np.cos(phi)
+    units.imag = np.sin(phi)
+    on_grid = quarter >= 0
+    units[on_grid] = _QUARTER_TURNS[quarter[on_grid] & 3]
+    return units
 
 
 def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
     """Multiply every marked branch (v = 1) by e^{i phi}, phi from its w_aux register."""
     if state.aux_width != state.t:
         raise WrongModeError("phase cascade needs a t-bit phase register (complex mode)")
-    v_mask = state.v_mask
-    aux_shift = state.aux_shift
-    aux_mask = (1 << state.aux_width) - 1
-    addr_mask = state.addr_mask
-    out: dict[int, complex] = {}
-    for label, amp in state.branches.items():
-        if label & v_mask:
-            if exact is None:
-                amp = amp * _phase_unit_bits((label >> aux_shift) & aux_mask, state.t)
-            else:
-                amp = amp * _phase_unit(exact.phase(label & addr_mask))
-        out[label] = amp
-    return replace(state, branches=out)
+    marked = np.flatnonzero(state.v)
+    if exact is None:
+        t = state.t
+        bits = state.w_aux[marked]
+        phi = bits * (math.tau / (1 << t))
+        # a quarter-turn multiple has its low t-2 bits clear; 4 * bits could overflow at t = 62
+        on_grid = (bits & ((1 << (t - 2)) - 1)) == 0
+        quarter = np.where(on_grid, (bits >> (t - 2)).astype(np.int64), -1)
+    else:
+        phi = exact.phases[state.addr[marked]]
+        turns = np.rint(phi / (0.5 * math.pi))
+        quarter = np.where(turns * (0.5 * math.pi) == phi, turns, -1.0).astype(np.int64)
+    amp = state.amp.copy()
+    amp[marked] *= _phase_units(phi, quarter)
+    return state._evolve(amp=amp)
 
 
 def controlled_z_sign(state: BranchState) -> BranchState:
     """Negate every branch with sign bit 1 and v = 1 (real_signed leaf step)."""
     if state.aux_width != 1:
         raise WrongModeError("sign step needs a 1-bit sign register (real_signed mode)")
-    v_mask = state.v_mask
-    s_mask = 1 << state.aux_shift
-    flip = v_mask | s_mask
-    out = {
-        label: (-amp if label & flip == flip else amp)
-        for label, amp in state.branches.items()
-    }
-    return replace(state, branches=out)
+    flip = (state.v & state.w_aux & 1).astype(bool)
+    return state._evolve(amp=np.where(flip, -state.amp, state.amp))
 
 
 def circular_shift(state: BranchState) -> BranchState:
     """Left circular shift on (v, a_{k-1}, ..., a_0): v enters as the new a_0."""
-    k = state.k
-    addr_mask = state.addr_mask
-    out: dict[int, complex] = {}
-    for label, amp in state.branches.items():
-        if label >> (k + 1):
-            raise DirtyWorkRegistersError(
-                "shift with nonzero work registers: uncompute did not run or failed"
-            )
-        v = (label >> k) & 1
-        addr = label & addr_mask
-        new_v = (addr >> (k - 1)) & 1
-        new_addr = ((addr << 1) & addr_mask) | v
-        out[(new_v << k) | new_addr] = amp
-    return replace(state, branches=out)
+    if not state.work_clean():
+        raise DirtyWorkRegistersError(
+            "shift with nonzero work registers: uncompute did not run or failed"
+        )
+    addr = state.addr
+    return state._evolve(
+        addr=((addr << 1) & state.addr_mask) | state.v,
+        v=(addr >> (state.k - 1)) & 1,
+    )
 
 
 def _pruned(state: BranchState, threshold: float) -> BranchState:
     if threshold <= 0.0:
         return state
-    kept = {label: a for label, a in state.branches.items() if abs(a) >= threshold}
-    if len(kept) == len(state.branches):
+    keep = np.abs(state.amp) >= threshold
+    if keep.all():
         return state
-    return replace(state, branches=kept)
+    return state._evolve(**{name: getattr(state, name)[keep] for name in _ARRAYS})
 
 
 def _prepare(
@@ -352,40 +444,32 @@ def marker_check(
     root = wt.total
     if root <= 0.0:
         return False
-    norm = math.sqrt(root)
-    for label in state.branches:
-        if label >> (k + 1):
+    if not state.work_clean():
+        return False
+    if h == k:
+        if not state.marker_set():
             return False
-        v = (label >> k) & 1
-        addr = label & state.addr_mask
-        if h == k:
-            if v != 1:
-                return False
-        else:
-            if v != 0 or addr >> h != 1:
-                return False
-    positions = 1 << h
-    level = wt.levels[h]
-    for p in range(positions):
-        label = ((1 << k) | p) if h == k else ((1 << h) | p)
-        amp = state.branches.get(label, 0.0j)
-        if abs(abs(amp) - math.sqrt(float(level[p])) / norm) > tol:
-            return False
-    return True
+    elif np.any(state.v != 0) or np.any(state.addr >> h != 1):
+        return False
+    amps = np.zeros(1 << h, dtype=np.complex128)
+    amps[state.addr & ((1 << h) - 1)] = state.amp
+    want = np.sqrt(np.asarray(wt.levels[h], dtype=np.float64)) / math.sqrt(root)
+    return not np.any(np.abs(np.abs(amps) - want) > tol)
 
 
 def dump_state(state: BranchState) -> dict:
     """JSON-ready dict of the state; requires all work registers zero."""
-    rows = []
-    for label, amp in state.branches.items():
-        if label >> (state.k + 1):
-            raise DirtyStateError("cannot dump a state with nonzero work registers")
-        rows.append(
-            {
-                "address": label & state.addr_mask,
-                "v": (label >> state.k) & 1,
-                "amp": [amp.real, amp.imag],
-            }
+    if not state.work_clean():
+        raise DirtyStateError("cannot dump a state with nonzero work registers")
+    order = np.lexsort((state.v, state.addr))
+    amp = state.amp[order]
+    rows = [
+        {"address": a, "v": v, "amp": [re, im]}
+        for a, v, re, im in zip(
+            state.addr[order].tolist(),
+            state.v[order].tolist(),
+            amp.real.tolist(),
+            amp.imag.tolist(),
         )
-    rows.sort(key=lambda r: (r["address"], r["v"]))
+    ]
     return {"k": state.k, "branches": rows}

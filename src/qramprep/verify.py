@@ -42,13 +42,12 @@ def oracle_state(m: ComplexMatrix) -> np.ndarray:
 
 def address_amplitudes(state: BranchState) -> np.ndarray:
     """Address-register amplitude vector; requires clean work and v = 1."""
+    if not state.work_clean():
+        raise DirtyStateError("work registers are not zero")
+    if not state.marker_set():
+        raise DirtyStateError("marker qubit is not set on every branch")
     vec = np.zeros(1 << state.k, dtype=np.complex128)
-    for label, amp in state.branches.items():
-        if label >> (state.k + 1):
-            raise DirtyStateError("work registers are not zero")
-        if not (label >> state.k) & 1:
-            raise DirtyStateError("marker qubit is not set on every branch")
-        vec[label & state.addr_mask] = amp
+    vec[state.addr] = state.amp
     return vec
 
 

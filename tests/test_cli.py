@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qramprep import simulator
 from qramprep.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "example_matrix.json"
@@ -112,6 +114,32 @@ class TestPrepare:
         main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
         rc = main(["prepare", "--input", str(img_path), "--sim", "ideal"])
         assert rc == 1
+
+    def test_image_run_checks_its_result(self, example_path, tmp_path, capsys):
+        img_path = tmp_path / "img.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        assert main(["prepare", "--input", str(img_path)]) == 0
+        out = capsys.readouterr().out
+        assert "work_clean: True" in out and "marker_set: True" in out
+        assert "status: PASS" in out
+
+    def test_image_run_fails_on_a_dropped_branch(self, example_path, tmp_path, capsys,
+                                                 monkeypatch):
+        img_path = tmp_path / "img.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        shift = simulator.circular_shift
+
+        def dropping_shift(state):
+            out = shift(state)
+            branches = dict(out.branches)
+            branches.pop(max(branches))
+            return dataclasses.replace(out, branches=branches)
+
+        monkeypatch.setattr(simulator, "circular_shift", dropping_shift)
+        assert main(["prepare", "--input", str(img_path)]) == 1
+        assert "status: FAIL" in capsys.readouterr().out
 
     def test_random_matrix_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

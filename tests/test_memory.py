@@ -23,7 +23,6 @@ from qramprep.memory import (
     layout_complex,
     layout_real_signed,
     query,
-    query_cost,
 )
 from qramprep.simulator import BranchState, init_state
 
@@ -227,7 +226,6 @@ class TestLedger:
             ledger.record([1])
         assert ledger.query_count == 8
         assert ledger.routing_time == 24
-        assert query_cost(ledger, 3) == 24
 
     def test_zero_queries_zero_time(self):
         assert QueryLedger(k=10).routing_time == 0

@@ -4,6 +4,7 @@ Imports ``perfbench/workloads.py`` and runs every workload's op and its
 check, the same pair the timed benchmark loop runs; the whole module takes
 well under a second.
 """
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -38,3 +39,21 @@ def test_check_rejects_a_corrupted_image(workloads):
     doc["cells"][5] ^= 1 << (2 * doc["t"] - 1)  # top bit of one angle field
     with pytest.raises(workloads.CheckFailure):
         wl.check(json.dumps(doc))
+
+
+def test_dropped_branch_fails_the_prepare_image_check(workloads, monkeypatch):
+    # the fault perfbench/smoke.py injects: the op must run, and its check must refuse it
+    simulator = workloads.qp.simulator
+    shift = simulator.circular_shift
+
+    def dropping_shift(state):
+        out = shift(state)
+        branches = dict(out.branches)
+        branches.pop(max(branches))
+        return dataclasses.replace(out, branches=branches)
+
+    monkeypatch.setattr(simulator, "circular_shift", dropping_shift)
+    wl = workloads.build("prepare_image", seed=401, k=6)
+    out = wl.op()
+    with pytest.raises(workloads.CheckFailure):
+        wl.check(out)
