@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
-from .matrix import ComplexMatrix, squared_moduli
-from .weight_tree import WeightTree, build_weight_tree, sibling_weights
+from .matrix import ComplexMatrix, scaled_moduli
+from .weight_tree import WeightTree, build_weight_tree
 
 MODES = ("complex", "real_signed")
 
@@ -67,24 +68,6 @@ class ComplexAngleTree:
         """Angle evaluations (K-1) plus leaf evaluations (K)."""
         return 2 * self.size - 1
 
-    def theta(self, z: int) -> float:
-        """Splitting angle at memory index z; the z = 0 dummy is 0."""
-        if not 0 <= z < self.size:
-            raise IndexOutOfRangeError(f"memory index {z} outside [0, {self.size - 1}]")
-        return 0.0 if z == 0 else float(self.thetas[z - 1])
-
-    def phase(self, z: int) -> float:
-        if not 0 <= z < self.size:
-            raise IndexOutOfRangeError(f"memory index {z} outside [0, {self.size - 1}]")
-        return float(self.phases[z])
-
-    def sign(self, z: int) -> int:
-        if self.signs is None:
-            raise WrongModeError("no sign layer in complex mode")
-        if not 0 <= z < self.size:
-            raise IndexOutOfRangeError(f"memory index {z} outside [0, {self.size - 1}]")
-        return int(self.signs[z])
-
 
 def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """2 * arcsin(sqrt(R / (L + R))) for each sibling pair; 0 where L + R is 0."""
@@ -98,9 +81,17 @@ def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def splitting_angle(z: int, tree: WeightTree) -> float:
-    """Rotation angle that splits the weight reaching node z between its children."""
-    left, right = sibling_weights(z, tree)
-    return float(_split_angles(np.array([left]), np.array([right]))[0])
+    """Rotation angle that splits the weight reaching node z between its children.
+
+    Node z >= 1 sits at level l = floor(log2 z) + 1, position z - 2**(l-1);
+    its children are entries 2p and 2p + 1 of ``tree.levels[l]``.
+    """
+    if not isinstance(z, Integral) or not 1 <= z < tree.size:
+        raise IndexOutOfRangeError(f"memory index {z!r} outside [1, {tree.size - 1}]")
+    level = int(z).bit_length()
+    pos = int(z) - (1 << (level - 1))
+    children = tree.levels[level][2 * pos:2 * pos + 2]
+    return float(_split_angles(children[:1], children[1:])[0])
 
 
 def build_angle_tree(tree: WeightTree) -> np.ndarray:
@@ -136,7 +127,7 @@ def build_angle_structures(m: ComplexMatrix, mode: str = "complex") -> ComplexAn
     """Full preprocessing: weight tree, splitting angles, and leaf layer."""
     if mode not in MODES:
         raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
-    tree = build_weight_tree(squared_moduli(m))
+    tree = build_weight_tree(scaled_moduli(m)[0])
     return ComplexAngleTree(
         thetas=build_angle_tree(tree),
         phases=build_phase_layer(m),

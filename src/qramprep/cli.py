@@ -7,6 +7,7 @@ Exit code 0 means every asserted tolerance held.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -100,7 +101,7 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
         return load_matrix(data, "csv"), None
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
         raise ParseError(f"{path}: {exc}") from exc
     if isinstance(doc, dict) and "cells" in doc:
         return None, MemoryImage.from_json_dict(doc)
@@ -247,7 +248,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_resources(args) -> int:
     report = resource_report(args.K, args.t, args.mode)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     _write_text(args.output, text)
     return 0

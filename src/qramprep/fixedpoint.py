@@ -138,14 +138,6 @@ def encode_phase(phi: float, t: int) -> FixedPhase:
     return FixedPhase(int(encode_phases([phi], t)[0]), t)
 
 
-def decode_magnitude_angle(a: FixedAngle) -> float:
-    return a.value
-
-
-def decode_phase(p: FixedPhase) -> float:
-    return p.value
-
-
 def phase_distance(x: float, y: float) -> float:
     """Distance between two phases on the circle of circumference 2*pi."""
     d = (x - y) % math.tau

@@ -89,9 +89,6 @@ class ComplexMatrix:
         """Address width k = log2(K)."""
         return self.size.bit_length() - 1
 
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.entries[self.flat_index(i, j)])
-
     def flat_index(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexOutOfRangeError(f"({i}, {j}) outside {self.rows}x{self.cols}")
@@ -125,13 +122,6 @@ class ComplexMatrix:
             original_rows=m0,
             original_cols=n0,
         )
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "ComplexMatrix":
-        lengths = {len(r) for r in rows_data}
-        if len(lengths) > 1:
-            raise ParseError("rows have inconsistent lengths")
-        return cls.from_array(np.array(rows_data, dtype=np.complex128))
 
 
 def load_matrix(source, fmt: str) -> ComplexMatrix:
@@ -241,30 +231,35 @@ def _load_csv(text: str) -> ComplexMatrix:
     return ComplexMatrix.from_array(np.array(parsed, dtype=np.complex128))
 
 
-def flat_index(i: int, j: int, cols: int) -> int:
-    """Row-major flat index z = i * cols + j."""
-    if cols < 1:
-        raise IndexOutOfRangeError(f"cols must be positive, got {cols}")
-    if i < 0 or not (0 <= j < cols):
-        raise IndexOutOfRangeError(f"(i={i}, j={j}) invalid for cols={cols}")
-    return i * cols + j
-
-
-def unflat_index(z: int, cols: int) -> tuple[int, int]:
-    """Inverse of :func:`flat_index`: z -> (z // cols, z % cols)."""
-    if cols < 1 or z < 0:
-        raise IndexOutOfRangeError(f"z={z}, cols={cols}")
-    return divmod(z, cols)
-
-
 def squared_moduli(m: ComplexMatrix) -> np.ndarray:
     """Per-entry squared modulus re^2 + im^2, flat row-major, length K."""
     return m.entries.real ** 2 + m.entries.imag ** 2
 
 
+def scaled_entries(m: ComplexMatrix) -> tuple[np.ndarray, int]:
+    """The entries times 2**-e, and e: the frexp exponent of the largest real or imaginary part.
+
+    Scaling by a power of two is exact, so every square, sum and ratio of the
+    scaled entries is the raw one times a power of two (the same ratios as
+    the raw floats at ordinary scales), while the largest squared modulus
+    lies in [1/4, 2): no square overflows, and only squares below ~1e-308
+    of the largest underflow, at any scale of the matrix.
+    """
+    parts = m.entries.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
+def scaled_moduli(m: ComplexMatrix) -> tuple[np.ndarray, int]:
+    """Squared moduli of :func:`scaled_entries`, and the exponent e they were scaled by."""
+    ent, e = scaled_entries(m)
+    return ent.real ** 2 + ent.imag ** 2, e
+
+
 def frobenius_norm(m: ComplexMatrix) -> float:
-    """Frobenius norm via compensated summation of the squared moduli."""
-    return math.sqrt(math.fsum(squared_moduli(m).tolist()))
+    """Frobenius norm via compensated summation of the scaled squared moduli, scaled back."""
+    moduli, e = scaled_moduli(m)
+    return math.ldexp(math.sqrt(math.fsum(moduli.tolist())), e)
 
 
 def random_matrix(
@@ -276,6 +271,8 @@ def random_matrix(
     zero_fraction: float = 0.0,
 ) -> ComplexMatrix:
     """Deterministic random matrix for demos and tests (standard normal entries)."""
+    if rows < 1 or cols < 1:
+        raise EmptyMatrixError(f"rows={rows}, cols={cols}")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((rows, cols))
     if not real:

@@ -43,13 +43,7 @@ from .errors import (
     WidthMismatchError,
     WrongModeError,
 )
-from .fixedpoint import (
-    FixedAngle,
-    FixedPhase,
-    check_precision,
-    encode_magnitude_angles,
-    encode_phases,
-)
+from .fixedpoint import check_precision, encode_magnitude_angles, encode_phases
 from .matrix import ComplexMatrix
 
 if TYPE_CHECKING:
@@ -88,10 +82,10 @@ class MemoryImage:
             raise WidthMismatchError(
                 f"{self.mode} cells must be {expected} bits wide, got {self.width}"
             )
-        if self.k < 1 or len(self.cells) != 1 << self.k:
-            raise LengthMismatchError(
-                f"expected {1 << self.k if self.k >= 1 else '>= 2'} cells, got {len(self.cells)}"
-            )
+        n = len(self.cells)
+        # compare bit lengths: 1 << k would build a k-bit int from untrusted JSON
+        if self.k < 1 or n & (n - 1) or n.bit_length() != self.k + 1:
+            raise LengthMismatchError(f"k = {self.k} needs 2**k cells (k >= 1), got {n}")
         limit = 1 << self.width
         for z, cell in enumerate(self.cells):
             if type(cell) is not int or not 0 <= cell < limit:
@@ -117,25 +111,6 @@ class MemoryImage:
         aux = (cells & ((1 << self.aux_width) - 1)).astype(np.uint64)
         angle.flags.writeable = aux.flags.writeable = False
         return angle, aux
-
-    def angle_field(self, z: int) -> int:
-        return self.cells[z] >> self.aux_width
-
-    def aux_field(self, z: int) -> int:
-        return self.cells[z] & ((1 << self.aux_width) - 1)
-
-    def decode_angle(self, z: int) -> float:
-        return FixedAngle(self.angle_field(z), self.t).value
-
-    def decode_phase(self, z: int) -> float:
-        if self.mode != "complex":
-            raise WrongModeError("phase field exists only in complex mode")
-        return FixedPhase(self.aux_field(z), self.t).value
-
-    def sign_bit(self, z: int) -> int:
-        if self.mode != "real_signed":
-            raise WrongModeError("sign field exists only in real_signed mode")
-        return self.aux_field(z)
 
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "t": self.t, "k": self.k, "cells": list(self.cells)}

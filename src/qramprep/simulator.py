@@ -30,10 +30,11 @@ rotations (the rotations commute and their angles sum to the decoded register
 value); :func:`ry_cascade_by_gates` keeps the bit-by-bit form as a reference
 for equivalence tests.
 
-``state.branches`` presents the arrays as a mapping from the packed label
-(address in the low bits, a_{k-1} most significant inside its field) to the
-amplitude, built on first use; assigning a mapping to it, or passing one to
-the constructor, loads the arrays from the labels.
+``state.branches`` presents the arrays as a read-only mapping from the packed
+label (address in the low bits, a_{k-1} most significant inside its field) to
+the amplitude, built on first use; passing a mapping to the constructor, or
+to ``dataclasses.replace(state, branches=...)``, loads the arrays from the
+labels.
 
 State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
 "amp": [re, im]}]} sorted by address; dumping demands clean work registers.
@@ -41,7 +42,7 @@ State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
 from __future__ import annotations
 
 import math
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -57,7 +58,7 @@ from .errors import (
     WrongModeError,
 )
 from .fixedpoint import check_precision
-from .memory import MemoryImage, QueryLedger, query
+from .memory import MemoryImage, QueryLedger, cell_width, query
 from .weight_tree import WeightTree
 
 # amplitudes smaller than this are dropped in quantized runs (never in ideal runs)
@@ -66,12 +67,11 @@ PRUNE_THRESHOLD = 1e-15
 _ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
 
 
-class _BranchView(MutableMapping):
+class _BranchView(Mapping):
     """``state.branches``: packed label -> amplitude over the state's arrays.
 
     ``len`` reads the array length. Reading a label builds the label dict
-    once per state. Writing a label reloads the arrays from the edited
-    mapping, which costs a pass over every branch.
+    once per state.
     """
 
     __slots__ = ("_state",)
@@ -87,14 +87,6 @@ class _BranchView(MutableMapping):
 
     def __iter__(self):
         return iter(self._state._label_dict())
-
-    def __setitem__(self, label, amp) -> None:
-        self._state.branches = {**self._state._label_dict(), label: amp}
-
-    def __delitem__(self, label) -> None:
-        branches = dict(self._state._label_dict())
-        del branches[label]
-        self._state.branches = branches
 
     def __repr__(self) -> str:
         return repr(self._state._label_dict())
@@ -118,7 +110,7 @@ class _Branches:
 class BranchState:
     """Sparse register state: one entry per branch in each register array."""
 
-    branches: MutableMapping[int, complex] = _Branches()
+    branches: Mapping[int, complex] = _Branches()
     t: int
     aux_width: int
     k: int
@@ -165,36 +157,12 @@ class BranchState:
         return (1 << self.k) - 1
 
     @property
-    def v_mask(self) -> int:
-        return 1 << self.k
-
-    @property
     def aux_shift(self) -> int:
         return self.k + 1
 
     @property
     def angle_shift(self) -> int:
         return self.k + 1 + self.aux_width
-
-    @property
-    def data_width(self) -> int:
-        return self.t + self.aux_width
-
-    @property
-    def mode(self) -> str:
-        return "real_signed" if self.aux_width == 1 else "complex"
-
-    def address(self, label: int) -> int:
-        return label & self.addr_mask
-
-    def marker(self, label: int) -> int:
-        return (label >> self.k) & 1
-
-    def aux_bits(self, label: int) -> int:
-        return (label >> self.aux_shift) & ((1 << self.aux_width) - 1)
-
-    def angle_bits(self, label: int) -> int:
-        return label >> self.angle_shift
 
     def work_clean(self) -> bool:
         return not np.any(self.w_angle | self.w_aux)
@@ -220,13 +188,7 @@ def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
         raise InvalidDimensionsError(f"address width k must be >= 1, got {k!r}")
     check_precision(t)
     k, t = int(k), int(t)  # fixed-width ints would overflow the label shifts
-    if mode == "complex":
-        aux = t
-    elif mode == "real_signed":
-        aux = 1
-    else:
-        raise WrongModeError(f"unknown mode {mode!r}")
-    return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=aux, k=k)
+    return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
 
 
 def _half_angle_cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +330,6 @@ def _prepare(
     img: MemoryImage,
     mode: str,
     exact: ComplexAngleTree | None,
-    prune_threshold: float | None,
     on_iteration: Callable[[int, BranchState], None] | None,
 ) -> tuple[BranchState, QueryLedger]:
     if img.mode != mode:
@@ -377,9 +338,7 @@ def _prepare(
         raise WrongModeError(
             f"exact angle structure has {exact.size} cells, image has {img.size}"
         )
-    threshold = prune_threshold
-    if threshold is None:
-        threshold = 0.0 if exact is not None else PRUNE_THRESHOLD
+    threshold = 0.0 if exact is not None else PRUNE_THRESHOLD
     state = init_state(img.k, img.t, mode)
     ledger = QueryLedger(img.k)
     for h in range(1, img.k + 1):
@@ -402,7 +361,6 @@ def prepare_complex(
     img: MemoryImage,
     *,
     exact: ComplexAngleTree | None = None,
-    prune_threshold: float | None = None,
     on_iteration: Callable[[int, BranchState], None] | None = None,
 ) -> tuple[BranchState, QueryLedger]:
     """Run the full magnitude-then-phase procedure against a complex image.
@@ -411,18 +369,17 @@ def prepare_complex(
     Returns the final state (work clean, v = 1 everywhere, address register
     holding the normalized entries) and the query ledger (2k + 2 queries).
     """
-    return _prepare(img, "complex", exact, prune_threshold, on_iteration)
+    return _prepare(img, "complex", exact, on_iteration)
 
 
 def prepare_real(
     img: MemoryImage,
     *,
     exact: ComplexAngleTree | None = None,
-    prune_threshold: float | None = None,
     on_iteration: Callable[[int, BranchState], None] | None = None,
 ) -> tuple[BranchState, QueryLedger]:
     """Same loop against a real_signed image; the leaf step is a controlled sign flip."""
-    return _prepare(img, "real_signed", exact, prune_threshold, on_iteration)
+    return _prepare(img, "real_signed", exact, on_iteration)
 
 
 def marker_check(

@@ -27,7 +27,7 @@ from .errors import (
     WrongModeError,
 )
 from .fixedpoint import check_precision
-from .matrix import ComplexMatrix, frobenius_norm
+from .matrix import ComplexMatrix, scaled_entries
 from .memory import MemoryImage, QueryLedger, build_memory_image, cell_width, layout_image
 from .simulator import BranchState, prepare_complex, prepare_real
 
@@ -36,8 +36,13 @@ ERROR_SLACK = 4.0
 
 
 def oracle_state(m: ComplexMatrix) -> np.ndarray:
-    """Normalized target amplitudes a_z / ||A||_F, length K, unit l2 norm."""
-    return m.entries / frobenius_norm(m)
+    """Normalized target amplitudes a_z / ||A||_F, length K, unit l2 norm.
+
+    Entries and norm are both taken scaled by the same power of two, which
+    changes no quotient, so the oracle exists even where ||A||_F overflows.
+    """
+    ent, _ = scaled_entries(m)
+    return ent / math.sqrt(math.fsum((ent.real ** 2 + ent.imag ** 2).tolist()))
 
 
 def address_amplitudes(state: BranchState) -> np.ndarray:
@@ -72,32 +77,6 @@ def error_bound(k: int, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    """Per-source error terms; ``bound`` recovers the closed form above."""
-
-    k: int
-    t: int
-    delta_theta: float
-    delta_phi: float
-    eps_y: float = 0.0
-    eps_phi: float = 0.0
-
-    @property
-    def bound(self) -> float:
-        return self.k * (self.delta_theta / 2.0 + self.eps_y) + self.delta_phi + self.eps_phi
-
-    @classmethod
-    def for_precision(cls, k: int, t: int) -> "ErrorBudget":
-        check_precision(t)
-        return cls(
-            k=k,
-            t=t,
-            delta_theta=2.0 ** (1 - t),
-            delta_phi=math.pi * 2.0 ** (-t),
-        )
-
-
-@dataclass(frozen=True)
 class ResourceReport:
     """Closed-form register, memory, and query accounting for one run shape.
 
@@ -116,20 +95,6 @@ class ResourceReport:
     query_count: int
     routing_time: int
     preprocessing_ops: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "K": self.K,
-            "k": self.k,
-            "t": self.t,
-            "qpu_qubits": self.qpu_qubits,
-            "cell_width_bits": self.cell_width_bits,
-            "memory_bits": self.memory_bits,
-            "query_count": self.query_count,
-            "routing_time": self.routing_time,
-            "preprocessing_ops": self.preprocessing_ops,
-        }
 
 
 def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:

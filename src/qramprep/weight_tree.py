@@ -12,11 +12,10 @@ children are the weights consumed by the splitting angle at z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import AllZeroWeightsError, IndexOutOfRangeError, NotPowerOfTwoError
+from .errors import AllZeroWeightsError, NotPowerOfTwoError
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,6 @@ class WeightTree:
         """Root weight: the squared Frobenius norm."""
         return float(self.levels[0][0])
 
-    def node(self, h: int, p: int) -> float:
-        if not (0 <= h <= self.depth and 0 <= p < (1 << h)):
-            raise IndexOutOfRangeError(f"no node at height {h}, position {p}")
-        return float(self.levels[h][p])
-
 
 def build_weight_tree(moduli_sq) -> WeightTree:
     """Aggregate K = 2**k squared moduli bottom-up into a WeightTree."""
@@ -63,20 +57,3 @@ def build_weight_tree(moduli_sq) -> WeightTree:
         lvl.setflags(write=False)
     return WeightTree(levels=tuple(reversed(levels)))
 
-
-def level_position(z: int) -> tuple[int, int]:
-    """Level and position of memory index z >= 1: (floor(log2 z) + 1, z - 2**floor(log2 z))."""
-    if not isinstance(z, Integral) or z < 1:
-        raise IndexOutOfRangeError(f"memory index must be >= 1, got {z!r} (cell 0 is the dummy)")
-    z = int(z)
-    level = z.bit_length()
-    return level, z - (1 << (level - 1))
-
-
-def sibling_weights(z: int, tree: WeightTree) -> tuple[float, float]:
-    """The two child subtree weights split by the angle at memory index z."""
-    level, pos = level_position(z)
-    if z >= tree.size:
-        raise IndexOutOfRangeError(f"memory index {z} outside [1, {tree.size - 1}]")
-    children = tree.levels[level]
-    return float(children[2 * pos]), float(children[2 * pos + 1])

@@ -13,7 +13,7 @@ from qramprep.angles import (
 )
 from qramprep.errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
-from qramprep.weight_tree import build_weight_tree, sibling_weights
+from qramprep.weight_tree import build_weight_tree
 
 # recorded to three decimals; z = 1..7
 EXAMPLE_ANGLES = [1.357, math.pi / 2, 1.648, math.pi / 2, 0.644, 1.911, 1.128]
@@ -48,9 +48,11 @@ class TestSplittingAngle:
         for z in range(1, tree.size):
             assert 0.0 <= splitting_angle(z, tree) <= math.pi
 
-    def test_out_of_range(self, example_tree):
+    @pytest.mark.parametrize("z", [0, 8, -1, 1.0, 2.5, "1"])
+    def test_out_of_range(self, example_tree, z):
+        # z outside [1, K-1] or not an integer
         with pytest.raises(IndexOutOfRangeError):
-            splitting_angle(0, example_tree)
+            splitting_angle(z, example_tree)
 
 
 class TestAngleTree:
@@ -77,7 +79,9 @@ class TestAngleTree:
         tree = build_weight_tree(squared_moduli(m))
         thetas = build_angle_tree(tree)
         for z in range(1, 64):
-            left, right = sibling_weights(z, tree)
+            level = z.bit_length()
+            pos = z - (1 << (level - 1))
+            left, right = tree.levels[level][2 * pos], tree.levels[level][2 * pos + 1]
             total = left + right
             if total == 0:
                 continue
@@ -153,11 +157,6 @@ class TestComplexAngleTree:
         assert gamma.size == 8
         assert gamma.preprocessing_ops == 15
 
-    def test_dummy_angle_is_zero(self, example):
-        gamma = build_angle_structures(example)
-        assert gamma.theta(0) == 0.0
-        assert gamma.theta(1) == float(gamma.thetas[0])
-
     def test_real_signed_requires_signs(self):
         with pytest.raises(IndexOutOfRangeError):
             ComplexAngleTree(
@@ -178,11 +177,3 @@ class TestComplexAngleTree:
         with pytest.raises(WrongModeError):
             build_angle_structures(example, "octonion")
 
-    def test_index_range(self, example):
-        gamma = build_angle_structures(example)
-        with pytest.raises(IndexOutOfRangeError):
-            gamma.theta(8)
-        with pytest.raises(IndexOutOfRangeError):
-            gamma.phase(-1)
-        with pytest.raises(WrongModeError):
-            gamma.sign(0)

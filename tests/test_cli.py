@@ -141,6 +141,27 @@ class TestPrepare:
         assert main(["prepare", "--input", str(img_path)]) == 1
         assert "status: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["20000", "9" * 5000], ids=["k=20000", "k past the digit limit"])
+    def test_image_with_huge_k_is_refused(self, tmp_path, capsys, k):
+        # neither 1 << k nor a k past Python's integer digit limit may end in a traceback
+        img_path = tmp_path / "img.json"
+        img_path.write_text('{"mode": "complex", "t": 4, "k": ' + k + ', "cells": [0, 3]}')
+        assert main(["prepare", "--input", str(img_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", [["--random", "0x4"], ["--random=-2x4"], ["--random", "4x0"]])
+    def test_random_needs_positive_dimensions(self, capsys, spec):
+        assert main(["prepare", *spec]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e300])
+    def test_tiny_and_huge_entries(self, tmp_path, capsys, scale):
+        src = tmp_path / "m.json"
+        entries = [[scale, 0.0], [0.0, -scale], [2 * scale, scale], [0.0, 0.0]]
+        src.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+        assert main(["prepare", "--input", str(src), "--sim", "ideal", "--t", "24"]) == 0
+        assert "status: PASS" in capsys.readouterr().out
+
     def test_random_matrix_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from qramprep.errors import (
     AllZeroMatrixError,
@@ -14,13 +13,12 @@ from qramprep.errors import (
 )
 from qramprep.matrix import (
     ComplexMatrix,
-    flat_index,
     frobenius_norm,
     load_matrix,
     parse_complex_literal,
     random_matrix,
+    scaled_moduli,
     squared_moduli,
-    unflat_index,
 )
 
 EXAMPLE_JSON = json.dumps(
@@ -180,38 +178,19 @@ class TestComplexLiteral:
 
 class TestFlatIndex:
     def test_example_entry(self, example):
-        z = flat_index(1, 2, 4)
+        z = example.flat_index(1, 2)
         assert z == 6
         assert example.entries[z] == -2 + 1j
 
-    def test_origin(self):
-        assert flat_index(0, 0, 4) == 0
+    def test_origin(self, example):
+        assert example.flat_index(0, 0) == 0
 
-    def test_last(self):
-        assert flat_index(1, 3, 4) == 7
-
-    @pytest.mark.parametrize("i,j,cols", [(-1, 0, 4), (0, 4, 4), (0, -1, 4), (0, 0, 0)])
-    def test_out_of_range(self, i, j, cols):
-        with pytest.raises(IndexOutOfRangeError):
-            flat_index(i, j, cols)
+    def test_last(self, example):
+        assert example.flat_index(1, 3) == 7
 
     def test_method_checks_rows(self, example):
         with pytest.raises(IndexOutOfRangeError):
             example.flat_index(2, 0)
-
-    @given(st.integers(0, 9), st.integers(0, 7))
-    def test_round_trip(self, i, j):
-        cols = 8
-        z = flat_index(i, j, cols)
-        assert unflat_index(z, cols) == (i, j)
-
-    def test_bijection_over_all_cells(self):
-        cols, rows = 8, 4
-        seen = {flat_index(i, j, cols) for i in range(rows) for j in range(cols)}
-        assert seen == set(range(rows * cols))
-        for z in range(rows * cols):
-            i, j = unflat_index(z, cols)
-            assert flat_index(i, j, cols) == z
 
 
 class TestSquaredModuli:
@@ -241,6 +220,31 @@ class TestSquaredModuli:
             assert math.isclose(
                 frobenius_norm(m) ** 2, compensated, rel_tol=1e-12
             )
+
+
+class TestScaledModuli:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e160, 1e300])
+    def test_frobenius_norm_at_any_scale(self, example, scale):
+        m = ComplexMatrix.from_array(example.as_2d() * scale)
+        assert math.isclose(frobenius_norm(m), math.sqrt(33) * scale, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("e", [-1000, -600, 0, 600, 1020])
+    def test_power_of_two_scaling_is_exact(self, e):
+        m = random_matrix(8, 8, seed=4, zero_fraction=0.2)
+        grid = m.as_2d()
+        scaled = ComplexMatrix.from_array(np.ldexp(grid.real, e) + 1j * np.ldexp(grid.imag, e))
+        moduli, exponent = scaled_moduli(scaled)
+        want, base = scaled_moduli(m)
+        assert exponent == base + e
+        assert np.array_equal(moduli, want)
+        assert frobenius_norm(scaled) == math.ldexp(frobenius_norm(m), e)
+
+    def test_ordinary_scale_keeps_the_raw_squares(self):
+        # at ordinary scales the scaled squares are the raw ones times an exact power of two
+        m = random_matrix(8, 8, seed=12)
+        moduli, e = scaled_moduli(m)
+        assert np.array_equal(np.ldexp(moduli, 2 * e), squared_moduli(m))
+        assert frobenius_norm(m) == math.sqrt(math.fsum(squared_moduli(m).tolist()))
 
 
 class TestPadding:
@@ -273,6 +277,11 @@ class TestRandomMatrix:
     def test_real_mode(self):
         m = random_matrix(4, 4, seed=7, real=True)
         assert not m.entries.imag.any()
+
+    @pytest.mark.parametrize("rows,cols", [(0, 4), (4, 0), (-2, 4), (0, 0)])
+    def test_needs_positive_dimensions(self, rows, cols):
+        with pytest.raises(EmptyMatrixError):
+            random_matrix(rows, cols)
 
     def test_never_all_zero(self):
         m = random_matrix(2, 2, seed=0, zero_fraction=1.0)

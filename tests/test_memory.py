@@ -13,7 +13,7 @@ from qramprep.errors import (
     WidthMismatchError,
     WrongModeError,
 )
-from qramprep.fixedpoint import phase_distance
+from qramprep.fixedpoint import FixedAngle, FixedPhase, phase_distance
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.memory import (
     MemoryImage,
@@ -38,13 +38,17 @@ class TestLayoutComplex:
         img = example_image
         assert img.size == 8 and img.width == 24 and img.k == 3
         # recorded layout: cell 1 holds the root split angle and phase of entry 1
-        assert abs(img.decode_angle(1) - 1.357) <= 2 ** -11
-        assert phase_distance(img.decode_phase(1), 2.034) <= math.pi * 2 ** -12 + 1e-3
+        angle, phase = img.field_arrays
+        assert abs(FixedAngle(int(angle[1]), img.t).value - 1.357) <= 2 ** -11
+        decoded = FixedPhase(int(phase[1]), img.t).value
+        assert phase_distance(decoded, 2.034) <= math.pi * 2 ** -12 + 1e-3
 
     def test_cell0_angle_field_dummy(self, example_image):
-        assert example_image.angle_field(0) == 0
+        angle, phase = example_image.field_arrays
+        assert angle[0] == 0
         # the leaf field of cell 0 is live: it carries the phase of entry 0
-        assert phase_distance(example_image.decode_phase(0), math.atan2(1, 2)) <= math.pi * 2 ** -12
+        decoded = FixedPhase(int(phase[0]), example_image.t).value
+        assert phase_distance(decoded, math.atan2(1, 2)) <= math.pi * 2 ** -12
 
     def test_footprint(self):
         m = random_matrix(32, 32, seed=0)
@@ -61,8 +65,9 @@ class TestLayoutComplex:
 
     def test_bit_packing(self, example_image):
         img = example_image
+        angle, aux = img.field_arrays
         for z in range(img.size):
-            assert img.cells[z] == (img.angle_field(z) << img.t) | img.aux_field(z)
+            assert img.cells[z] == (int(angle[z]) << img.t) | int(aux[z])
 
 
 class TestLayoutRealSigned:
@@ -70,13 +75,14 @@ class TestLayoutRealSigned:
         m = ComplexMatrix.from_array([[1.0, -2.0, 0.0, 3.0]])
         img, _ = build_memory_image(m, 8, "real_signed")
         assert img.size == 4 and img.width == 9
-        assert [img.sign_bit(z) for z in range(4)] == [0, 1, 0, 0]
+        assert img.field_arrays[1].tolist() == [0, 1, 0, 0]
 
     def test_cell0_keeps_sign_of_entry0(self):
         m = ComplexMatrix.from_array([[-1.0, 2.0]])
         img, _ = build_memory_image(m, 8, "real_signed")
-        assert img.angle_field(0) == 0
-        assert img.sign_bit(0) == 1
+        angle, sign = img.field_arrays
+        assert angle[0] == 0
+        assert sign[0] == 1
 
     def test_cell_width_is_t_plus_one(self):
         for t in (4, 8, 16):
@@ -92,12 +98,6 @@ class TestLayoutRealSigned:
         img = layout_real_signed([0.0], [False, True], 8)
         assert img.cells == (0, 1)
         assert all(type(c) is int for c in img.cells)
-
-    def test_mode_guards(self):
-        m = ComplexMatrix.from_array([[1.0, -1.0]])
-        img, _ = build_memory_image(m, 8, "real_signed")
-        with pytest.raises(WrongModeError):
-            img.decode_phase(0)
 
 
 class TestJsonRoundTrip:
@@ -150,6 +150,12 @@ class TestImageTypes:
     @pytest.mark.parametrize("k", [True, 1.0, "1", None])
     def test_non_int_k_rejected(self, k):
         with pytest.raises(InvalidDimensionsError):
+            MemoryImage.from_json_dict({**self.DOC, "k": k})
+
+    @pytest.mark.parametrize("k", [0, -1, 2, 20000, 1 << 70])
+    def test_cell_count_must_be_two_to_the_k(self, k):
+        # a huge k must be refused without building the 2**k-bit int 1 << k
+        with pytest.raises(LengthMismatchError):
             MemoryImage.from_json_dict({**self.DOC, "k": k})
 
     @pytest.mark.parametrize("t", [True, 4.0, "4", None])

@@ -1,8 +1,8 @@
 """The benchmark's workloads, run once each at K=2^6 so a refactor cannot silently break them.
 
 Imports ``perfbench/workloads.py`` and runs every workload's op and its
-check, the same pair the timed benchmark loop runs; the whole module takes
-well under a second.
+check, the same pair the timed benchmark loop runs, untraced and under
+``perfbench/tracing.py``; the whole module takes about a second.
 """
 import dataclasses
 import importlib.util
@@ -12,17 +12,27 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    yield module
-    sys.modules.pop(spec.name, None)
+    yield _load("workloads")
+    sys.modules.pop("perfbench_workloads", None)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    yield _load("tracing")
+    sys.modules.pop("perfbench_tracing", None)
 
 
 @pytest.mark.parametrize("name", ["preprocess", "prepare_image", "sweep"])
@@ -31,6 +41,17 @@ def test_workload_op_passes_its_check(workloads, name):
     wl = workloads.build(name, seed=401, k=6)
     use = wl.check(wl.op())
     assert 0.0 <= use <= 1.0
+
+
+@pytest.mark.parametrize("name", ["preprocess", "prepare_image", "sweep"])
+def test_traced_workload_reports_every_layer_metric(workloads, tracing, name):
+    # the tracer reports a metric as absent once the library function behind it is gone
+    wl = workloads.build(name, seed=401, k=6)
+    tracer = tracing.Tracer(workloads.qp)
+    with tracer.installed():
+        phase = workloads.measure(wl, 0.0, tracer)
+    assert phase.failed == 0, phase.errors
+    assert tracer.metrics()[1] == []
 
 
 def test_check_rejects_a_corrupted_image(workloads):

@@ -49,7 +49,7 @@ class TestInitState:
     def test_real_smallest(self):
         state = init_state(1, 4, "real_signed")
         assert state.aux_width == 1
-        assert state.address(1) == 1
+        assert state.addr.tolist() == [1]
 
     def test_bad_k(self):
         with pytest.raises(InvalidDimensionsError):
@@ -70,7 +70,7 @@ class TestRyCascade:
         # register holds exactly 2.0, so v rotates by cos(1), sin(1)
         bits = encode_magnitude_angle(2.0, 3).bits
         out = ry_cascade(angle_state(bits, 3))
-        amps = {out.marker(l): a for l, a in out.branches.items()}
+        amps = dict(zip(out.v.tolist(), out.amp.tolist()))
         assert amps[0] == pytest.approx(math.cos(1.0), abs=1e-15)
         assert amps[1] == pytest.approx(math.sin(1.0), abs=1e-15)
 
@@ -78,7 +78,7 @@ class TestRyCascade:
         t = 24
         bits = encode_magnitude_angle(2 * math.asin(math.sqrt(13 / 33)), t).bits
         out = ry_cascade(angle_state(bits, t))
-        amps = {out.marker(l): a for l, a in out.branches.items()}
+        amps = dict(zip(out.v.tolist(), out.amp.tolist()))
         assert abs(amps[0] - math.sqrt(20 / 33)) <= 2 ** -22
         assert abs(amps[1] - math.sqrt(13 / 33)) <= 2 ** -22
 
@@ -226,7 +226,7 @@ class TestPrepareComplex:
             abs=1e-12,
         )
         h3 = seen[3]
-        assert all(h3.marker(l) == 1 for l in h3.branches)
+        assert all(h3.v == 1)
         moduli = [abs(h3.branches[(1 << 3) | p]) for p in range(8)]
         expected = [math.sqrt(w / 33) for w in [5, 5, 9, 1, 2, 4, 5, 2]]
         assert moduli == pytest.approx(expected, abs=1e-12)
@@ -329,8 +329,8 @@ class TestMarkerCheck:
         good = seen[2]
         assert marker_check(good, 2, tree)
         label = next(iter(good.branches))
-        bad = BranchState(dict(good.branches), t=good.t, aux_width=good.aux_width, k=good.k)
-        bad.branches[label] = bad.branches[label] * 1.5
+        corrupted = {**good.branches, label: good.branches[label] * 1.5}
+        bad = BranchState(corrupted, t=good.t, aux_width=good.aux_width, k=good.k)
         assert not marker_check(bad, 2, tree)
 
     def test_negative_control_wrong_address(self, example):
@@ -379,7 +379,7 @@ class TestStateHygiene:
             checks.append(state.norm())
             assert all(abs(c - 1.0) <= 1e-12 for c in checks)
             # the manual loop above is exactly the procedure
-            auto, auto_ledger = prepare_complex(img, prune_threshold=0.0)
+            auto, auto_ledger = prepare_complex(img)
             assert auto.branches == state.branches
             assert auto_ledger.query_count == ledger.query_count
 

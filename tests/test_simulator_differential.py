@@ -44,7 +44,8 @@ class DictReference:
     def theta(self, base):
         if self.exact is None:
             return (base >> self.angle_shift) * 2.0 ** (2 - self.t)
-        return self.exact.theta(base & self.addr_mask)
+        z = base & self.addr_mask
+        return 0.0 if z == 0 else float(self.exact.thetas[z - 1])  # z = 0 is the dummy
 
     def ry_cascade(self, branches):
         out, done = {}, set()
@@ -92,7 +93,7 @@ class DictReference:
                         phi = bits * (math.tau / (1 << self.t))
                         unit = complex(math.cos(phi), math.sin(phi))
                 else:
-                    phi = self.exact.phase(label & self.addr_mask)
+                    phi = float(self.exact.phases[label & self.addr_mask])
                     if phi == 0.0 or phi == math.pi:
                         unit = 1.0 + 0.0j if phi == 0.0 else -1.0 + 0.0j
                     else:

@@ -13,7 +13,6 @@ from qramprep.errors import (
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.simulator import BranchState
 from qramprep.verify import (
-    ErrorBudget,
     error_bound,
     oracle_state,
     precision_sweep,
@@ -64,10 +63,48 @@ class TestStateError:
 
     def test_dirty_state_rejected(self, example):
         vec = oracle_state(example)
-        state = state_from_vector(vec)
-        state.branches[3] = 0.5  # v = 0 branch
+        clean = state_from_vector(vec)
+        state = BranchState({**clean.branches, 3: 0.5}, t=8, aux_width=8, k=clean.k)  # v = 0 branch
         with pytest.raises(DirtyStateError):
             state_error(state, vec)
+
+
+class TestScaleRobustness:
+    """Angles, phases and the oracle do not depend on the scale of the matrix."""
+
+    SCALES = [1e-300, 1e-170, 1e-160, 1e160, 1e300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_ideal_run_at_any_scale(self, scale, mode):
+        base = random_matrix(8, 8, seed=3, real=mode == "real_signed", zero_fraction=0.25)
+        m = ComplexMatrix.from_array(base.as_2d() * scale)
+        state, _, _ = run_preparation(m, 16, mode, sim="ideal")
+        assert state_error(state, oracle_state(m)) <= 1e-10
+        assert np.allclose(oracle_state(m), oracle_state(base), rtol=0, atol=1e-15)
+
+    def test_mixed_dynamic_range(self):
+        m = ComplexMatrix.from_array([[1.0, 1e-200, -0.5j, 0.0], [1e-200j, 0.25, 2.0, -1e-200]])
+        state, _, _ = run_preparation(m, 16, sim="ideal")
+        assert state_error(state, oracle_state(m)) <= 1e-10
+
+    def test_norm_beyond_the_float_range(self):
+        # ||A||_F = 6e308 overflows a float; the normalized state does not
+        m = ComplexMatrix.from_array(np.full((4, 4), 1.5e308))
+        state, _, _ = run_preparation(m, 16, sim="ideal")
+        assert np.array_equal(oracle_state(m), np.full(16, 0.25))
+        assert state_error(state, oracle_state(m)) <= 1e-10
+
+    @pytest.mark.parametrize("e", [-1000, 1020])
+    def test_power_of_two_scale_keeps_image_and_state(self, e):
+        base = random_matrix(4, 8, seed=6, zero_fraction=0.2)
+        grid = base.as_2d()
+        m = ComplexMatrix.from_array(np.ldexp(grid.real, e) + 1j * np.ldexp(grid.imag, e))
+        state, _, img = run_preparation(m, 32)
+        base_state, _, base_img = run_preparation(base, 32)
+        assert img == base_img
+        assert np.array_equal(state.amp, base_state.amp)
+        assert np.array_equal(oracle_state(m), oracle_state(base))
 
 
 class TestErrorBound:
@@ -88,14 +125,6 @@ class TestErrorBound:
             error_bound(0, 10)
         with pytest.raises(PrecisionOutOfRangeError):
             error_bound(3, 1)
-
-    def test_budget_fields(self):
-        budget = ErrorBudget.for_precision(4, 12)
-        assert budget.delta_theta == 2.0 ** -11
-        assert budget.delta_phi == math.pi * 2.0 ** -12
-        assert budget.eps_y == 0.0 and budget.eps_phi == 0.0
-        assert math.isclose(budget.bound, (4 + math.pi) * 2.0 ** -12, rel_tol=1e-15)
-        assert budget.bound == error_bound(4, 12)
 
 
 class TestResourceReport:

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qramprep.errors import (
-    AllZeroWeightsError,
-    IndexOutOfRangeError,
-    NotPowerOfTwoError,
-)
+from qramprep.errors import AllZeroWeightsError, NotPowerOfTwoError
 from qramprep.matrix import random_matrix, squared_moduli
-from qramprep.weight_tree import build_weight_tree, level_position, sibling_weights
+from qramprep.weight_tree import build_weight_tree
 
 EXAMPLE_WEIGHTS = [5.0, 5.0, 9.0, 1.0, 2.0, 4.0, 5.0, 2.0]
 
@@ -39,7 +35,7 @@ class TestBuild:
                 width = size >> h
                 for p in range(1 << h):
                     direct = math.fsum(weights[p * width : (p + 1) * width].tolist())
-                    assert math.isclose(tree.node(h, p), direct, rel_tol=1e-12)
+                    assert math.isclose(tree.levels[h][p], direct, rel_tol=1e-12)
 
     def test_parent_child_relation_exact(self):
         tree = build_weight_tree(np.random.default_rng(4).random(256))
@@ -73,40 +69,3 @@ class TestBuild:
         with pytest.raises(ValueError):
             tree.levels[0][0] = 0
 
-
-class TestLevelPosition:
-    @pytest.mark.parametrize("z,expected", [(1, (1, 0)), (5, (3, 1)), (7, (3, 3)), (2, (2, 0)), (6, (3, 2))])
-    def test_values(self, z, expected):
-        assert level_position(z) == expected
-
-    def test_formula(self):
-        for z in range(1, 64):
-            level, pos = level_position(z)
-            assert level == math.floor(math.log2(z)) + 1
-            assert pos == z - 2 ** math.floor(math.log2(z))
-
-    def test_dummy_cell_rejected(self):
-        with pytest.raises(IndexOutOfRangeError):
-            level_position(0)
-
-
-class TestSiblingWeights:
-    @pytest.mark.parametrize("z,expected", [(1, (20, 13)), (3, (6, 7)), (4, (5, 5))])
-    def test_example(self, z, expected):
-        tree = build_weight_tree(EXAMPLE_WEIGHTS)
-        assert sibling_weights(z, tree) == expected
-
-    def test_out_of_range(self):
-        tree = build_weight_tree(EXAMPLE_WEIGHTS)
-        with pytest.raises(IndexOutOfRangeError):
-            sibling_weights(8, tree)
-        with pytest.raises(IndexOutOfRangeError):
-            sibling_weights(0, tree)
-
-    def test_consumed_by_splitting(self):
-        tree = build_weight_tree(EXAMPLE_WEIGHTS)
-        for z in range(1, 8):
-            left, right = sibling_weights(z, tree)
-            level, pos = level_position(z)
-            assert left == tree.node(level, 2 * pos)
-            assert right == tree.node(level, 2 * pos + 1)
