@@ -1,10 +1,11 @@
 """Classical simulation and verification of QRAM-backed amplitude encoding.
 
 Pipeline: load a complex matrix, aggregate its squared moduli into a weight
-tree, precompute the splitting angles and leaf phases (or signs), pack them
-into fixed-point memory cells, then run the magnitude-then-phase preparation
-procedure on an exact sparse statevector and verify the result against an
-independent oracle, the precision budget, and closed-form resource counts.
+tree, precompute the splitting angles and leaf phases (0 or pi for real data),
+pack them into fixed-point memory cells, then run the magnitude-then-phase
+preparation procedure on an exact sparse statevector and verify the result
+against an independent oracle, the precision budget, and closed-form resource
+counts.
 
 The package namespace holds that pipeline; the step functions are imported
 from their own modules (``qramprep.angles``, ``qramprep.simulator``, ...).

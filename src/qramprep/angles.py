@@ -1,4 +1,4 @@
-"""Splitting angles, leaf phases, and leaf signs derived from a matrix.
+"""Splitting angles and leaf phases derived from a matrix.
 
 The angle at memory index z rotates probability weight between the two child
 subtrees under node z of the weight tree:
@@ -7,10 +7,9 @@ subtrees under node z of the weight tree:
 
 so that a y-rotation by theta_z maps |0> to sqrt(T_L / (T_L + T_R)) |0> +
 sqrt(T_R / (T_L + T_R)) |1>. All theta_z are unsigned magnitudes in [0, pi];
-sign and phase information lives only in the per-entry leaf layer:
-
-* phases: phi_z = atan2(im, re) reduced to [0, 2*pi), 0 for zero entries
-* signs (real data only): s_z = 1 iff the entry is negative
+sign and phase information lives only in the per-entry leaf layer of
+phases phi_z = atan2(im, re) reduced to [0, 2*pi), 0 for zero entries. Real
+data is the one-bit case of the same layer: every phase is 0 or pi.
 
 The angles are computed one tree level at a time: the children at height
 h + 1 split into left ``[0::2]`` and right ``[1::2]`` halves and the formula
@@ -38,14 +37,13 @@ class ComplexAngleTree:
     """Angle tree plus leaf layer: everything written into memory cells.
 
     ``thetas[z - 1]`` is the splitting angle at memory index z (z = 1..K-1);
-    ``phases[z]`` the leaf phase of entry z. In real_signed mode ``signs[z]``
-    is the one-bit leaf sign and phases collapse to {0, pi}.
+    ``phases[z]`` the leaf phase of entry z, which is 0 or pi in real_signed
+    mode.
     """
 
     thetas: np.ndarray
     phases: np.ndarray
     mode: str
-    signs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -54,10 +52,6 @@ class ComplexAngleTree:
             raise IndexOutOfRangeError(
                 f"need K-1 angles for K phases, got {len(self.thetas)} and {len(self.phases)}"
             )
-        if self.mode == "real_signed" and (
-            self.signs is None or len(self.signs) != len(self.phases)
-        ):
-            raise IndexOutOfRangeError("real_signed mode requires K sign bits")
 
     @property
     def size(self) -> int:
@@ -114,23 +108,15 @@ def build_phase_layer(m: ComplexMatrix) -> np.ndarray:
     return phases
 
 
-def build_sign_layer(m: ComplexMatrix) -> np.ndarray:
-    """Leaf sign bits s_z = 1 iff entry z < 0; requires purely real entries."""
-    if np.any(m.entries.imag != 0.0):
-        raise NotRealMatrixError("matrix has nonzero imaginary parts")
-    signs = (m.entries.real < 0.0).astype(np.uint8)
-    signs.setflags(write=False)
-    return signs
-
-
 def build_angle_structures(m: ComplexMatrix, mode: str = "complex") -> ComplexAngleTree:
-    """Full preprocessing: weight tree, splitting angles, and leaf layer."""
+    """Full preprocessing: weight tree, splitting angles, and leaf phases."""
     if mode not in MODES:
         raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "real_signed" and np.any(m.entries.imag != 0.0):
+        raise NotRealMatrixError("matrix has nonzero imaginary parts")
     tree = build_weight_tree(scaled_moduli(m)[0])
     return ComplexAngleTree(
         thetas=build_angle_tree(tree),
         phases=build_phase_layer(m),
         mode=mode,
-        signs=build_sign_layer(m) if mode == "real_signed" else None,
     )

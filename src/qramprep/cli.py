@@ -105,7 +105,7 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
         raise ParseError(f"{path}: {exc}") from exc
     if isinstance(doc, dict) and "cells" in doc:
         return None, MemoryImage.from_json_dict(doc)
-    return load_matrix(data, "json"), None
+    return ComplexMatrix.from_json_dict(doc), None
 
 
 def _write_text(path: str | None, text: str) -> None:

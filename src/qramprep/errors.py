@@ -50,7 +50,7 @@ class AllZeroWeightsError(QramPrepError):
 # --- angle structures ---
 
 class NotRealMatrixError(QramPrepError):
-    """Sign layer requested for a matrix with nonzero imaginary parts."""
+    """Real_signed mode requested for data with a phase other than 0 or pi."""
 
 
 # --- memory model ---

@@ -123,6 +123,27 @@ class ComplexMatrix:
             original_cols=n0,
         )
 
+    @classmethod
+    def from_json_dict(cls, doc) -> "ComplexMatrix":
+        """Build from a parsed JSON document ``{"rows": M, "cols": N, "entries": [...]}``."""
+        if not isinstance(doc, dict):
+            raise ParseError("top-level JSON value must be an object")
+        for key in ("rows", "cols", "entries"):
+            if key not in doc:
+                raise ParseError(f"missing key {key!r}")
+        rows, cols = doc["rows"], doc["cols"]
+        if isinstance(rows, bool) or isinstance(cols, bool) \
+                or not isinstance(rows, int) or not isinstance(cols, int):
+            raise ParseError("rows and cols must be integers")
+        if rows <= 0 or cols <= 0:
+            raise EmptyMatrixError(f"rows={rows}, cols={cols}")
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ParseError("entries must be a list")
+        if len(entries) != rows * cols:
+            raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
+        return cls.from_array(_entry_array(entries).reshape(rows, cols))
+
 
 def load_matrix(source, fmt: str) -> ComplexMatrix:
     """Parse and validate a matrix from JSON or CSV content.
@@ -187,23 +208,7 @@ def _load_json(text: str) -> ComplexMatrix:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also integers past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
-    for key in ("rows", "cols", "entries"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}")
-    rows, cols = doc["rows"], doc["cols"]
-    if isinstance(rows, bool) or isinstance(cols, bool) \
-            or not isinstance(rows, int) or not isinstance(cols, int):
-        raise ParseError("rows and cols must be integers")
-    if rows <= 0 or cols <= 0:
-        raise EmptyMatrixError(f"rows={rows}, cols={cols}")
-    entries = doc["entries"]
-    if not isinstance(entries, list):
-        raise ParseError("entries must be a list")
-    if len(entries) != rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
-    return ComplexMatrix.from_array(_entry_array(entries).reshape(rows, cols))
+    return ComplexMatrix.from_json_dict(doc)
 
 
 def parse_complex_literal(text: str) -> complex:
@@ -254,12 +259,6 @@ def scaled_moduli(m: ComplexMatrix) -> tuple[np.ndarray, int]:
     """Squared moduli of :func:`scaled_entries`, and the exponent e they were scaled by."""
     ent, e = scaled_entries(m)
     return ent.real ** 2 + ent.imag ** 2, e
-
-
-def frobenius_norm(m: ComplexMatrix) -> float:
-    """Frobenius norm via compensated summation of the scaled squared moduli, scaled back."""
-    moduli, e = scaled_moduli(m)
-    return math.ldexp(math.sqrt(math.fsum(moduli.tolist())), e)
 
 
 def random_matrix(

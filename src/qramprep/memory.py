@@ -2,14 +2,15 @@
 
 A memory image is K cells of uniform width w, one integer bit pattern per
 cell. The bit layout inside a cell is fixed: the t-bit angle field occupies
-the high bits and the phase/sign field the low bits,
+the high bits and the phase field the low bits,
 
     cell = angle_bits << aux_width | aux_bits
 
-with aux_width = t in complex mode (phase field) and 1 in real_signed mode
-(sign bit). Cell 0 always carries an all-zero angle field: index 0 has no
-sibling pair, the cell exists only to keep the width uniform, but its leaf
-field (phase or sign of entry 0) is live.
+with the phase phi stored as the fraction phi / (2*pi) of a full turn in
+aux_width bits: t bits in complex mode, one bit in real_signed mode, where
+every phase is 0 or pi and the bit is phi / pi. Cell 0 always carries an
+all-zero angle field: index 0 has no sibling pair, the cell exists only to
+keep the width uniform, but its phase field (entry 0) is live.
 
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
@@ -18,7 +19,7 @@ uint64 arrays (``MemoryImage.field_arrays``), derived from the cells once per
 image; each field is at most 62 bits, so the split fits machine words even
 where a whole cell does not.
 
-Layouts encode whole arrays of angles and leaf fields with the array codecs
+Layouts encode whole arrays of angles and phases with the array codecs
 of :mod:`qramprep.fixedpoint` and pack each cell as a Python int, so cells
 wider than 64 bits (complex mode above t = 32) stay exact.
 
@@ -27,6 +28,7 @@ JSON wire format: {"mode": ..., "t": t, "k": k, "cells": [unsigned ints]}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -39,6 +41,7 @@ from .errors import (
     InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
+    NotRealMatrixError,
     ParseError,
     WidthMismatchError,
     WrongModeError,
@@ -51,7 +54,7 @@ if TYPE_CHECKING:
 
 
 def cell_width(t: int, mode: str) -> int:
-    """Bits per cell: a t-bit angle field plus a t-bit phase (complex) or one sign bit."""
+    """Bits per cell: a t-bit angle field plus a t-bit (complex) or one-bit phase field."""
     if mode == "complex":
         return 2 * t
     if mode == "real_signed":
@@ -61,32 +64,19 @@ def cell_width(t: int, mode: str) -> int:
 
 @dataclass(frozen=True)
 class MemoryImage:
-    """K immutable cells of ``width`` bits each; addresses are k bits wide."""
+    """K = 2**k immutable cells of ``cell_width(t, mode)`` bits each."""
 
     cells: tuple[int, ...]
-    width: int
     t: int
     mode: str
-    k: int
 
     def __post_init__(self):
         check_precision(self.t)
-        for name, error in (("width", WidthMismatchError), ("k", InvalidDimensionsError)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise error(f"{name} must be an integer, got {value!r}")
-        for name in ("width", "t", "k"):  # fixed-width ints would overflow cell shifts
-            object.__setattr__(self, name, int(getattr(self, name)))
-        expected = cell_width(self.t, self.mode)
-        if self.width != expected:
-            raise WidthMismatchError(
-                f"{self.mode} cells must be {expected} bits wide, got {self.width}"
-            )
+        object.__setattr__(self, "t", int(self.t))  # fixed-width ints would overflow cell shifts
         n = len(self.cells)
-        # compare bit lengths: 1 << k would build a k-bit int from untrusted JSON
-        if self.k < 1 or n & (n - 1) or n.bit_length() != self.k + 1:
-            raise LengthMismatchError(f"k = {self.k} needs 2**k cells (k >= 1), got {n}")
-        limit = 1 << self.width
+        if n < 2 or n & (n - 1):
+            raise LengthMismatchError(f"need 2**k cells (k >= 1), got {n}")
+        limit = 1 << self.width  # also refuses an unknown mode
         for z, cell in enumerate(self.cells):
             if type(cell) is not int or not 0 <= cell < limit:
                 raise WidthMismatchError(f"cell {z} does not fit in {self.width} bits")
@@ -96,8 +86,17 @@ class MemoryImage:
         return len(self.cells)
 
     @property
+    def k(self) -> int:
+        """Address width: log2 of the cell count."""
+        return self.size.bit_length() - 1
+
+    @property
+    def width(self) -> int:
+        return cell_width(self.t, self.mode)
+
+    @property
     def aux_width(self) -> int:
-        """Width of the low (phase or sign) field."""
+        """Width of the low (phase) field."""
         return self.width - self.t
 
     @cached_property
@@ -126,8 +125,12 @@ class MemoryImage:
             raise ParseError(f"memory image document missing key: {exc}") from exc
         if not isinstance(cells, list):
             raise ParseError("cells must be a list of unsigned integers")
-        check_precision(t)
-        return cls(cells=tuple(cells), width=cell_width(t, mode), t=t, mode=mode, k=k)
+        image = cls(cells=tuple(cells), t=t, mode=mode)
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise InvalidDimensionsError(f"k must be an integer, got {k!r}")
+        if k != image.k:
+            raise LengthMismatchError(f"k = {k} needs 2**k cells, got {image.size}")
+        return image
 
 
 @dataclass
@@ -150,23 +153,28 @@ class QueryLedger:
         self.access_log.append(tuple(np.flatnonzero(reached).tolist()))
 
 
-def _check_pow2_cells(n: int) -> int:
+def _checked_precision(thetas, phases, t: int) -> int:
+    """t as an int, once K-1 angles and K phases with K a power of two >= 2 are given."""
+    check_precision(t)
+    if len(thetas) + 1 != len(phases):
+        raise LengthMismatchError(
+            f"need K-1 angles for K phases, got {len(thetas)} and {len(phases)}"
+        )
+    n = len(phases)
     if n < 2 or n & (n - 1):
         raise NotPowerOfTwoError(f"cell count must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
+    return int(t)
 
 
-def _pack(angle_bits: np.ndarray, aux_bits: np.ndarray, t: int, mode: str, k: int) -> MemoryImage:
-    """Cells ``angle << aux_width | aux`` as Python ints, so any width fits."""
-    width = cell_width(t, mode)
-    aux = width - t
-    cells = tuple([(a << aux) | b for a, b in zip(angle_bits.tolist(), aux_bits.tolist())])
-    return MemoryImage(cells=cells, width=width, t=t, mode=mode, k=k)
+def _pack(thetas, phase_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
+    """Cells ``angle << aux_width | phase`` as Python ints, so any width fits.
 
-
-def _angle_fields(thetas, t: int) -> np.ndarray:
-    """Encoded angles of cells 0..K-1; cell 0 has no sibling pair and holds 0."""
-    return np.concatenate((np.zeros(1, dtype=np.int64), encode_magnitude_angles(thetas, t)))
+    Cell 0 has no sibling pair: its angle field holds 0.
+    """
+    angle_bits = np.concatenate((np.zeros(1, dtype=np.int64), encode_magnitude_angles(thetas, t)))
+    aux = cell_width(t, mode) - t
+    cells = tuple([(a << aux) | b for a, b in zip(angle_bits.tolist(), phase_bits.tolist())])
+    return MemoryImage(cells=cells, t=t, mode=mode)
 
 
 def layout_complex(thetas, phases, t: int) -> MemoryImage:
@@ -175,40 +183,28 @@ def layout_complex(thetas, phases, t: int) -> MemoryImage:
     Cell z holds encode(theta_z) in the high t bits and encode(phi_z) in the
     low t bits; the angle field of cell 0 is all zeros.
     """
-    check_precision(t)
-    t = int(t)
-    if len(thetas) + 1 != len(phases):
-        raise LengthMismatchError(
-            f"need K-1 angles for K phases, got {len(thetas)} and {len(phases)}"
-        )
-    k = _check_pow2_cells(len(phases))
-    return _pack(_angle_fields(thetas, t), encode_phases(phases, t), t, "complex", k)
+    t = _checked_precision(thetas, phases, t)
+    return _pack(thetas, encode_phases(phases, t), t, "complex")
 
 
-def layout_real_signed(thetas, signs, t: int) -> MemoryImage:
-    """Pack K-1 angles and K sign bits into K cells of width t+1.
+def layout_real_signed(thetas, phases, t: int) -> MemoryImage:
+    """Pack K-1 angles and K phases of 0 or pi into K cells of width t+1.
 
-    Cell 0 keeps the sign of entry 0 next to its dummy angle field: the leaf
-    query reaches address 0, so that sign bit is live.
+    The one-bit phase field holds phi / pi. Cell 0 keeps the phase bit of
+    entry 0 next to its dummy angle field: the leaf query reaches address 0.
     """
-    check_precision(t)
-    t = int(t)
-    if len(thetas) + 1 != len(signs):
-        raise LengthMismatchError(
-            f"need K-1 angles for K signs, got {len(thetas)} and {len(signs)}"
-        )
-    k = _check_pow2_cells(len(signs))
-    bits = np.asarray(signs)
-    if not np.all((bits == 0) | (bits == 1)):
-        raise LengthMismatchError("sign bits must be 0 or 1")
-    return _pack(_angle_fields(thetas, t), bits.astype(np.int64), t, "real_signed", k)
+    t = _checked_precision(thetas, phases, t)
+    phi = np.asarray(phases, dtype=np.float64)
+    half_turn = phi == math.pi
+    if not np.all(half_turn | (phi == 0.0)):
+        raise NotRealMatrixError("real_signed phases must be 0 or pi")
+    return _pack(thetas, half_turn.astype(np.int64), t, "real_signed")
 
 
 def layout_image(gamma: ComplexAngleTree, t: int) -> MemoryImage:
-    """Lay out an angle structure's angles and leaf layer at precision t, in its mode."""
-    if gamma.mode == "complex":
-        return layout_complex(gamma.thetas, gamma.phases, t)
-    return layout_real_signed(gamma.thetas, gamma.signs, t)
+    """Lay out an angle structure's angles and leaf phases at precision t, in its mode."""
+    layout = layout_complex if gamma.mode == "complex" else layout_real_signed
+    return layout(gamma.thetas, gamma.phases, t)
 
 
 def build_memory_image(

@@ -16,13 +16,17 @@ and cheap.
 Every operation is a whole-array pass. A query gathers the addressed cell
 fields and XORs them into the work registers; the y-rotation cascade pairs
 the branches that differ only in v and rotates every pair at once; the
-circular shift is bit arithmetic on the address and marker; the leaf steps
-multiply amplitudes by phases or signs.
+circular shift is bit arithmetic on the address and marker; the phase
+cascade multiplies the marked amplitudes by their leaf phases.
 
-The magnitude loop runs k iterations of query -> y-rotation cascade ->
-uncompute query -> circular shift, threading a single marker bit through the
-address register; one final query pair applies the leaf phases (complex) or
-the leaf signs (real_signed). Total queries: 2k + 2.
+The procedure is one loop for both modes: k iterations of query -> y-rotation
+cascade -> uncompute query -> circular shift, threading a single marker bit
+through the address register, then one final query pair around the phase
+cascade. The phase register is t bits wide in complex mode and one bit in
+real_signed mode, where every leaf phase is 0 or pi: real data is the
+one-bit phase case, not a separate path. Total queries: 2k + 2. No branch is
+dropped for being small; only amplitudes that a rotation makes exactly zero
+are left out.
 
 Cascades are applied as the composed single-qubit unitary per branch pair,
 which is mathematically identical to the bit-by-bit product of controlled
@@ -60,9 +64,6 @@ from .errors import (
 from .fixedpoint import check_precision
 from .memory import MemoryImage, QueryLedger, cell_width, query
 from .weight_tree import WeightTree
-
-# amplitudes smaller than this are dropped in quantized runs (never in ideal runs)
-PRUNE_THRESHOLD = 1e-15
 
 _ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
 
@@ -265,28 +266,32 @@ _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 def _phase_units(phi: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """e^{i phi}; exact where ``quarter`` >= 0 counts the quarter turns phi makes.
 
-    Exact quarter turns let a {0, pi} phase layer reproduce sign flips exactly.
+    Exact quarter turns make a phase of pi an exact sign flip; only the
+    phases off the quarter-turn grid cost a cosine and a sine.
     """
-    units = np.empty(phi.shape, dtype=np.complex128)
-    units.real = np.cos(phi)
-    units.imag = np.sin(phi)
-    on_grid = quarter >= 0
-    units[on_grid] = _QUARTER_TURNS[quarter[on_grid] & 3]
+    units = _QUARTER_TURNS[quarter & 3]
+    off_grid = np.flatnonzero(quarter < 0)
+    units.real[off_grid] = np.cos(phi[off_grid])
+    units.imag[off_grid] = np.sin(phi[off_grid])
     return units
 
 
 def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
-    """Multiply every marked branch (v = 1) by e^{i phi}, phi from its w_aux register."""
-    if state.aux_width != state.t:
-        raise WrongModeError("phase cascade needs a t-bit phase register (complex mode)")
+    """Multiply every marked branch (v = 1) by e^{i phi}, phi from its w_aux register.
+
+    The register holds phi / (2*pi) in ``aux_width`` bits: t bits in complex
+    mode, one bit (phi in {0, pi}) in real_signed mode.
+    """
     marked = np.flatnonzero(state.v)
     if exact is None:
-        t = state.t
+        width = state.aux_width
         bits = state.w_aux[marked]
-        phi = bits * (math.tau / (1 << t))
-        # a quarter-turn multiple has its low t-2 bits clear; 4 * bits could overflow at t = 62
-        on_grid = (bits & ((1 << (t - 2)) - 1)) == 0
-        quarter = np.where(on_grid, (bits >> (t - 2)).astype(np.int64), -1)
+        phi = bits * (math.tau / (1 << width))
+        # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
+        # 4 * bits fits uint64 for width <= 62
+        quarters = bits << 2
+        on_grid = (quarters & ((1 << width) - 1)) == 0
+        quarter = np.where(on_grid, (quarters >> width).astype(np.int64), -1)
     else:
         phi = exact.phases[state.addr[marked]]
         turns = np.rint(phi / (0.5 * math.pi))
@@ -294,14 +299,6 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
     amp = state.amp.copy()
     amp[marked] *= _phase_units(phi, quarter)
     return state._evolve(amp=amp)
-
-
-def controlled_z_sign(state: BranchState) -> BranchState:
-    """Negate every branch with sign bit 1 and v = 1 (real_signed leaf step)."""
-    if state.aux_width != 1:
-        raise WrongModeError("sign step needs a 1-bit sign register (real_signed mode)")
-    flip = (state.v & state.w_aux & 1).astype(bool)
-    return state._evolve(amp=np.where(flip, -state.amp, state.amp))
 
 
 def circular_shift(state: BranchState) -> BranchState:
@@ -317,15 +314,6 @@ def circular_shift(state: BranchState) -> BranchState:
     )
 
 
-def _pruned(state: BranchState, threshold: float) -> BranchState:
-    if threshold <= 0.0:
-        return state
-    keep = np.abs(state.amp) >= threshold
-    if keep.all():
-        return state
-    return state._evolve(**{name: getattr(state, name)[keep] for name in _ARRAYS})
-
-
 def _prepare(
     img: MemoryImage,
     mode: str,
@@ -338,21 +326,17 @@ def _prepare(
         raise WrongModeError(
             f"exact angle structure has {exact.size} cells, image has {img.size}"
         )
-    threshold = 0.0 if exact is not None else PRUNE_THRESHOLD
     state = init_state(img.k, img.t, mode)
     ledger = QueryLedger(img.k)
     for h in range(1, img.k + 1):
         state = query(img, state, ledger)
-        state = _pruned(ry_cascade(state, exact), threshold)
+        state = ry_cascade(state, exact)
         state = query(img, state, ledger)
         state = circular_shift(state)
         if on_iteration is not None:
             on_iteration(h, state)
     state = query(img, state, ledger)
-    if mode == "complex":
-        state = _pruned(phase_cascade(state, exact), threshold)
-    else:
-        state = controlled_z_sign(state)
+    state = phase_cascade(state, exact)
     state = query(img, state, ledger)
     return state, ledger
 
@@ -378,7 +362,7 @@ def prepare_real(
     exact: ComplexAngleTree | None = None,
     on_iteration: Callable[[int, BranchState], None] | None = None,
 ) -> tuple[BranchState, QueryLedger]:
-    """Same loop against a real_signed image; the leaf step is a controlled sign flip."""
+    """Same loop against a real_signed image, whose phase register is one bit (0 or pi)."""
     return _prepare(img, "real_signed", exact, on_iteration)
 
 

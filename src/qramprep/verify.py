@@ -82,7 +82,7 @@ class ResourceReport:
 
     ``qpu_qubits`` is k + 2t + 1 in complex mode (address, two t-bit work
     registers, marker) and k + t + 2 in real_signed mode (the phase register
-    shrinks to one sign bit; the magnitude loop alone would need k + t + 1).
+    is one bit, phi in {0, pi}; the magnitude loop alone would need k + t + 1).
     """
 
     mode: str

@@ -8,7 +8,6 @@ from qramprep.angles import (
     build_angle_structures,
     build_angle_tree,
     build_phase_layer,
-    build_sign_layer,
     splitting_angle,
 )
 from qramprep.errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
@@ -124,50 +123,44 @@ class TestPhaseLayer:
             assert abs(rebuilt - a) <= 1e-12 * abs(a)
 
 
-class TestSignLayer:
+class TestRealSignedPhases:
+    """Real data is the one-bit case of the phase layer: every phase is 0 or pi."""
+
     def test_indicator(self):
         m = ComplexMatrix.from_array([[1.0, -2.0, 0.0, 3.0]])
-        assert build_sign_layer(m).tolist() == [0, 1, 0, 0]
+        assert build_angle_structures(m, "real_signed").phases.tolist() == [0, math.pi, 0, 0]
 
     def test_all_negative(self):
         m = ComplexMatrix.from_array([[-1.0, -1.0]])
-        assert build_sign_layer(m).tolist() == [1, 1]
+        assert build_angle_structures(m, "real_signed").phases.tolist() == [math.pi, math.pi]
 
-    def test_rejects_complex(self):
-        m = ComplexMatrix.from_array([[1.0, 1j]])
-        with pytest.raises(NotRealMatrixError):
-            build_sign_layer(m)
+    def test_negative_zero_imaginary_parts(self):
+        m = ComplexMatrix.from_array([[complex(1.0, -0.0), complex(-2.0, -0.0)]])
+        assert build_angle_structures(m, "real_signed").phases.tolist() == [0, math.pi]
 
-    def test_consistent_with_phase_layer(self):
+    def test_same_layer_in_both_modes(self):
         m = random_matrix(8, 8, seed=23, real=True, zero_fraction=0.25)
-        signs = build_sign_layer(m)
-        phases = build_phase_layer(m)
-        for a, s, phi in zip(m.entries, signs, phases):
-            if a == 0:
-                assert s == 0 and phi == 0.0
-            else:
-                assert (s == 1) == (phi == math.pi)
+        phases = build_angle_structures(m, "real_signed").phases
+        assert np.array_equal(phases, build_angle_structures(m, "complex").phases)
+        assert np.array_equal(phases == math.pi, m.entries.real < 0.0)
+        assert np.all((phases == 0.0) | (phases == math.pi))
 
 
 class TestComplexAngleTree:
     def test_build_complex(self, example):
         gamma = build_angle_structures(example)
         assert gamma.mode == "complex"
-        assert gamma.signs is None
         assert gamma.size == 8
         assert gamma.preprocessing_ops == 15
 
-    def test_real_signed_requires_signs(self):
+    def test_needs_one_angle_fewer_than_phases(self):
         with pytest.raises(IndexOutOfRangeError):
-            ComplexAngleTree(
-                thetas=np.zeros(3), phases=np.zeros(4), mode="real_signed", signs=None
-            )
+            ComplexAngleTree(thetas=np.zeros(2), phases=np.zeros(4), mode="real_signed")
 
     def test_real_signed_build(self):
         m = ComplexMatrix.from_array([[1.0, -2.0, 0.0, 3.0]])
         gamma = build_angle_structures(m, "real_signed")
-        assert gamma.signs.tolist() == [0, 1, 0, 0]
-        assert set(np.unique(gamma.phases)) <= {0.0, math.pi}
+        assert gamma.phases.tolist() == [0, math.pi, 0, 0]
 
     def test_real_signed_rejects_complex_matrix(self, example):
         with pytest.raises(NotRealMatrixError):

@@ -63,6 +63,27 @@ class TestPreprocess:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestJsonInput:
+    @pytest.mark.parametrize("command", [["preprocess"], ["prepare"], ["sweep", "--t", "8"]])
+    def test_matrix_file_is_parsed_once(self, example_path, monkeypatch, capsys, command):
+        calls = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        assert main([*command, "--input", str(example_path)]) == 0
+        assert len(calls) == 1
+
+    def test_non_object_document_refused(self, tmp_path, capsys):
+        src = tmp_path / "m.json"
+        src.write_text("[[1, 0], [2, 0]]")
+        assert main(["preprocess", "--input", str(src)]) == 1
+        assert "must be an object" in capsys.readouterr().err
+
+
 class TestPrepare:
     def test_ideal(self, example_path, tmp_path, capsys):
         out_path = tmp_path / "state.json"

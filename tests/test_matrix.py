@@ -13,7 +13,6 @@ from qramprep.errors import (
 )
 from qramprep.matrix import (
     ComplexMatrix,
-    frobenius_norm,
     load_matrix,
     parse_complex_literal,
     random_matrix,
@@ -217,17 +216,9 @@ class TestSquaredModuli:
             assert math.isclose(
                 float(np.sum(squared_moduli(m))), compensated, rel_tol=1e-12
             )
-            assert math.isclose(
-                frobenius_norm(m) ** 2, compensated, rel_tol=1e-12
-            )
 
 
 class TestScaledModuli:
-    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e160, 1e300])
-    def test_frobenius_norm_at_any_scale(self, example, scale):
-        m = ComplexMatrix.from_array(example.as_2d() * scale)
-        assert math.isclose(frobenius_norm(m), math.sqrt(33) * scale, rel_tol=1e-15)
-
     @pytest.mark.parametrize("e", [-1000, -600, 0, 600, 1020])
     def test_power_of_two_scaling_is_exact(self, e):
         m = random_matrix(8, 8, seed=4, zero_fraction=0.2)
@@ -237,14 +228,12 @@ class TestScaledModuli:
         want, base = scaled_moduli(m)
         assert exponent == base + e
         assert np.array_equal(moduli, want)
-        assert frobenius_norm(scaled) == math.ldexp(frobenius_norm(m), e)
 
     def test_ordinary_scale_keeps_the_raw_squares(self):
         # at ordinary scales the scaled squares are the raw ones times an exact power of two
         m = random_matrix(8, 8, seed=12)
         moduli, e = scaled_moduli(m)
         assert np.array_equal(np.ldexp(moduli, 2 * e), squared_moduli(m))
-        assert frobenius_norm(m) == math.sqrt(math.fsum(squared_moduli(m).tolist()))
 
 
 class TestPadding:

@@ -8,6 +8,7 @@ from qramprep.errors import (
     InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
+    NotRealMatrixError,
     ParseError,
     PrecisionOutOfRangeError,
     WidthMismatchError,
@@ -90,12 +91,13 @@ class TestLayoutRealSigned:
             img, _ = build_memory_image(m, t, "real_signed")
             assert img.width == t + 1
 
-    def test_bad_sign_bit(self):
-        with pytest.raises(LengthMismatchError):
-            layout_real_signed([1.0], [0, 2], 8)
+    @pytest.mark.parametrize("phase", [math.pi / 2, 1.0, 2 * math.pi, -math.pi, math.nan])
+    def test_phase_other_than_zero_or_pi_refused(self, phase):
+        with pytest.raises(NotRealMatrixError):
+            layout_real_signed([1.0], [0.0, phase], 8)
 
-    def test_sign_bits_as_bools(self):
-        img = layout_real_signed([0.0], [False, True], 8)
+    def test_phase_bit_is_phi_over_pi(self):
+        img = layout_real_signed([0.0], [-0.0, math.pi], 8)
         assert img.cells == (0, 1)
         assert all(type(c) is int for c in img.cells)
 
@@ -145,7 +147,7 @@ class TestImageTypes:
 
     def test_numpy_cell_rejected(self):
         with pytest.raises(WidthMismatchError):
-            MemoryImage(cells=(0, np.int64(3)), width=8, t=4, mode="complex", k=1)
+            MemoryImage(cells=(0, np.int64(3)), t=4, mode="complex")
 
     @pytest.mark.parametrize("k", [True, 1.0, "1", None])
     def test_non_int_k_rejected(self, k):
@@ -163,9 +165,18 @@ class TestImageTypes:
         with pytest.raises(PrecisionOutOfRangeError):
             MemoryImage.from_json_dict({**self.DOC, "t": t})
 
-    def test_bool_width_rejected(self):
-        with pytest.raises(WidthMismatchError):
-            MemoryImage(cells=(0, 1), width=True, t=4, mode="complex", k=1)
+    def test_width_and_k_are_derived(self):
+        img = MemoryImage(cells=(0,) * 8, t=4, mode="real_signed")
+        assert (img.width, img.aux_width, img.k) == (5, 1, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_cell_count_must_be_a_power_of_two(self, n):
+        with pytest.raises(LengthMismatchError):
+            MemoryImage(cells=(0,) * n, t=4, mode="complex")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(WrongModeError):
+            MemoryImage(cells=(0, 0), t=4, mode="polar")
 
 
 class TestQuery:
@@ -186,10 +197,8 @@ class TestQuery:
             t = int(rng.integers(2, 13))
             img = MemoryImage(
                 cells=tuple(int(c) for c in rng.integers(0, 1 << (2 * t), size=1 << k)),
-                width=2 * t,
                 t=t,
                 mode="complex",
-                k=k,
             )
             n = int(rng.integers(1, 9))
             labels = rng.integers(0, 1 << (k + 1 + 2 * t), size=n)

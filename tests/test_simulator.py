@@ -15,7 +15,6 @@ from qramprep.memory import QueryLedger, build_memory_image, query
 from qramprep.simulator import (
     BranchState,
     circular_shift,
-    controlled_z_sign,
     dump_state,
     init_state,
     marker_check,
@@ -150,29 +149,24 @@ class TestPhaseCascade:
         want = complex(math.cos(2.034), math.sin(2.034))
         assert abs(out.branches[label] - want) <= math.pi * 2 ** -t
 
-    def test_wrong_mode(self):
-        with pytest.raises(WrongModeError):
-            phase_cascade(init_state(1, 8, "real_signed"))
 
+class TestOneBitPhaseCascade:
+    """The real_signed leaf step: a one-bit phase register holds phi / pi."""
 
-class TestControlledZSign:
-    def test_clear_sign_identity(self):
-        state = make_state(1, 8, 1, {2: 0.5 + 0j})  # v=1, s=0
-        assert controlled_z_sign(state).branches == state.branches
+    def test_clear_bit_identity(self):
+        state = make_state(1, 8, 1, {2: 0.5 + 0j})  # v=1, phase bit 0
+        assert phase_cascade(state).branches == state.branches
 
-    def test_sign_and_marker_flip(self):
-        label = 0b110  # k=1: s=1, v=1, a=0
+    def test_half_turn_on_marked_branch_negates_exactly(self):
+        label = 0b110  # k=1: phase bit 1, v=1, a=0
+        out = phase_cascade(make_state(1, 8, 1, {label: 0.5 + 0j}))
+        assert out.branches[label] == -0.5 + 0j
+        assert math.copysign(1.0, out.amp[0].imag) == 1.0  # no negative zero
+
+    def test_half_turn_without_marker_unchanged(self):
+        label = 0b100  # phase bit 1, v=0
         state = make_state(1, 8, 1, {label: 0.5 + 0j})
-        assert controlled_z_sign(state).branches[label] == -0.5 + 0j
-
-    def test_sign_without_marker_unchanged(self):
-        label = 0b100  # s=1, v=0
-        state = make_state(1, 8, 1, {label: 0.5 + 0j})
-        assert controlled_z_sign(state).branches[label] == 0.5 + 0j
-
-    def test_wrong_mode(self):
-        with pytest.raises(WrongModeError):
-            controlled_z_sign(init_state(1, 8, "complex"))
+        assert phase_cascade(state).branches[label] == 0.5 + 0j
 
 
 class TestCircularShift:

@@ -8,8 +8,11 @@ packed basis label
 to its amplitude, one branch at a time with scalar ``math`` calls, the way
 the simulator worked before its registers became arrays. It lives here only.
 Both must agree on the label set and on every amplitude (1e-12) after each
-magnitude iteration and at the end, and on the query ledger.
+magnitude iteration and at the end, and on the query ledger. Its leaf step
+for real_signed images is its own sign flip, an independent check of the
+simulator's one-bit phase cascade.
 """
+import json
 import math
 
 import numpy as np
@@ -18,7 +21,8 @@ import pytest
 from qramprep.cli import example_matrix
 from qramprep.matrix import random_matrix
 from qramprep.memory import build_memory_image
-from qramprep.simulator import PRUNE_THRESHOLD, prepare_complex, prepare_real
+from qramprep.simulator import dump_state, prepare_complex, prepare_real
+from qramprep.verify import run_preparation
 
 AMP_TOL = 1e-12
 
@@ -106,23 +110,18 @@ class DictReference:
         flip = self.v_mask | (1 << self.aux_shift)
         return {label: (-amp if label & flip == flip else amp) for label, amp in branches.items()}
 
-    def prune(self, branches, threshold):
-        if threshold <= 0.0:
-            return branches
-        return {label: amp for label, amp in branches.items() if abs(amp) >= threshold}
-
-    def run(self, threshold):
+    def run(self):
         steps = []
         branches = {1: 1.0 + 0.0j}
         for _ in range(self.k):
             branches = self.query(branches)
-            branches = self.prune(self.ry_cascade(branches), threshold)
+            branches = self.ry_cascade(branches)
             branches = self.query(branches)
             branches = self.shift(branches)
             steps.append(branches)
         branches = self.query(branches)
         if self.img.mode == "complex":
-            branches = self.prune(self.phase(branches), threshold)
+            branches = self.phase(branches)
         else:
             branches = self.sign(branches)
         return steps, self.query(branches)
@@ -151,8 +150,6 @@ def random_k10_matrices():
         yield f"{name}-real-signed", real, "real_signed"
 
 
-# Pruning fires only at t = 48 here: below it a quantized full split leaves
-# amplitudes far above the threshold, and from t = 50 on pi is on the grid.
 CASES = [
     pytest.param(m, mode, t, sim, id=f"{name}-t{t}-{sim}")
     for name, m, mode in [*acceptance_matrices(), *random_k10_matrices()]
@@ -172,7 +169,7 @@ def test_array_simulator_matches_dict_reference(m, mode, t, sim):
     )
 
     reference = DictReference(img, exact)
-    steps, final = reference.run(0.0 if sim == "ideal" else PRUNE_THRESHOLD)
+    steps, final = reference.run()
     assert len(seen) == len(steps) == img.k
     for h, (got, want) in enumerate(zip(seen, steps), start=1):
         assert_same_state(got, want, f"iteration {h}")
@@ -181,12 +178,37 @@ def test_array_simulator_matches_dict_reference(m, mode, t, sim):
     assert ledger.access_log == reference.access_log
 
 
-def test_reference_exercises_pruning_and_zero_pairs():
-    # the comparison covers dropped zero-weight branches and fixed-mode pruning
+def test_reference_exercises_zero_pairs_and_tiny_amplitudes():
+    # the comparison covers dropped zero-weight branches ...
     m = random_matrix(32, 32, seed=7, zero_fraction=0.9)
     img, gamma = build_memory_image(m, 48, "complex")
-    _, ideal = DictReference(img, gamma).run(0.0)
+    _, ideal = DictReference(img, gamma).run()
     assert len(ideal) == np.count_nonzero(m.entries)  # zero entries never materialize
-    _, unpruned = DictReference(img, None).run(0.0)
-    _, pruned = DictReference(img, None).run(PRUNE_THRESHOLD)
-    assert len(pruned) < len(unpruned)
+    # ... and the residues of quantized full splits, far below 1e-15 at t = 46,
+    # which a fixed run keeps like any other amplitude
+    m = random_matrix(32, 32, seed=7, zero_fraction=0.5)
+    img, _ = build_memory_image(m, 46, "complex")
+    _, want = DictReference(img, None).run()
+    state, _ = prepare_complex(img)
+    tiny = int(np.count_nonzero(np.abs(state.amp) < 1e-15))
+    assert tiny == sum(abs(amp) < 1e-15 for amp in want.values()) > 0
+    assert_same_state(dict(state.branches), want, "t = 46")
+
+
+REAL_MATRICES = [
+    pytest.param(m, id=name)
+    for name, m, mode in [*acceptance_matrices(), *random_k10_matrices()]
+    if mode == "real_signed"
+]
+
+
+@pytest.mark.parametrize("sim", ["fixed", "ideal"])
+@pytest.mark.parametrize("t", [2, 16, 32, 48, 62])
+@pytest.mark.parametrize("m", REAL_MATRICES)
+def test_real_signed_dump_is_the_complex_dump(m, t, sim):
+    # real data is the one-bit case of the phase path: same state, same bytes
+    runs = []
+    for mode in ("real_signed", "complex"):
+        state, ledger, _ = run_preparation(m, t, mode=mode, sim=sim)
+        runs.append((json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log))
+    assert runs[0] == runs[1]
