@@ -12,16 +12,20 @@ every phase is 0 or pi and the bit is phi / pi. Cell 0 always carries an
 all-zero angle field: index 0 has no sibling pair, the cell exists only to
 keep the width uniform, but its phase field (entry 0) is live.
 
+An image holds its cells as two read-only uint64 arrays, the angle fields
+and the aux fields (``MemoryImage.field_arrays``); each field is at most 62
+bits, so the split fits machine words even where a whole cell (complex mode
+above t = 32) does not. Layouts encode whole arrays of angles and phases
+with the array codecs of :mod:`qramprep.fixedpoint` and hand the field
+arrays straight in. Cells as Python ints exist only at the boundary: the
+JSON round trip, ``MemoryImage(cells=...)`` (checked in bulk, then split)
+and ``image.cells`` (built on each read, not kept).
+
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
-query costs k time units (one per tree level). It gathers from per-field
-uint64 arrays (``MemoryImage.field_arrays``), derived from the cells once per
-image; each field is at most 62 bits, so the split fits machine words even
-where a whole cell does not.
-
-Layouts encode whole arrays of angles and phases with the array codecs
-of :mod:`qramprep.fixedpoint` and pack each cell as a Python int, so cells
-wider than 64 bits (complex mode above t = 32) stay exact.
+query costs k time units (one per tree level). It gathers from the field
+arrays. The ledger keeps the set of addresses each query reached as a
+bitmap of K bits (K/8 bytes); ``QueryLedger.access_log`` decodes them.
 
 JSON wire format: {"mode": ..., "t": t, "k": k, "cells": [unsigned ints]}.
 """
@@ -30,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -62,28 +65,65 @@ def cell_width(t: int, mode: str) -> int:
     raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-@dataclass(frozen=True)
-class MemoryImage:
-    """K = 2**k immutable cells of ``cell_width(t, mode)`` bits each."""
+class _Cells:
+    """Descriptor behind the ``cells`` field: Python ints built on each read.
 
-    cells: tuple[int, ...]
+    A write (the constructor, ``dataclasses.replace(image, cells=...)``)
+    holds the cells only until ``__post_init__`` has checked and split them.
+    """
+
+    def __get__(self, image, owner=None):
+        if image is None:
+            raise AttributeError("cells")  # no default for the dataclass field
+        return tuple(image._cell_list())
+
+    def __set__(self, image, cells) -> None:
+        vars(image)["_cells"] = cells
+
+
+@dataclass(frozen=True, eq=False)
+class MemoryImage:
+    """K = 2**k immutable cells of ``cell_width(t, mode)`` bits each.
+
+    ``field_arrays`` is the data: (angle fields, aux fields) of cells
+    0..K-1 as read-only uint64 arrays, the same two objects on every read.
+    """
+
+    cells: tuple[int, ...] = _Cells()
     t: int
     mode: str
 
     def __post_init__(self):
         check_precision(self.t)
         object.__setattr__(self, "t", int(self.t))  # fixed-width ints would overflow cell shifts
-        n = len(self.cells)
+        cells = vars(self).pop("_cells")
+        n = len(cells)
         if n < 2 or n & (n - 1):
             raise LengthMismatchError(f"need 2**k cells (k >= 1), got {n}")
-        limit = 1 << self.width  # also refuses an unknown mode
-        for z, cell in enumerate(self.cells):
-            if type(cell) is not int or not 0 <= cell < limit:
-                raise WidthMismatchError(f"cell {z} does not fit in {self.width} bits")
+        width = self.width  # also refuses an unknown mode
+        object.__setattr__(self, "field_arrays", _split_cells(cells, self.t, width))
+
+    @classmethod
+    def _from_fields(cls, angle: np.ndarray, aux: np.ndarray, t: int, mode: str) -> "MemoryImage":
+        """An image of encoded field arrays that already fit (the layouts): no Python ints."""
+        image = object.__new__(cls)
+        for name, value in (("t", t), ("mode", mode), ("field_arrays", _read_only(angle, aux))):
+            object.__setattr__(image, name, value)
+        return image
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.mode) == (other.t, other.mode) and all(
+            np.array_equal(a, b) for a, b in zip(self.field_arrays, other.field_arrays)
+        )
+
+    def __hash__(self):
+        return hash((self.t, self.mode, *(a.tobytes() for a in self.field_arrays)))
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        return self.field_arrays[0].size
 
     @property
     def k(self) -> int:
@@ -99,20 +139,17 @@ class MemoryImage:
         """Width of the low (phase) field."""
         return self.width - self.t
 
-    @cached_property
-    def field_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(angle fields, aux fields) of cells 0..K-1 as read-only uint64 arrays."""
-        if self.width <= 64:
-            cells = np.array(self.cells, dtype=np.uint64)
-        else:  # wider than a machine word: split the Python ints first
-            cells = np.array(self.cells, dtype=object)
-        angle = (cells >> self.aux_width).astype(np.uint64)
-        aux = (cells & ((1 << self.aux_width) - 1)).astype(np.uint64)
-        angle.flags.writeable = aux.flags.writeable = False
-        return angle, aux
+    def _cell_list(self) -> list[int]:
+        """Cells 0..K-1 as Python ints."""
+        angle, aux = self.field_arrays
+        if self.width > 64:  # wider than a machine word: join as Python ints
+            angle, aux = angle.astype(object), aux.astype(object)
+        cells = angle << self.aux_width
+        cells |= aux
+        return cells.tolist()
 
     def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "t": self.t, "k": self.k, "cells": list(self.cells)}
+        return {"mode": self.mode, "t": self.t, "k": self.k, "cells": self._cell_list()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -125,7 +162,7 @@ class MemoryImage:
             raise ParseError(f"memory image document missing key: {exc}") from exc
         if not isinstance(cells, list):
             raise ParseError("cells must be a list of unsigned integers")
-        image = cls(cells=tuple(cells), t=t, mode=mode)
+        image = cls(cells=cells, t=t, mode=mode)
         if isinstance(k, bool) or not isinstance(k, Integral):
             raise InvalidDimensionsError(f"k must be an integer, got {k!r}")
         if k != image.k:
@@ -133,24 +170,63 @@ class MemoryImage:
         return image
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _split_cells(cells, t: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(angle, aux) field arrays of Python-int cells that must each fit ``width`` bits.
+
+    The check is one pass over the types, one conversion and one range test;
+    only a refused image is scanned cell by cell, to name its first bad cell.
+    """
+    aux_width = width - t
+    try:
+        if set(map(type, cells)) == {int}:  # bool and numpy ints are refused too
+            # above 64 bits, split the Python ints before the machine words
+            packed = np.array(cells, dtype=np.uint64 if width <= 64 else object)
+            angle = (packed >> aux_width).astype(np.uint64, copy=False)
+            aux = (packed & ((1 << aux_width) - 1)).astype(np.uint64, copy=False)
+            if not np.any(angle >> t):
+                return _read_only(angle, aux)
+    except OverflowError:  # a negative cell, or one too wide for 64 bits
+        pass
+    z = next(z for z, c in enumerate(cells) if type(c) is not int or not 0 <= c < 1 << width)
+    raise WidthMismatchError(f"cell {z} does not fit in {width} bits")
+
+
 @dataclass
 class QueryLedger:
-    """Counts queries against one image; routing time is k units per query."""
+    """Counts queries against one image; routing time is k units per query.
+
+    ``reached`` keeps one bitmap per query, K bits in ``np.packbits`` order
+    (K/8 bytes): bit z is set iff the query reached address z.
+    """
 
     k: int
     query_count: int = 0
-    access_log: list[tuple[int, ...]] = field(default_factory=list)
+    reached: list[bytes] = field(default_factory=list, repr=False)
 
     @property
     def routing_time(self) -> int:
         return self.query_count * self.k
 
+    @property
+    def access_log(self) -> list[tuple[int, ...]]:
+        """The sorted distinct addresses each query reached, decoded from ``reached``."""
+        return [
+            tuple(np.flatnonzero(np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8))).tolist())
+            for bitmap in self.reached
+        ]
+
     def record(self, addresses) -> None:
-        """Count one query and log the sorted distinct addresses it reached."""
+        """Count one query and keep the bitmap of the distinct addresses it reached."""
         reached = np.zeros(1 << self.k, dtype=bool)
         reached[np.asarray(addresses, dtype=np.intp)] = True
         self.query_count += 1
-        self.access_log.append(tuple(np.flatnonzero(reached).tolist()))
+        self.reached.append(np.packbits(reached).tobytes())
 
 
 def _checked_precision(thetas, phases, t: int) -> int:
@@ -166,15 +242,14 @@ def _checked_precision(thetas, phases, t: int) -> int:
     return int(t)
 
 
-def _pack(thetas, phase_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
-    """Cells ``angle << aux_width | phase`` as Python ints, so any width fits.
+def _pack(thetas, aux_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
+    """The image of encoded angle and aux fields, handed in as arrays.
 
     Cell 0 has no sibling pair: its angle field holds 0.
     """
-    angle_bits = np.concatenate((np.zeros(1, dtype=np.int64), encode_magnitude_angles(thetas, t)))
-    aux = cell_width(t, mode) - t
-    cells = tuple([(a << aux) | b for a, b in zip(angle_bits.tolist(), phase_bits.tolist())])
-    return MemoryImage(cells=cells, t=t, mode=mode)
+    angle = np.zeros(aux_bits.size, dtype=np.uint64)
+    angle[1:] = encode_magnitude_angles(thetas, t)
+    return MemoryImage._from_fields(angle, aux_bits.astype(np.uint64, copy=False), t, mode)
 
 
 def layout_complex(thetas, phases, t: int) -> MemoryImage:
@@ -198,7 +273,7 @@ def layout_real_signed(thetas, phases, t: int) -> MemoryImage:
     half_turn = phi == math.pi
     if not np.all(half_turn | (phi == 0.0)):
         raise NotRealMatrixError("real_signed phases must be 0 or pi")
-    return _pack(thetas, half_turn.astype(np.int64), t, "real_signed")
+    return _pack(thetas, half_turn.astype(np.uint64), t, "real_signed")
 
 
 def layout_image(gamma: ComplexAngleTree, t: int) -> MemoryImage:

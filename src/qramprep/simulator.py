@@ -45,6 +45,7 @@ State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
 """
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -404,13 +405,21 @@ def dump_state(state: BranchState) -> dict:
         raise DirtyStateError("cannot dump a state with nonzero work registers")
     order = np.lexsort((state.v, state.addr))
     amp = state.amp[order]
-    rows = [
-        {"address": a, "v": v, "amp": [re, im]}
-        for a, v, re, im in zip(
-            state.addr[order].tolist(),
-            state.v[order].tolist(),
-            amp.real.tolist(),
-            amp.imag.tolist(),
-        )
-    ]
+    # the rows are acyclic, so the cyclic collector would only rescan them
+    # as they accumulate; pause it, and restore the caller's setting
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = [
+            {"address": a, "v": v, "amp": [re, im]}
+            for a, v, re, im in zip(
+                state.addr[order].tolist(),
+                state.v[order].tolist(),
+                amp.real.tolist(),
+                amp.imag.tolist(),
+            )
+        ]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return {"k": state.k, "branches": rows}

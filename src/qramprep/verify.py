@@ -138,6 +138,7 @@ def run_preparation(
         raise WrongModeError(f"sim must be one of {SIM_MODES}, got {sim!r}")
     img, gamma = build_memory_image(m, t, mode)
     exact = gamma if sim == "ideal" else None
+    del gamma  # a fixed run reads only the image: free the angles before simulating
     state, ledger = _prepare(img, exact=exact, on_iteration=on_iteration)
     return state, ledger, img
 

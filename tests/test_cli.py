@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from qramprep import simulator
-from qramprep.cli import main
+from qramprep.cli import _image_json_indented, main
+from qramprep.matrix import load_matrix, random_matrix
+from qramprep.memory import build_memory_image
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "example_matrix.json"
 
@@ -61,6 +63,26 @@ class TestPreprocess:
         main(["preprocess", "--input", str(example_path), "--output", str(a)])
         main(["preprocess", "--input", str(example_path), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestIndentedImageWriter:
+    """The direct writer against the json module's indented encoder, byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_matches_json_dumps_at_every_t(self, mode):
+        m = random_matrix(4, 4, seed=12, real=mode == "real_signed")
+        for t in range(2, 63):
+            img, _ = build_memory_image(m, t, mode)
+            want = json.dumps(img.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            assert _image_json_indented(img) == want, t
+
+    def test_cli_output_is_json_dumps_with_indent(self, example_path, tmp_path):
+        out_path = tmp_path / "image.json"
+        assert main(["preprocess", "--input", str(example_path), "--output", str(out_path),
+                     "--t", "40"]) == 0
+        img, _ = build_memory_image(load_matrix(example_path.read_bytes(), "json"), 40, "complex")
+        want = json.dumps(img.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert out_path.read_text() == want
 
 
 class TestJsonInput:

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qramprep.angles import build_angle_structures
 from qramprep.errors import (
     InvalidDimensionsError,
     LengthMismatchError,
@@ -22,10 +25,11 @@ from qramprep.memory import (
     build_memory_image,
     cell_width,
     layout_complex,
+    layout_image,
     layout_real_signed,
     query,
 )
-from qramprep.simulator import BranchState, init_state
+from qramprep.simulator import BranchState, init_state, prepare_complex
 
 
 @pytest.fixture
@@ -179,6 +183,111 @@ class TestImageTypes:
             MemoryImage(cells=(0, 0), t=4, mode="polar")
 
 
+# (t, mode) with cell widths below 64, exactly 64 and above 64 bits
+WIDTHS = [(4, "complex"), (62, "real_signed"), (32, "complex"), (33, "complex"), (62, "complex")]
+
+
+def _fits(cell, width):
+    """The per-cell rule the bulk check must reproduce."""
+    return type(cell) is int and 0 <= cell < 1 << width
+
+
+class TestBulkValidation:
+    @pytest.mark.parametrize("t,mode", WIDTHS)
+    def test_against_the_per_cell_rule(self, t, mode):
+        width = cell_width(t, mode)
+        top = (1 << width) - 1
+        for cell in [True, False, np.int64(1), np.uint64(1), 1.0, -1, -(1 << 70), top, top + 1,
+                     1 << 64, (1 << 64) - 1, 1 << t]:
+            cells = (0, cell, top, 0)
+            doc = {"mode": mode, "t": t, "k": 2, "cells": list(cells)}
+            if _fits(cell, width):
+                img = MemoryImage(cells=cells, t=t, mode=mode)
+                assert img.cells == cells
+                assert MemoryImage.from_json_dict(doc) == img
+                angle, aux = img.field_arrays
+                assert [(int(a) << img.aux_width) | int(b) for a, b in zip(angle, aux)] == list(cells)
+            else:
+                with pytest.raises(WidthMismatchError, match=f"cell 1 does not fit in {width} bits"):
+                    MemoryImage(cells=cells, t=t, mode=mode)
+                with pytest.raises(WidthMismatchError, match="cell 1 "):
+                    MemoryImage.from_json_dict(doc)
+
+    @pytest.mark.parametrize("t,mode", WIDTHS)
+    def test_random_cells_split_exactly(self, t, mode):
+        width = cell_width(t, mode)
+        rng = np.random.default_rng(t)
+        cells = tuple(int.from_bytes(rng.bytes(16), "little") >> (128 - width) for _ in range(16))
+        img = MemoryImage(cells=cells, t=t, mode=mode)
+        angle, aux = img.field_arrays
+        assert angle.dtype == aux.dtype == np.uint64
+        assert [int(a) for a in angle] == [c >> img.aux_width for c in cells]
+        assert [int(b) for b in aux] == [c & ((1 << img.aux_width) - 1) for c in cells]
+        assert img.cells == cells and all(type(c) is int for c in img.cells)
+
+    def test_length_checked_before_cells(self):
+        with pytest.raises(LengthMismatchError):
+            MemoryImage(cells=(0, 1.0, 2), t=4, mode="complex")
+
+
+class TestImageData:
+    def test_field_arrays_read_only_and_the_same_objects(self, example_image):
+        first = example_image.field_arrays
+        assert all(a is b for a, b in zip(first, example_image.field_arrays))
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_cells_built_on_read_not_kept(self, example_image):
+        assert example_image.cells == example_image.cells
+        assert set(vars(example_image)) == {"t", "mode", "field_arrays"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            example_image.cells = (0,) * 8
+
+    def test_replace_cells(self, example_image):
+        cells = list(example_image.cells)
+        cells[1] ^= 1 << (example_image.width - 1)
+        flipped = dataclasses.replace(example_image, cells=tuple(cells))
+        assert flipped.cells == tuple(cells)
+        assert flipped != example_image
+        assert dataclasses.replace(flipped, cells=example_image.cells) == example_image
+
+    def test_equality_and_hash(self, example_image):
+        same = MemoryImage(cells=example_image.cells, t=12, mode="complex")
+        assert same == example_image and hash(same) == hash(example_image)
+        assert MemoryImage(cells=(0, 0), t=4, mode="complex") != MemoryImage(
+            cells=(0, 0), t=5, mode="complex"
+        )
+        assert MemoryImage(cells=(0, 1), t=4, mode="real_signed") != MemoryImage(
+            cells=(0, 1), t=4, mode="complex"
+        )
+        assert example_image != example_image.cells
+
+
+class TestFootprint:
+    """Retained bytes of one K=2^14, t=32 complex run, traced by tracemalloc."""
+
+    SLACK = 8192  # object headers, and what numpy allocates once per process
+
+    def test_image_and_ledger_stay_packed(self):
+        gamma = build_angle_structures(random_matrix(128, 128, seed=14), "complex")
+        size, k = 1 << 14, 14
+        prepare_complex(layout_image(gamma, 32))  # let lazy set-up happen untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            img = layout_image(gamma, 32)
+            image_bytes = tracemalloc.get_traced_memory()[0] - base
+            state, ledger = prepare_complex(img)
+            del state
+            ledger_bytes = tracemalloc.get_traced_memory()[0] - base - image_bytes
+        finally:
+            tracemalloc.stop()
+        assert ledger.query_count == 2 * k + 2
+        assert image_bytes <= 16 * size + self.SLACK
+        assert ledger_bytes <= (2 * k + 2) * size // 8 + self.SLACK
+
+
 class TestQuery:
     def test_single_branch_loads_cell(self, example_image):
         state = init_state(3, 12, "complex")
@@ -256,3 +365,25 @@ class TestLedger:
         ledger = QueryLedger(k=2)
         ledger.record([3, 1, 3])
         assert ledger.access_log == [(1, 3)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 11])
+    def test_one_bitmap_of_k_over_eight_bytes_per_query(self, k):
+        rng = np.random.default_rng(k)
+        ledger, want = QueryLedger(k=k), []
+        for _ in range(5):
+            addresses = rng.integers(0, 1 << k, size=int(rng.integers(1, 1 << k)))
+            ledger.record(addresses)
+            want.append(tuple(sorted(set(addresses.tolist()))))
+        ledger.record(np.arange(1 << k))
+        want.append(tuple(range(1 << k)))
+        assert [len(bitmap) for bitmap in ledger.reached] == [max(1, (1 << k) // 8)] * 6
+        assert ledger.access_log == want
+
+    def test_replace_counts(self):
+        ledger = QueryLedger(k=3)
+        ledger.record([1, 2])
+        more = dataclasses.replace(ledger, query_count=ledger.query_count + 1)
+        wider = dataclasses.replace(ledger, k=ledger.k + 1)
+        assert (more.query_count, more.routing_time) == (2, 6)
+        assert (wider.query_count, wider.routing_time) == (1, 4)
+        assert more.access_log == wider.access_log == ledger.access_log == [(1, 2)]

@@ -78,3 +78,26 @@ def test_dropped_branch_fails_the_prepare_image_check(workloads, monkeypatch):
     out = wl.op()
     with pytest.raises(workloads.CheckFailure):
         wl.check(out)
+
+
+@pytest.fixture(scope="module")
+def smoke():
+    # smoke.py imports its sibling modules by their bare names
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield _load("smoke")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("perfbench_smoke", "tracing", "workloads"):
+            sys.modules.pop(name, None)
+
+
+def test_corrupted_cell_fails_sweep_ops(smoke):
+    # smoke.py's own fault: it rebuilds the image with dataclasses.replace(image, cells=...)
+    wl = smoke.workloads.build("sweep", seed=401, k=6)
+    with smoke.tracing.substituted(smoke.qp, smoke.CORRUPT_CELL):
+        phase = smoke.workloads.measure(wl, 0.0)
+    assert phase.attempted > 0 and phase.failed == phase.attempted, phase.errors
+    # the op ran on the corrupted image and its check refused the output
+    assert all(error.startswith("CheckFailure: ") for error in phase.errors), phase.errors
+    assert smoke.workloads.measure(wl, 0.0).failed == 0

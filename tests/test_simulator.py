@@ -1,3 +1,5 @@
+import gc
+import json
 import math
 
 import numpy as np
@@ -412,6 +414,29 @@ class TestDumpState:
         assert addresses == sorted(addresses)
         assert all(set(row) == {"address", "v", "amp"} for row in doc["branches"])
         assert all(row["v"] == 1 for row in doc["branches"])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_restored(self, enabled):
+        img, _ = build_memory_image(random_matrix(8, 8, seed=4), 16, "complex")
+        state, _ = prepare_complex(img)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            dump_state(state)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_bytes_match_rows_built_with_the_collector_on(self):
+        img, _ = build_memory_image(random_matrix(16, 16, seed=5), 24, "complex")
+        state, _ = prepare_complex(img)
+        order = np.lexsort((state.v, state.addr))
+        rows = [
+            {"address": int(a), "v": int(v), "amp": [float(z.real), float(z.imag)]}
+            for a, v, z in zip(state.addr[order], state.v[order], state.amp[order])
+        ]
+        want = json.dumps({"k": state.k, "branches": rows}, sort_keys=True)
+        assert json.dumps(dump_state(state), sort_keys=True) == want
 
     def test_dirty_state_rejected(self, example):
         img, _ = build_memory_image(example, 12, "complex")

@@ -32,6 +32,7 @@ class DictReference:
 
     def __init__(self, img, exact):
         self.img, self.exact = img, exact
+        self.cells = img.cells  # built from the field arrays on each read: read it once
         self.k, self.t, self.aux = img.k, img.t, img.aux_width
         self.addr_mask = (1 << self.k) - 1
         self.v_mask = 1 << self.k
@@ -41,7 +42,7 @@ class DictReference:
 
     def query(self, branches):
         self.access_log.append(tuple(sorted({label & self.addr_mask for label in branches})))
-        cells = self.img.cells
+        cells = self.cells
         return {label ^ (cells[label & self.addr_mask] << self.aux_shift): amp
                 for label, amp in branches.items()}
 

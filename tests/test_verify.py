@@ -1,5 +1,6 @@
 import math
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from qramprep.errors import (
     PrecisionOutOfRangeError,
     WrongModeError,
 )
+from qramprep import verify
 from qramprep.matrix import ComplexMatrix, random_matrix
+from qramprep.memory import build_memory_image
 from qramprep.simulator import BranchState
 from qramprep.verify import (
     error_bound,
@@ -254,3 +257,18 @@ class TestRunPreparation:
     def test_bad_sim_mode(self, example):
         with pytest.raises(WrongModeError):
             run_preparation(example, 8, sim="approximate")
+
+    @pytest.mark.parametrize("sim,kept", [("fixed", False), ("ideal", True)])
+    def test_angles_kept_only_for_an_ideal_run(self, example, monkeypatch, sim, kept):
+        # a fixed run reads only the image, so the angle structure is freed before it
+        refs = []
+
+        def building(m, t, mode):
+            img, gamma = build_memory_image(m, t, mode)
+            refs.append(weakref.ref(gamma))
+            return img, gamma
+
+        monkeypatch.setattr(verify, "build_memory_image", building)
+        alive = []
+        run_preparation(example, 12, sim=sim, on_iteration=lambda h, s: alive.append(refs[0]()))
+        assert [gamma is not None for gamma in alive] == [kept] * example.depth
