@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="matrix file (.json or .csv)")
         p.add_argument("--random", metavar="ROWSxCOLS",
                        help="generate a random matrix instead of reading --input")
-        p.add_argument("--seed", type=int, default=0, help="seed for --random")
+        p.add_argument("--seed", type=int, default=0, help="non-negative seed for --random")
         p.add_argument("--output", help=output_help)
 
     p = sub.add_parser("preprocess", help="build and write a memory image")

@@ -27,6 +27,10 @@ class IndexOutOfRangeError(QramPrepError):
     """Row, column, or memory index outside its valid range."""
 
 
+class InvalidSeedError(QramPrepError):
+    """Random-matrix seed is not a non-negative integer."""
+
+
 # --- fixed-point codecs ---
 
 class AngleOutOfRangeError(QramPrepError):

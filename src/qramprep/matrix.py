@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NoReturn
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     EmptyMatrixError,
     IndexOutOfRangeError,
     InvalidDimensionsError,
+    InvalidSeedError,
     ParseError,
 )
 
@@ -272,7 +274,9 @@ def random_matrix(
     """Deterministic random matrix for demos and tests (standard normal entries)."""
     if rows < 1 or cols < 1:
         raise EmptyMatrixError(f"rows={rows}, cols={cols}")
-    rng = np.random.default_rng(seed)
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise InvalidSeedError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = np.random.default_rng(int(seed))
     values = rng.standard_normal((rows, cols))
     if not real:
         values = values + 1j * rng.standard_normal((rows, cols))

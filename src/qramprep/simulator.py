@@ -4,20 +4,29 @@ A branch is one basis state of four registers,
 
     [ w_angle : t bits | w_aux : t or 1 bits | v : 1 bit | a : k bits ]
 
-stored structure-of-arrays: ``BranchState`` keeps one uint64 array per
-register (``addr``, ``v``, ``w_angle``, ``w_aux``) and a complex128 array
-``amp``, entry i of each describing branch i. Every register is at most 62
-bits wide, so no packed label is ever formed while simulating. The state
-stays sparse: after every uncompute the work registers are zero on all
+stored structure-of-arrays: ``BranchState`` keeps one array per register, the
+index registers ``addr`` and ``v`` as intp and the work registers ``w_angle``
+and ``w_aux`` as uint64, and a complex128 array ``amp``, entry i of each
+describing branch i. Every register is at most 62 bits wide (a state refuses
+k > 62), so no packed label is ever formed while simulating. The
+state stays sparse: after every uncompute the work registers are zero on all
 branches and at most 2**k branches remain, whatever t is. A dense vector over
 k + 2t + 1 qubits would be hopeless for t = 32; the branch arrays are exact
 and cheap.
 
 Every operation is a whole-array pass. A query gathers the addressed cell
-fields and XORs them into the work registers; the y-rotation cascade pairs
-the branches that differ only in v and rotates every pair at once; the
-circular shift is bit arithmetic on the address and marker; the phase
-cascade multiplies the marked amplitudes by their leaf phases.
+fields and XORs them into the work registers; the y-rotation cascade rotates
+every (v=0, v=1) branch pair at once; the circular shift is bit arithmetic on
+the address and marker; the phase cascade multiplies the marked amplitudes
+by their leaf phases.
+
+Before every rotation of the loop no branch has v = 1, so the rotation builds
+no pairing: each branch is the v = 0 half of its own pair. It writes the two
+halves of branch i to 2i and 2i + 1 of one output, and the shift maps (a, v)
+to 2a | v, so the branches stay sorted by address from the first step to the
+last, and every query gathers the cell arrays in order. Only a state holding
+both v = 0 and v = 1 branches (the bit-by-bit reference cascade) is sorted to
+find its pairs.
 
 The procedure is one loop for both modes: k iterations of query -> y-rotation
 cascade -> uncompute query -> circular shift, threading a single marker bit
@@ -67,6 +76,9 @@ from .memory import MemoryImage, QueryLedger, cell_width, query
 from .weight_tree import WeightTree
 
 _ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
+# the index registers are intp, so a gather by address needs no cast copy
+_DTYPES = {"addr": np.intp, "v": np.intp, "w_angle": np.uint64, "w_aux": np.uint64}
+MAX_ADDRESS_WIDTH = 62  # k: shifting the intp address left by one must not overflow
 
 
 class _BranchView(Mapping):
@@ -118,6 +130,12 @@ class BranchState:
     k: int
 
     def __post_init__(self):
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= MAX_ADDRESS_WIDTH:
+            raise InvalidDimensionsError(
+                f"address width k must be in [1, {MAX_ADDRESS_WIDTH}], got {k!r}"
+            )
+        self.k = int(k)  # fixed-width ints would overflow the label shifts
         self._load_labels()
 
     def _load_labels(self) -> None:
@@ -129,7 +147,7 @@ class BranchState:
             "w_aux": (labels >> self.aux_shift) & ((1 << self.aux_width) - 1),
         }
         for name, field in fields.items():
-            setattr(self, name, _frozen(field.astype(np.uint64)))
+            setattr(self, name, _frozen(field.astype(_DTYPES[name])))
         self.amp = _frozen(
             np.fromiter(self._labels.values(), dtype=np.complex128, count=len(self._labels))
         )
@@ -167,11 +185,11 @@ class BranchState:
         return self.k + 1 + self.aux_width
 
     def work_clean(self) -> bool:
-        return not np.any(self.w_angle | self.w_aux)
+        return not (self.w_angle | self.w_aux).any()
 
     def marker_set(self) -> bool:
         """True iff v = 1 on every branch, as after the magnitude loop."""
-        return bool(np.all(self.v == 1))
+        return bool((self.v == 1).all())
 
     def norm(self) -> float:
         amp = self.amp
@@ -186,10 +204,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
     """Single branch, all work registers zero, address 0...01, amplitude 1."""
-    if not isinstance(k, Integral) or k < 1:
-        raise InvalidDimensionsError(f"address width k must be >= 1, got {k!r}")
     check_precision(t)
-    k, t = int(k), int(t)  # fixed-width ints would overflow the label shifts
+    t = int(t)  # fixed-width ints would overflow the label shifts
     return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
 
 
@@ -204,38 +220,44 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     """Rotate the marker of every branch pair by ``theta`` (one angle per branch).
 
     A pair is the v = 0 and v = 1 branch with equal address and work
-    registers, found by a sort on (address, w_angle, w_aux); a branch without
-    a partner pairs with amplitude 0. Exactly zero results are dropped.
+    registers; a branch without a partner pairs with amplitude 0. When no
+    branch has v = 1, as before every rotation of the preparation loop, each
+    branch is the v = 0 half of its own pair and nothing is paired. Otherwise
+    a sort on (address, w_angle, w_aux) finds the pairs. The two halves of
+    pair i land at 2i + v of one interleaved output, so a state sorted by
+    address stays sorted. Exactly zero results are dropped.
     """
-    n = state.amp.size
     if state.v.any():
         order = np.lexsort((state.v, state.w_aux, state.w_angle, state.addr))
-        partner = np.ones(n - 1, dtype=bool)  # sorted branch i + 1 pairs with branch i
+        partner = np.ones(order.size - 1, dtype=bool)  # sorted branch i + 1 pairs with branch i
         for reg in (state.addr, state.w_angle, state.w_aux):
             ranked = reg[order]
             partner &= ranked[1:] == ranked[:-1]
         starts = np.concatenate(([True], ~partner))
-        group = np.cumsum(starts) - 1
-    else:  # no v = 1 branch: each branch is the v = 0 half of its own pair, no sort needed
-        order = group = np.arange(n)
-        starts = np.ones(n, dtype=bool)
-    rep = order[starts]
-    pair = np.zeros((rep.size, 2), dtype=np.complex128)
-    pair[group, state.v[order]] = state.amp[order]
-    c, s = _half_angle_cos_sin(theta[rep])
-    a0, a1 = pair[:, 0], pair[:, 1]
-    n0 = c * a0 - s * a1
-    n1 = s * a0 + c * a1
-    keep0, keep1 = np.flatnonzero(n0 != 0.0), np.flatnonzero(n1 != 0.0)
-    src = np.concatenate((rep[keep0], rep[keep1]))
-    marker = np.zeros(src.size, dtype=np.uint64)
-    marker[keep0.size:] = 1
+        rep = order[starts]
+        pair = np.zeros((rep.size, 2), dtype=np.complex128)
+        pair[np.cumsum(starts) - 1, state.v[order]] = state.amp[order]
+        theta, a0, a1 = theta[rep], pair[:, 0], pair[:, 1]
+    else:
+        rep, a0, a1 = None, state.amp, 0.0
+    c, s = _half_angle_cos_sin(theta)
+    rotated = np.empty((a0.size, 2), dtype=np.complex128)
+    n0, n1 = rotated[:, 0], rotated[:, 1]
+    # the a1 terms stay even where a1 = 0: they set the signs of zero parts
+    # exactly as the full 2x2 product does
+    np.multiply(c, a0, out=n0)
+    n0 -= s * a1
+    np.multiply(s, a0, out=n1)
+    n1 += c * a1
+    rotated = rotated.reshape(-1)
+    keep = np.flatnonzero(rotated != 0.0)
+    src = keep >> 1 if rep is None else rep[keep >> 1]
     return state._evolve(
         addr=state.addr[src],
-        v=marker,
+        v=keep & 1,
         w_angle=state.w_angle[src],
         w_aux=state.w_aux[src],
-        amp=np.concatenate((n0[keep0], n1[keep1])),
+        amp=rotated[keep],
     )
 
 

@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qramprep
 from qramprep import simulator
 from qramprep.cli import _image_json_indented, main
 from qramprep.matrix import load_matrix, random_matrix
@@ -205,6 +209,13 @@ class TestPrepare:
         assert main(["prepare", "--input", str(src), "--sim", "ideal", "--t", "24"]) == 0
         assert "status: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["-1", "--seed=-7"], ids=["-1", "=-7"])
+    def test_negative_seed_is_refused(self, capsys, seed):
+        spec = [seed] if seed.startswith("--") else ["--seed", seed]
+        assert main(["prepare", "--random", "2x2", *spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
     def test_random_matrix_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -271,3 +282,26 @@ class TestResources:
         rc = main(["resources", "--K", "1000", "--t", "32"])
         assert rc == 1
         assert "power of two" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m qramprep`` with only the package's parent directory on PYTHONPATH."""
+
+    @staticmethod
+    def run_module(cwd, *args):
+        src = str(Path(qramprep.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "qramprep", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
+        )
+
+    def test_runs_a_command(self, tmp_path):
+        out = tmp_path / "report.json"
+        run = self.run_module(tmp_path, "resources", "--K", "8", "--t", "4", "--output", str(out))
+        assert run.returncode == 0, run.stderr
+        assert json.loads(out.read_text())["query_count"] == 8
+
+    def test_reports_errors(self, tmp_path):
+        run = self.run_module(tmp_path, "prepare", "--random", "2x2", "--seed", "-1")
+        assert run.returncode == 1
+        assert run.stderr.startswith("error:")

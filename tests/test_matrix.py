@@ -9,6 +9,7 @@ from qramprep.errors import (
     EmptyMatrixError,
     IndexOutOfRangeError,
     InvalidDimensionsError,
+    InvalidSeedError,
     ParseError,
 )
 from qramprep.matrix import (
@@ -271,6 +272,16 @@ class TestRandomMatrix:
     def test_needs_positive_dimensions(self, rows, cols):
         with pytest.raises(EmptyMatrixError):
             random_matrix(rows, cols)
+
+    @pytest.mark.parametrize("seed", [-1, -(1 << 70), 1.5, None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidSeedError):
+            random_matrix(2, 2, seed=seed)
+
+    def test_large_and_numpy_integer_seeds(self):
+        assert random_matrix(2, 2, seed=1 << 70).entries.any()
+        assert np.array_equal(random_matrix(2, 2, seed=np.int64(7)).entries,
+                              random_matrix(2, 2, seed=7).entries)
 
     def test_never_all_zero(self):
         m = random_matrix(2, 2, seed=0, zero_fraction=1.0)

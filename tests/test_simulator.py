@@ -26,7 +26,7 @@ from qramprep.simulator import (
     ry_cascade,
     ry_cascade_by_gates,
 )
-from qramprep.verify import address_amplitudes, oracle_state, state_error
+from qramprep.verify import address_amplitudes, oracle_state, run_preparation, state_error
 from qramprep.weight_tree import build_weight_tree
 
 
@@ -56,9 +56,49 @@ class TestInitState:
         with pytest.raises(InvalidDimensionsError):
             init_state(0, 8, "complex")
 
+    @pytest.mark.parametrize("k", [63, 65, 1 << 70])
+    def test_k_above_62_is_refused(self, k):
+        # the address register is an intp array: 2a | v must fit 63 bits
+        with pytest.raises(InvalidDimensionsError):
+            init_state(k, 8, "complex")
+        with pytest.raises(InvalidDimensionsError):
+            make_state(k, 8, 8, {1: 1.0 + 0j})
+
+    def test_widest_address_shifts(self):
+        state = init_state(62, 8, "complex")
+        assert state.addr.dtype == state.v.dtype == np.intp
+        top = make_state(62, 8, 8, {(1 << 61) | 1: 1.0 + 0j})  # marker in the top address bit
+        shifted = circular_shift(top)
+        assert (shifted.addr.tolist(), shifted.v.tolist()) == ([2], [1])
+        assert circular_shift(state).addr.tolist() == [2]
+
     def test_bad_mode(self):
         with pytest.raises(WrongModeError):
             init_state(2, 8, "qutrit")
+
+
+class TestPreparationInvariants:
+    """The loop keeps the state sorted by address and never sorts it."""
+
+    @pytest.mark.parametrize("sim", ["fixed", "ideal"])
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    @pytest.mark.parametrize("zeros", [0.0, 0.5])
+    def test_sorted_intp_addresses_and_no_lexsort(self, monkeypatch, mode, sim, zeros):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the preparation loop sorted its branches")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        seen = []
+
+        def check(h, state):
+            assert state.addr.dtype == np.intp
+            assert np.all(state.addr[1:] > state.addr[:-1]), f"iteration {h} out of order"
+            seen.append(h)
+
+        m = random_matrix(16, 8, seed=3, real=mode == "real_signed", zero_fraction=zeros)
+        state, _, img = run_preparation(m, 16, mode=mode, sim=sim, on_iteration=check)
+        assert seen == list(range(1, img.k + 1))
+        assert np.all(state.addr[1:] > state.addr[:-1])
 
 
 class TestRyCascade:

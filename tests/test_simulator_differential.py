@@ -11,6 +11,11 @@ Both must agree on the label set and on every amplitude (1e-12) after each
 magnitude iteration and at the end, and on the query ledger. Its leaf step
 for real_signed images is its own sign flip, an independent check of the
 simulator's one-bit phase cascade.
+
+``reference_rotate_pairs`` keeps the rotation kernel as it was before it
+became pair-free and address-ordered: it pairs every state through a
+scatter and writes all v = 0 outputs before all v = 1 outputs. The kernel
+must give the same branches, bit for bit, in whatever order.
 """
 import json
 import math
@@ -18,10 +23,19 @@ import math
 import numpy as np
 import pytest
 
+from qramprep import simulator
 from qramprep.cli import example_matrix
 from qramprep.matrix import random_matrix
 from qramprep.memory import build_memory_image
-from qramprep.simulator import dump_state, prepare_complex, prepare_real
+from qramprep.simulator import (
+    BranchState,
+    _half_angle_cos_sin,
+    _rotate_pairs,
+    dump_state,
+    prepare_complex,
+    prepare_real,
+    ry_cascade_by_gates,
+)
 from qramprep.verify import run_preparation
 
 AMP_TOL = 1e-12
@@ -213,3 +227,143 @@ def test_real_signed_dump_is_the_complex_dump(m, t, sim):
         state, ledger, _ = run_preparation(m, t, mode=mode, sim=sim)
         runs.append((json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log))
     assert runs[0] == runs[1]
+
+
+def reference_rotate_pairs(state, theta):
+    """The rotation kernel before it became pair-free (markers written as intp)."""
+    n = state.amp.size
+    if state.v.any():
+        order = np.lexsort((state.v, state.w_aux, state.w_angle, state.addr))
+        partner = np.ones(n - 1, dtype=bool)
+        for reg in (state.addr, state.w_angle, state.w_aux):
+            ranked = reg[order]
+            partner &= ranked[1:] == ranked[:-1]
+        starts = np.concatenate(([True], ~partner))
+        group = np.cumsum(starts) - 1
+    else:
+        order = group = np.arange(n)
+        starts = np.ones(n, dtype=bool)
+    rep = order[starts]
+    pair = np.zeros((rep.size, 2), dtype=np.complex128)
+    pair[group, state.v[order]] = state.amp[order]
+    c, s = _half_angle_cos_sin(theta[rep])
+    a0, a1 = pair[:, 0], pair[:, 1]
+    n0 = c * a0 - s * a1
+    n1 = s * a0 + c * a1
+    keep0, keep1 = np.flatnonzero(n0 != 0.0), np.flatnonzero(n1 != 0.0)
+    src = np.concatenate((rep[keep0], rep[keep1]))
+    marker = np.zeros(src.size, dtype=np.intp)
+    marker[keep0.size:] = 1
+    return state._evolve(
+        addr=state.addr[src],
+        v=marker,
+        w_angle=state.w_angle[src],
+        w_aux=state.w_aux[src],
+        amp=np.concatenate((n0[keep0], n1[keep1])),
+    )
+
+
+def branch_bits(state):
+    """Sorted (addr, v, w_angle, w_aux, re bits, im bits) rows; the bits keep signed zeros."""
+    parts = state.amp.view(np.float64).view(np.uint64).reshape(-1, 2)
+    rows = list(zip(state.addr.tolist(), state.v.tolist(), state.w_angle.tolist(),
+                    state.w_aux.tolist(), parts[:, 0].tolist(), parts[:, 1].tolist()))
+    assert len(set(rows)) == len(rows)
+    return sorted(rows)
+
+
+SIGNED_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, -5e-324])
+
+
+def random_state(rng, k, t, mixed):
+    """Distinct branches over a few (address, w_angle) bases; v = 0 only unless ``mixed``.
+
+    Amplitude parts mix random normals with signed zeros, tiny values and
+    exact zeros, so every rotation output has a zero part somewhere.
+    """
+    bases = {(int(rng.integers(1 << k)), int(rng.integers(1 << t))) for _ in range(40)}
+    labels = {}
+    for addr, w_angle in sorted(bases):
+        for v in ((0, 1), (0,), (1,))[rng.integers(3)] if mixed else (0,):
+            parts = np.where(rng.random(2) < 0.5, rng.choice(SIGNED_PARTS, 2), rng.normal(size=2))
+            label = (w_angle << (k + 1 + t)) | (v << k) | addr
+            labels[label] = complex(parts[0], parts[1])
+    return BranchState(branches=labels, t=t, aux_width=t, k=k)
+
+
+def theta_per_pair(rng, state, kind):
+    """One angle per branch, equal within each (address, w_angle) pair."""
+    t = state.t
+    table = {
+        "zero": lambda n: np.zeros(n),
+        "pi": lambda n: np.full(n, math.pi),
+        "grid": lambda n: rng.integers(0, 1 << t, n) * 2.0 ** (2 - t),
+        "random": lambda n: rng.uniform(-4.0, 4.0, n),
+        "mixed": lambda n: rng.choice([0.0, math.pi, 2.0 ** (2 - t), rng.uniform(0, 4)], n),
+    }
+    keys = state.addr.astype(object) << t | state.w_angle.astype(object)
+    per_key = dict(zip(sorted(set(keys.tolist())), table[kind](len(set(keys.tolist())))))
+    return np.array([per_key[key] for key in keys.tolist()])
+
+
+@pytest.mark.parametrize("kind", ["zero", "pi", "grid", "random", "mixed"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["v0", "mixed-v"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rotation_kernel_matches_reference_bit_for_bit(seed, mixed, kind):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, k=5, t=4, mixed=mixed)
+    theta = theta_per_pair(rng, state, kind)
+    assert branch_bits(_rotate_pairs(state, theta)) == branch_bits(
+        reference_rotate_pairs(state, theta)
+    )
+
+
+def test_bit_comparison_sees_signed_zeros():
+    # rotating v = 0 branches as plain products, without the zero a1 terms,
+    # differs from the reference only in the signs of zero parts; the inputs
+    # above must be able to tell
+    def products_only(state, theta):
+        c, s = _half_angle_cos_sin(theta)
+        rotated = np.stack((c * state.amp, s * state.amp), axis=1).reshape(-1)
+        keep = np.flatnonzero(rotated != 0.0)
+        src = keep >> 1
+        return state._evolve(addr=state.addr[src], v=keep & 1, w_angle=state.w_angle[src],
+                             w_aux=state.w_aux[src], amp=rotated[keep])
+
+    caught = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, k=5, t=4, mixed=False)
+        theta = theta_per_pair(rng, state, "grid")
+        caught += branch_bits(products_only(state, theta)) != branch_bits(
+            reference_rotate_pairs(state, theta)
+        )
+    assert caught
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gate_cascade_matches_reference_kernel(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, k=4, t=6, mixed=True)
+    want = branch_bits(ry_cascade_by_gates(state))
+    monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
+    assert branch_bits(ry_cascade_by_gates(state)) == want
+
+
+DUMP_CASES = [
+    pytest.param(m, mode, sim, id=f"{name}-{sim}")
+    for name, m, mode in acceptance_matrices()
+    for sim in ("fixed", "ideal")
+]
+
+
+@pytest.mark.parametrize("t", [2, 16, 32, 62])
+@pytest.mark.parametrize("m,mode,sim", DUMP_CASES)
+def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
+    def run():
+        state, ledger, _ = run_preparation(m, t, mode=mode, sim=sim)
+        return json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log
+
+    got = run()
+    monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
+    assert run() == got
