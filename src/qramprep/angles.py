@@ -110,8 +110,6 @@ def build_phase_layer(m: ComplexMatrix) -> np.ndarray:
 
 def build_angle_structures(m: ComplexMatrix, mode: str = "complex") -> ComplexAngleTree:
     """Full preprocessing: weight tree, splitting angles, and leaf phases."""
-    if mode not in MODES:
-        raise WrongModeError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "real_signed" and np.any(m.entries.imag != 0.0):
         raise NotRealMatrixError("matrix has nonzero imaginary parts")
     tree = build_weight_tree(scaled_moduli(m)[0])

@@ -151,24 +151,17 @@ def cmd_prepare(args) -> int:
         clean = state.work_clean()
         marked = state.marker_set()
         ok = norm_error <= NORM_TOL and clean and marked
-        print(f"queries: {ledger.query_count}")
-        print(f"routing_time: {ledger.routing_time}")
-        print(f"norm_error: {norm_error:.6e}")
-        print(f"work_clean: {clean}")
-        print(f"marker_set: {marked}")
-        print(f"status: {'PASS' if ok else 'FAIL'}")
-        if args.output:
-            _write_text(args.output, json.dumps(dump_state(state), sort_keys=True) + "\n")
-            print(f"wrote {args.output}")
-        return 0 if ok else 1
-    state, ledger, _ = run_preparation(m, args.t, mode=args.mode, sim=args.sim)
-    err = state_error(state, oracle_state(m))
-    tol = FINAL_TOL if args.sim == "ideal" else ERROR_SLACK * error_bound(m.depth, args.t)
-    ok = err <= tol
+        checks = {"norm_error": f"{norm_error:.6e}", "work_clean": clean, "marker_set": marked}
+    else:
+        state, ledger, _ = run_preparation(m, args.t, mode=args.mode, sim=args.sim)
+        err = state_error(state, oracle_state(m))
+        tol = FINAL_TOL if args.sim == "ideal" else ERROR_SLACK * error_bound(m.depth, args.t)
+        ok = err <= tol
+        checks = {"state_error": f"{err:.6e}", "tolerance": f"{tol:.6e}"}
     print(f"queries: {ledger.query_count}")
     print(f"routing_time: {ledger.routing_time}")
-    print(f"state_error: {err:.6e}")
-    print(f"tolerance: {tol:.6e}")
+    for name, value in checks.items():
+        print(f"{name}: {value}")
     print(f"status: {'PASS' if ok else 'FAIL'}")
     if args.output:
         _write_text(args.output, json.dumps(dump_state(state), sort_keys=True) + "\n")

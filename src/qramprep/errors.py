@@ -31,6 +31,10 @@ class InvalidSeedError(QramPrepError):
     """Random-matrix seed is not a non-negative integer."""
 
 
+class InvalidZeroFractionError(QramPrepError):
+    """Random-matrix zero fraction is not a real number in [0, 1]."""
+
+
 # --- fixed-point codecs ---
 
 class AngleOutOfRangeError(QramPrepError):
@@ -49,6 +53,10 @@ class NotPowerOfTwoError(QramPrepError):
 
 class AllZeroWeightsError(QramPrepError):
     """Weight sequence sums to zero."""
+
+
+class InvalidWeightsError(QramPrepError):
+    """A weight is negative or not finite."""
 
 
 # --- angle structures ---

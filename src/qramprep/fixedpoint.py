@@ -11,14 +11,18 @@ Encoding is vectorized: :func:`encode_magnitude_angles` and
 :func:`encode_phases` round whole arrays with one rule, ``floor(x / grid +
 0.5)`` into int64, which is exact for every t <= 62. Exact half-grid ties
 therefore round up (away from zero). The scalar :func:`encode_magnitude_angle`
-and :func:`encode_phase` are thin wrappers over the array encoders, so there
-is one rounding rule. The half-turn pi sits exactly on the phase grid for
-every t, so sign flips encoded as phases survive the codec without error.
+and :func:`encode_phase` are thin wrappers over the array encoders that
+return one int, so there is one rounding rule. The half-turn pi sits exactly
+on the phase grid for every t, so sign flips encoded as phases survive the
+codec without error.
+
+Decoding is one multiplication by the grid: ``bits * magnitude_grid(t)`` for
+an array of angle fields and ``bits * phase_grid(t)`` for an array of phase
+fields. The one-bit phase field of real_signed data holds phi / pi.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -44,40 +48,6 @@ def magnitude_grid(t: int) -> float:
 def phase_grid(t: int) -> float:
     """Grid spacing for phases at precision t."""
     return math.tau / (1 << t)
-
-
-@dataclass(frozen=True)
-class FixedAngle:
-    """t-bit unsigned fixed-point magnitude angle, value = bits * 2**(2-t)."""
-
-    bits: int
-    t: int
-
-    def __post_init__(self):
-        check_precision(self.t)
-        if not 0 <= self.bits < (1 << self.t):
-            raise AngleOutOfRangeError(f"bits {self.bits} outside [0, 2^{self.t})")
-
-    @property
-    def value(self) -> float:
-        return self.bits * magnitude_grid(self.t)
-
-
-@dataclass(frozen=True)
-class FixedPhase:
-    """t-bit unsigned fixed-point phase, value = bits * 2*pi / 2**t."""
-
-    bits: int
-    t: int
-
-    def __post_init__(self):
-        check_precision(self.t)
-        if not 0 <= self.bits < (1 << self.t):
-            raise AngleOutOfRangeError(f"bits {self.bits} outside [0, 2^{self.t})")
-
-    @property
-    def value(self) -> float:
-        return self.bits * phase_grid(self.t)
 
 
 def _as_floats(values, what: str) -> np.ndarray:
@@ -122,20 +92,18 @@ def encode_phases(phis, t: int) -> np.ndarray:
     return _round_half_up(reduced / phase_grid(t)) % (1 << t)
 
 
-def encode_magnitude_angle(theta: float, t: int) -> FixedAngle:
-    """Scalar form of :func:`encode_magnitude_angles`."""
-    check_precision(t)
+def encode_magnitude_angle(theta: float, t: int) -> int:
+    """Scalar form of :func:`encode_magnitude_angles`: the bits of one theta."""
     if not isinstance(theta, (int, float)):
         raise AngleOutOfRangeError(f"theta must lie in [0, pi], got {theta!r}")
-    return FixedAngle(int(encode_magnitude_angles([theta], t)[0]), t)
+    return int(encode_magnitude_angles([theta], t)[0])
 
 
-def encode_phase(phi: float, t: int) -> FixedPhase:
-    """Scalar form of :func:`encode_phases`."""
-    check_precision(t)
+def encode_phase(phi: float, t: int) -> int:
+    """Scalar form of :func:`encode_phases`: the bits of one phi."""
     if not isinstance(phi, (int, float)):
         raise AngleOutOfRangeError(f"phi must be finite, got {phi!r}")
-    return FixedPhase(int(encode_phases([phi], t)[0]), t)
+    return int(encode_phases([phi], t)[0])
 
 
 def phase_distance(x: float, y: float) -> float:

@@ -1,4 +1,4 @@
-"""Complex matrix ingestion: parsing, validation, zero padding, flat indexing.
+"""Complex matrix ingestion: parsing, validation and zero padding.
 
 Matrices are stored dense in row-major order and zero-padded so that each
 dimension is a power of two. Entry (i, j) lives at flat index z = i * cols + j.
@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NoReturn
 
 import numpy as np
@@ -27,9 +27,9 @@ import numpy as np
 from .errors import (
     AllZeroMatrixError,
     EmptyMatrixError,
-    IndexOutOfRangeError,
     InvalidDimensionsError,
     InvalidSeedError,
+    InvalidZeroFractionError,
     ParseError,
 )
 
@@ -42,9 +42,13 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Validated, padded complex matrix with row-major flat indexing.
+    """Validated, padded complex matrix, stored flat in row-major order.
 
     ``rows`` and ``cols`` are the padded (power-of-two) dimensions;
     ``original_rows`` / ``original_cols`` record the pre-padding shape.
@@ -67,14 +71,14 @@ class ComplexMatrix:
             raise InvalidDimensionsError(
                 f"expected {self.rows * self.cols} entries, got {ent.size}"
             )
-        if self.rows * self.cols < 2:
-            raise InvalidDimensionsError("need at least two cells after padding")
-        if not (1 <= self.original_rows <= self.rows and 1 <= self.original_cols <= self.cols):
-            raise InvalidDimensionsError("original shape exceeds padded shape")
         if not np.all(np.isfinite(ent.view(np.float64))):
             raise ParseError("matrix contains a non-finite entry")
         if not ent.any():
             raise AllZeroMatrixError("matrix is all zero")
+        if self.rows * self.cols < 2:
+            raise InvalidDimensionsError("need at least two cells after padding")
+        if not (1 <= self.original_rows <= self.rows and 1 <= self.original_cols <= self.cols):
+            raise InvalidDimensionsError("original shape exceeds padded shape")
         grid = ent.reshape(self.rows, self.cols)
         if grid[self.original_rows:, :].any() or grid[:, self.original_cols:].any():
             raise InvalidDimensionsError("padding region must be exactly zero")
@@ -91,18 +95,16 @@ class ComplexMatrix:
         """Address width k = log2(K)."""
         return self.size.bit_length() - 1
 
-    def flat_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexOutOfRangeError(f"({i}, {j}) outside {self.rows}x{self.cols}")
-        return i * self.cols + j
-
     def as_2d(self) -> np.ndarray:
         return self.entries.reshape(self.rows, self.cols)
 
     @classmethod
     def from_array(cls, arr) -> "ComplexMatrix":
         """Build from a 2-d array-like, padding each dimension to a power of two."""
-        a = np.asarray(arr, dtype=np.complex128)
+        try:
+            a = np.asarray(arr, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"matrix must be a rectangular array of numbers: {exc}") from exc
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2:
@@ -110,10 +112,6 @@ class ComplexMatrix:
         m0, n0 = a.shape
         if m0 == 0 or n0 == 0:
             raise EmptyMatrixError("matrix has no rows or no columns")
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ParseError("matrix contains a non-finite entry")
-        if not a.any():
-            raise AllZeroMatrixError("matrix is all zero")
         m, n = _next_pow2(m0), _next_pow2(n0)
         padded = np.zeros((m, n), dtype=np.complex128)
         padded[:m0, :n0] = a
@@ -159,14 +157,17 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     elif isinstance(source, str):
         text = source
+    elif hasattr(source, "read"):
+        return load_matrix(source.read(), fmt)
     else:
-        data = source.read()
-        return load_matrix(data, fmt)
+        raise ParseError(
+            f"source must be str, bytes or a file-like object, got {type(source).__name__}"
+        )
     if fmt == "json":
         return _load_json(text)
     if fmt == "csv":
         return _load_csv(text)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    raise ParseError(f"unknown matrix format {fmt!r}")
 
 
 def _require_number(x, what: str) -> None:
@@ -272,10 +273,15 @@ def random_matrix(
     zero_fraction: float = 0.0,
 ) -> ComplexMatrix:
     """Deterministic random matrix for demos and tests (standard normal entries)."""
+    if not (_is_int(rows) and _is_int(cols)):
+        raise InvalidDimensionsError(f"rows and cols must be integers, got {rows!r}, {cols!r}")
     if rows < 1 or cols < 1:
         raise EmptyMatrixError(f"rows={rows}, cols={cols}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise InvalidSeedError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(zero_fraction, bool) or not isinstance(zero_fraction, Real) \
+            or not 0.0 <= zero_fraction <= 1.0:  # NaN fails too
+        raise InvalidZeroFractionError(f"zero_fraction must lie in [0, 1], got {zero_fraction!r}")
     rng = np.random.default_rng(int(seed))
     values = rng.standard_normal((rows, cols))
     if not real:

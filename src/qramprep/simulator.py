@@ -294,8 +294,9 @@ def _phase_units(phi: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """
     units = _QUARTER_TURNS[quarter & 3]
     off_grid = np.flatnonzero(quarter < 0)
-    units.real[off_grid] = np.cos(phi[off_grid])
-    units.imag[off_grid] = np.sin(phi[off_grid])
+    off_phi = phi[off_grid]
+    units.real[off_grid] = np.cos(off_phi)
+    units.imag[off_grid] = np.sin(off_phi)
     return units
 
 

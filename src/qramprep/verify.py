@@ -70,7 +70,7 @@ def state_error(prepared: BranchState, oracle: np.ndarray) -> float:
 
 def error_bound(k: int, t: int) -> float:
     """Worst-case quantization error (k + pi) * 2**(-t) for exact cascades."""
-    if not isinstance(k, Integral) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
         raise NotPowerOfTwoError(f"k must be a positive integer, got {k!r}")
     check_precision(t)
     return (k + math.pi) * 2.0 ** (-t)
@@ -157,10 +157,13 @@ def precision_sweep(
 
     The angle structure is built once; only the layout and the run repeat per t.
     """
+    t_values = list(t_values)
+    for t in t_values:
+        check_precision(t)  # before int(): 7.9 or "8" is no precision
     oracle = oracle_state(m)
     gamma = build_angle_structures(m, mode)
     rows = []
-    for t in sorted(set(int(t) for t in t_values)):
+    for t in sorted(set(map(int, t_values))):
         # keep neither the state nor the query ledger alive into the next run
         error = state_error(_prepare(layout_image(gamma, t))[0], oracle)
         rows.append(SweepRow(t=t, measured_error=error, bound=error_bound(m.depth, t)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroWeightsError, NotPowerOfTwoError
+from .errors import AllZeroWeightsError, InvalidWeightsError, NotPowerOfTwoError
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def build_weight_tree(moduli_sq) -> WeightTree:
     size = leaves.size
     if size < 2 or size & (size - 1):
         raise NotPowerOfTwoError(f"need a power-of-two length >= 2, got {size}")
-    if np.any(leaves < 0):
-        raise ValueError("squared moduli must be non-negative")
+    if not np.all(np.isfinite(leaves) & (leaves >= 0)):
+        raise InvalidWeightsError("squared moduli must be finite and non-negative")
     if not leaves.any():
         raise AllZeroWeightsError("all weights are zero")
     levels = [leaves]

@@ -13,7 +13,9 @@ import qramprep
 from qramprep import simulator
 from qramprep.cli import _image_json_indented, main
 from qramprep.matrix import load_matrix, random_matrix
-from qramprep.memory import build_memory_image
+from qramprep.memory import MemoryImage, build_memory_image
+from qramprep.simulator import dump_state, prepare_complex
+from qramprep.verify import ERROR_SLACK, error_bound, oracle_state, run_preparation, state_error
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "example_matrix.json"
 
@@ -155,6 +157,33 @@ class TestPrepare:
         out = capsys.readouterr().out
         assert "queries: 8" in out
         assert "routing_time: 24" in out
+
+    def test_matrix_input_output_bytes(self, example_path, tmp_path, capsys):
+        out_path = tmp_path / "state.json"
+        rc = main(["prepare", "--input", str(example_path), "--t", "16",
+                   "--output", str(out_path)])
+        assert rc == 0
+        m = load_matrix(example_path.read_bytes(), "json")
+        state, _, _ = run_preparation(m, 16)
+        err = state_error(state, oracle_state(m))
+        tol = ERROR_SLACK * error_bound(m.depth, 16)
+        assert capsys.readouterr().out == (
+            f"queries: 8\nrouting_time: 24\nstate_error: {err:.6e}\ntolerance: {tol:.6e}\n"
+            f"status: PASS\nwrote {out_path}\n"
+        )
+        assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
+
+    def test_image_input_output_bytes(self, example_path, tmp_path, capsys):
+        img_path, out_path = tmp_path / "img.json", tmp_path / "state.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
+        state, _ = prepare_complex(MemoryImage.from_json_dict(json.loads(img_path.read_text())))
+        assert capsys.readouterr().out == (
+            f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
+            f"work_clean: True\nmarker_set: True\nstatus: PASS\nwrote {out_path}\n"
+        )
+        assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
     def test_image_input_rejects_ideal(self, example_path, tmp_path, capsys):
         img_path = tmp_path / "img.json"

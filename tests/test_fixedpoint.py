@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from qramprep.errors import AngleOutOfRangeError, PrecisionOutOfRangeError
 from qramprep.fixedpoint import (
-    FixedAngle,
-    FixedPhase,
     encode_magnitude_angle,
     encode_magnitude_angles,
     encode_phase,
@@ -21,38 +19,38 @@ from qramprep.fixedpoint import (
 class TestMagnitudeCodec:
     def test_half_pi_at_3_bits(self):
         a = encode_magnitude_angle(math.pi / 2, 3)
-        assert a.bits == 0b011
-        assert a.value == 1.5
+        assert a == 0b011
+        assert a * magnitude_grid(3) == 1.5
         assert abs(1.5 - math.pi / 2) < 2 ** -2
 
     @pytest.mark.parametrize("t", [2, 3, 8, 16, 32, 62])
     def test_zero(self, t):
-        assert encode_magnitude_angle(0.0, t).bits == 0
+        assert encode_magnitude_angle(0.0, t) == 0
 
     def test_exact_grid_point(self):
         a = encode_magnitude_angle(2.0, 3)
-        assert a.bits == 0b100
-        assert a.value == 2.0
+        assert a == 0b100
+        assert a * magnitude_grid(3) == 2.0
 
-    def test_decode_direct_formula(self):
-        assert FixedAngle(0b100, 3).value == 2.0
-        assert FixedAngle(1, 8).value == 2.0 ** -6
+    def test_decode_by_grid(self):
+        assert 0b100 * magnitude_grid(3) == 2.0
+        assert 1 * magnitude_grid(8) == 2.0 ** -6
 
     def test_tie_rounds_away_from_zero(self):
         # half-grid at t=3: 0.25 sits between bits 0 and 1
-        assert encode_magnitude_angle(0.25, 3).bits == 1
-        assert encode_magnitude_angle(0.75, 3).bits == 2
+        assert encode_magnitude_angle(0.25, 3) == 1
+        assert encode_magnitude_angle(0.75, 3) == 2
 
     def test_round_trip_identity_on_grid(self):
         t = 6
         top = math.floor(math.pi / magnitude_grid(t))
         for bits in range(top + 1):
-            assert encode_magnitude_angle(FixedAngle(bits, t).value, t).bits == bits
+            assert encode_magnitude_angle(bits * magnitude_grid(t), t) == bits
 
     @given(st.integers(2, 20), st.integers(min_value=0))
     def test_round_trip_identity_hypothesis(self, t, raw):
         bits = raw % (math.floor(math.pi / magnitude_grid(t)) + 1)
-        assert encode_magnitude_angle(FixedAngle(bits, t).value, t).bits == bits
+        assert encode_magnitude_angle(bits * magnitude_grid(t), t) == bits
 
     def test_rounding_bound_random(self):
         rng = np.random.default_rng(2024)
@@ -60,7 +58,7 @@ class TestMagnitudeCodec:
         for t in range(4, 17):
             bound = 2.0 ** (1 - t)
             for theta in thetas:
-                err = abs(encode_magnitude_angle(theta, t).value - theta)
+                err = abs(encode_magnitude_angle(theta, t) * magnitude_grid(t) - theta)
                 assert err <= bound
 
     def test_rounding_bound_random_array(self):
@@ -81,40 +79,34 @@ class TestMagnitudeCodec:
         with pytest.raises(PrecisionOutOfRangeError):
             encode_magnitude_angle(1.0, t)
 
-    def test_bits_range_validated(self):
-        with pytest.raises(AngleOutOfRangeError):
-            FixedAngle(8, 3)
-        with pytest.raises(AngleOutOfRangeError):
-            FixedAngle(-1, 3)
-
 
 class TestPhaseCodec:
     def test_pi_exact_at_3_bits(self):
         p = encode_phase(math.pi, 3)
-        assert p.bits == 0b100
-        assert p.value == math.pi
+        assert p == 0b100
+        assert p * phase_grid(3) == math.pi
 
     def test_negative_half_pi(self):
         p = encode_phase(-math.pi / 2, 3)
-        assert p.bits == 0b110
-        assert p.value == 3 * math.pi / 2
+        assert p == 0b110
+        assert p * phase_grid(3) == 3 * math.pi / 2
 
     @pytest.mark.parametrize("t", [2, 8, 32, 62])
     def test_zero(self, t):
-        assert encode_phase(0.0, t).bits == 0
+        assert encode_phase(0.0, t) == 0
 
-    def test_decode_direct_formula(self):
-        assert FixedPhase(0b110, 3).value == 6 * (math.tau / 8)
+    def test_decode_by_grid(self):
+        assert 0b110 * phase_grid(3) == 6 * (math.tau / 8)
 
     def test_pi_exact_for_every_precision(self):
         # sign flips encoded as phases must survive the codec without error
         for t in range(2, 63):
-            assert encode_phase(math.pi, t).value == math.pi
+            assert encode_phase(math.pi, t) * phase_grid(t) == math.pi
 
     def test_wraps_near_two_pi(self):
         t = 8
         phi = math.tau - phase_grid(t) / 4
-        assert encode_phase(phi, t).bits == 0
+        assert encode_phase(phi, t) == 0
 
     def test_rounding_bound_random(self):
         rng = np.random.default_rng(55)
@@ -122,7 +114,7 @@ class TestPhaseCodec:
         for t in (4, 8, 12, 16):
             bound = math.pi * 2.0 ** -t
             for phi in phis:
-                d = phase_distance(encode_phase(phi, t).value, phi)
+                d = phase_distance(encode_phase(phi, t) * phase_grid(t), phi)
                 assert d <= bound * (1 + 1e-9)
 
     def test_rounding_bound_random_array(self):
@@ -137,13 +129,13 @@ class TestPhaseCodec:
     @given(st.integers(2, 20), st.integers(min_value=0))
     def test_round_trip_identity_on_grid(self, t, raw):
         bits = raw % (1 << t)
-        assert encode_phase(FixedPhase(bits, t).value, t).bits == bits
+        assert encode_phase(bits * phase_grid(t), t) == bits
 
     def test_periodicity_on_grid(self):
         t = 10
         for bits in range(0, 1 << t, 37):
-            phi = FixedPhase(bits, t).value
-            assert encode_phase(phi + math.tau, t).bits == encode_phase(phi, t).bits
+            phi = bits * phase_grid(t)
+            assert encode_phase(phi + math.tau, t) == encode_phase(phi, t)
 
     def test_non_finite_rejected(self):
         with pytest.raises(AngleOutOfRangeError):
@@ -232,8 +224,8 @@ class TestArrayEncodersMatchScalarRule:
         rng = np.random.default_rng(8)
         for t in (2, 17, 32, 62):
             for theta, phi in zip(rng.uniform(0, math.pi, 50), rng.uniform(-9, 9, 50)):
-                assert encode_magnitude_angle(float(theta), t).bits == scalar_magnitude_bits(theta, t)
-                assert encode_phase(float(phi), t).bits == scalar_phase_bits(phi, t)
+                assert encode_magnitude_angle(float(theta), t) == scalar_magnitude_bits(theta, t)
+                assert encode_phase(float(phi), t) == scalar_phase_bits(phi, t)
 
     def test_first_bad_index_named(self):
         with pytest.raises(AngleOutOfRangeError, match="index 2"):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -7,9 +8,9 @@ import pytest
 from qramprep.errors import (
     AllZeroMatrixError,
     EmptyMatrixError,
-    IndexOutOfRangeError,
     InvalidDimensionsError,
     InvalidSeedError,
+    InvalidZeroFractionError,
     ParseError,
 )
 from qramprep.matrix import (
@@ -147,9 +148,19 @@ class TestLoadMatrix:
         with pytest.raises(ParseError):
             load_matrix("1,2\n3,4x\n", "csv")
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            load_matrix("1", "tsv")
+    @pytest.mark.parametrize("fmt", ["tsv", "yaml"])
+    def test_unknown_format(self, fmt):
+        with pytest.raises(ParseError):
+            load_matrix(EXAMPLE_JSON, fmt)
+
+    @pytest.mark.parametrize("source", [123, None, [1, 2]])
+    def test_source_must_be_text_bytes_or_file(self, source):
+        with pytest.raises(ParseError):
+            load_matrix(source, "json")
+
+    def test_file_like_source(self):
+        m = load_matrix(io.StringIO(EXAMPLE_CSV), "csv")
+        assert m.entries.tolist() == load_matrix(EXAMPLE_CSV, "csv").entries.tolist()
 
 
 class TestComplexLiteral:
@@ -174,23 +185,6 @@ class TestComplexLiteral:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_complex_literal(text)
-
-
-class TestFlatIndex:
-    def test_example_entry(self, example):
-        z = example.flat_index(1, 2)
-        assert z == 6
-        assert example.entries[z] == -2 + 1j
-
-    def test_origin(self, example):
-        assert example.flat_index(0, 0) == 0
-
-    def test_last(self, example):
-        assert example.flat_index(1, 3) == 7
-
-    def test_method_checks_rows(self, example):
-        with pytest.raises(IndexOutOfRangeError):
-            example.flat_index(2, 0)
 
 
 class TestSquaredModuli:
@@ -247,6 +241,26 @@ class TestPadding:
         with pytest.raises(ValueError):
             example.entries[0] = 0
 
+    @pytest.mark.parametrize(
+        "arr", [[["a"]], [[1, "a"]], [[object()]], [[1 + 2j, {}]], [[1, 2], [3]]]
+    )
+    def test_non_numeric_entries_rejected(self, arr):
+        with pytest.raises(ParseError):
+            ComplexMatrix.from_array(arr)
+
+    @pytest.mark.parametrize(
+        "arr,error",
+        [
+            ([[math.nan]], ParseError),
+            ([[0.0]], AllZeroMatrixError),
+            ([[5.0]], InvalidDimensionsError),
+        ],
+    )
+    def test_one_cell_refusals(self, arr, error):
+        # the finite and all-zero checks run before the two-cell check
+        with pytest.raises(error):
+            ComplexMatrix.from_array(arr)
+
     def test_dirty_padding_rejected(self):
         with pytest.raises(InvalidDimensionsError):
             ComplexMatrix(
@@ -277,6 +291,16 @@ class TestRandomMatrix:
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InvalidSeedError):
             random_matrix(2, 2, seed=seed)
+
+    @pytest.mark.parametrize("rows,cols", [(2.5, 2), (True, 2), (2, 2.0), ("2", 2), (None, 2)])
+    def test_dimensions_must_be_integers(self, rows, cols):
+        with pytest.raises(InvalidDimensionsError):
+            random_matrix(rows, cols)
+
+    @pytest.mark.parametrize("fraction", [math.nan, 2.0, -0.1, math.inf, True, "0.5", None])
+    def test_zero_fraction_must_lie_in_unit_interval(self, fraction):
+        with pytest.raises(InvalidZeroFractionError):
+            random_matrix(2, 2, zero_fraction=fraction)
 
     def test_large_and_numpy_integer_seeds(self):
         assert random_matrix(2, 2, seed=1 << 70).entries.any()

@@ -17,7 +17,7 @@ from qramprep.errors import (
     WidthMismatchError,
     WrongModeError,
 )
-from qramprep.fixedpoint import FixedAngle, FixedPhase, phase_distance
+from qramprep.fixedpoint import magnitude_grid, phase_distance, phase_grid
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.memory import (
     MemoryImage,
@@ -44,15 +44,15 @@ class TestLayoutComplex:
         assert img.size == 8 and img.width == 24 and img.k == 3
         # recorded layout: cell 1 holds the root split angle and phase of entry 1
         angle, phase = img.field_arrays
-        assert abs(FixedAngle(int(angle[1]), img.t).value - 1.357) <= 2 ** -11
-        decoded = FixedPhase(int(phase[1]), img.t).value
+        assert abs(angle[1] * magnitude_grid(img.t) - 1.357) <= 2 ** -11
+        decoded = phase[1] * phase_grid(img.t)
         assert phase_distance(decoded, 2.034) <= math.pi * 2 ** -12 + 1e-3
 
     def test_cell0_angle_field_dummy(self, example_image):
         angle, phase = example_image.field_arrays
         assert angle[0] == 0
         # the leaf field of cell 0 is live: it carries the phase of entry 0
-        decoded = FixedPhase(int(phase[0]), example_image.t).value
+        decoded = phase[0] * phase_grid(example_image.t)
         assert phase_distance(decoded, math.atan2(1, 2)) <= math.pi * 2 ** -12
 
     def test_footprint(self):

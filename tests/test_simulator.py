@@ -109,7 +109,7 @@ class TestRyCascade:
 
     def test_grid_point_two(self):
         # register holds exactly 2.0, so v rotates by cos(1), sin(1)
-        bits = encode_magnitude_angle(2.0, 3).bits
+        bits = encode_magnitude_angle(2.0, 3)
         out = ry_cascade(angle_state(bits, 3))
         amps = dict(zip(out.v.tolist(), out.amp.tolist()))
         assert amps[0] == pytest.approx(math.cos(1.0), abs=1e-15)
@@ -117,7 +117,7 @@ class TestRyCascade:
 
     def test_example_root_split(self):
         t = 24
-        bits = encode_magnitude_angle(2 * math.asin(math.sqrt(13 / 33)), t).bits
+        bits = encode_magnitude_angle(2 * math.asin(math.sqrt(13 / 33)), t)
         out = ry_cascade(angle_state(bits, t))
         amps = dict(zip(out.v.tolist(), out.amp.tolist()))
         assert abs(amps[0] - math.sqrt(20 / 33)) <= 2 ** -22
@@ -170,7 +170,7 @@ class TestPhaseCascade:
 
     def test_half_turn_negates_exactly(self):
         t = 8
-        bits = encode_phase(math.pi, t).bits
+        bits = encode_phase(math.pi, t)
         label = (bits << 2) | 2  # v = 1, k = 1
         state = make_state(1, t, t, {label: 0.25 + 0.5j})
         out = phase_cascade(state)
@@ -178,14 +178,14 @@ class TestPhaseCascade:
 
     def test_unmarked_branch_unchanged(self):
         t = 8
-        bits = encode_phase(math.pi, t).bits
+        bits = encode_phase(math.pi, t)
         label = bits << 2  # v = 0
         state = make_state(1, t, t, {label: 0.75 + 0j})
         assert phase_cascade(state).branches[label] == 0.75 + 0j
 
     def test_example_phase_factor(self):
         t = 16
-        bits = encode_phase(2.034, t).bits
+        bits = encode_phase(2.034, t)
         label = (bits << 2) | 2
         out = phase_cascade(make_state(1, t, t, {label: 1.0 + 0j}))
         want = complex(math.cos(2.034), math.sin(2.034))

@@ -129,6 +129,13 @@ class TestErrorBound:
         with pytest.raises(PrecisionOutOfRangeError):
             error_bound(3, 1)
 
+    def test_bool_k_refused(self):
+        with pytest.raises(NotPowerOfTwoError):
+            error_bound(True, 8)
+
+    def test_numpy_integer_k(self):
+        assert error_bound(np.int64(3), 10) == error_bound(3, 10)
+
 
 class TestResourceReport:
     @pytest.mark.parametrize(
@@ -238,6 +245,14 @@ class TestPrecisionSweep:
         t, err, bound = lines[1].split(",")
         assert float(err) == rows[0].measured_error
         assert float(bound) == rows[0].bound
+
+    @pytest.mark.parametrize("t", [7.9, 8.0, "8"])
+    def test_each_precision_checked_before_int(self, example, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            precision_sweep(example, [6, t])
+
+    def test_numpy_integer_precisions(self, example):
+        assert precision_sweep(example, np.arange(6, 9)) == precision_sweep(example, [6, 7, 8])
 
 
 class TestRunPreparation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qramprep.errors import AllZeroWeightsError, NotPowerOfTwoError
+from qramprep.errors import AllZeroWeightsError, InvalidWeightsError, NotPowerOfTwoError
 from qramprep.matrix import random_matrix, squared_moduli
 from qramprep.weight_tree import build_weight_tree
 
@@ -60,9 +60,10 @@ class TestBuild:
         with pytest.raises(AllZeroWeightsError):
             build_weight_tree([0.0, 0.0, 0.0, 0.0])
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            build_weight_tree([1.0, -1.0])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidWeightsError):
+            build_weight_tree([1.0, bad])
 
     def test_levels_read_only(self):
         tree = build_weight_tree(EXAMPLE_WEIGHTS)
