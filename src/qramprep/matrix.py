@@ -105,6 +105,11 @@ class ComplexMatrix:
             a = np.asarray(arr, dtype=np.complex128)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"matrix must be a rectangular array of numbers: {exc}") from exc
+        # numpy reads None as NaN: name it here, and leave a real NaN to
+        # __post_init__; a numeric ndarray cannot hold None and is not scanned
+        if (not isinstance(arr, np.ndarray) or arr.dtype == object) and np.isnan(a).any():
+            if any(x is None for x in np.asarray(arr, dtype=object).reshape(-1)):
+                raise ParseError("matrix contains an entry that is not a number: None")
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2:

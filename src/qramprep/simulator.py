@@ -17,8 +17,8 @@ and cheap.
 Every operation is a whole-array pass. A query gathers the addressed cell
 fields and XORs them into the work registers; the y-rotation cascade rotates
 every (v=0, v=1) branch pair at once; the circular shift is bit arithmetic on
-the address and marker; the phase cascade multiplies the marked amplitudes
-by their leaf phases.
+the address and marker; the phase cascade is one elementwise pass that
+multiplies the marked amplitudes by their leaf phases.
 
 Before every rotation of the loop no branch has v = 1, so the rotation builds
 no pairing: each branch is the v = 0 half of its own pair. It writes the two
@@ -71,7 +71,7 @@ from .errors import (
     InvalidDimensionsError,
     WrongModeError,
 )
-from .fixedpoint import check_precision
+from .fixedpoint import check_precision, magnitude_grid, phase_grid
 from .memory import MemoryImage, QueryLedger, cell_width, query
 from .weight_tree import WeightTree
 
@@ -268,7 +268,7 @@ def ry_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> Bra
     angle stored for the branch address (quantization bypass for ideal runs).
     """
     if exact is None:
-        theta = state.w_angle * 2.0 ** (2 - state.t)
+        theta = state.w_angle * magnitude_grid(state.t)
     else:
         theta = np.concatenate(([0.0], exact.thetas))[state.addr]  # z = 0 is the dummy
     return _rotate_pairs(state, theta)
@@ -279,50 +279,41 @@ def ry_cascade_by_gates(state: BranchState) -> BranchState:
     current = state
     for j in range(state.t):
         control = (current.w_angle >> j) & 1
-        current = _rotate_pairs(current, control * 2.0 ** (j + 2 - state.t))
+        current = _rotate_pairs(current, control * magnitude_grid(state.t - j))
     return current
 
 
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _phase_units(phi: np.ndarray, quarter: np.ndarray) -> np.ndarray:
-    """e^{i phi}; exact where ``quarter`` >= 0 counts the quarter turns phi makes.
-
-    Exact quarter turns make a phase of pi an exact sign flip; only the
-    phases off the quarter-turn grid cost a cosine and a sine.
-    """
-    units = _QUARTER_TURNS[quarter & 3]
-    off_grid = np.flatnonzero(quarter < 0)
-    off_phi = phi[off_grid]
-    units.real[off_grid] = np.cos(off_phi)
-    units.imag[off_grid] = np.sin(off_phi)
-    return units
-
-
 def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
     """Multiply every marked branch (v = 1) by e^{i phi}, phi from its w_aux register.
 
     The register holds phi / (2*pi) in ``aux_width`` bits: t bits in complex
-    mode, one bit (phi in {0, pi}) in real_signed mode.
+    mode, one bit (phi in {0, pi}) in real_signed mode. One elementwise pass:
+    a phase on the quarter-turn grid is an exact unit (so pi is an exact sign
+    flip), and only the marked branches off the grid cost a cosine and a sine.
     """
-    marked = np.flatnonzero(state.v)
+    marked = state.v == 1
     if exact is None:
         width = state.aux_width
-        bits = state.w_aux[marked]
-        phi = bits * (math.tau / (1 << width))
         # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
         # 4 * bits fits uint64 for width <= 62
-        quarters = bits << 2
-        on_grid = (quarters & ((1 << width) - 1)) == 0
-        quarter = np.where(on_grid, (quarters >> width).astype(np.int64), -1)
+        quarters = state.w_aux << 2
+        off = np.flatnonzero(marked & ((quarters & ((1 << width) - 1)) != 0))
+        quarters >>= width
+        phi = state.w_aux[off] * phase_grid(width)
     else:
-        phi = exact.phases[state.addr[marked]]
-        turns = np.rint(phi / (0.5 * math.pi))
-        quarter = np.where(turns * (0.5 * math.pi) == phi, turns, -1.0).astype(np.int64)
-    amp = state.amp.copy()
-    amp[marked] *= _phase_units(phi, quarter)
-    return state._evolve(amp=amp)
+        phi = exact.phases[state.addr]
+        quarters = np.rint(phi / (0.5 * math.pi))
+        quarters = np.where(quarters * (0.5 * math.pi) == phi, quarters, -1.0).astype(np.int64)
+        off = np.flatnonzero(marked & (quarters < 0))
+        phi = phi[off]
+    units = _QUARTER_TURNS[quarters & 3]
+    units.real[off] = np.cos(phi)
+    units.imag[off] = np.sin(phi)
+    np.multiply(state.amp, units, out=units)
+    return state._evolve(amp=np.where(marked, units, state.amp))
 
 
 def circular_shift(state: BranchState) -> BranchState:
@@ -405,7 +396,7 @@ def marker_check(
     if wt.depth != k:
         raise IndexOutOfRangeError(f"tree depth {wt.depth} != address width {k}")
     if tol is None:
-        tol = k * 2.0 ** (1 - state.t) + 1e-10
+        tol = k * magnitude_grid(state.t) / 2 + 1e-10
     root = wt.total
     if root <= 0.0:
         return False

@@ -50,9 +50,13 @@ def build_weight_tree(moduli_sq) -> WeightTree:
     if not leaves.any():
         raise AllZeroWeightsError("all weights are zero")
     levels = [leaves]
-    while levels[-1].size > 1:
-        prev = levels[-1]
-        levels.append(prev[0::2] + prev[1::2])
+    with np.errstate(over="ignore"):  # an overflowing sum reaches the root, checked below
+        while levels[-1].size > 1:
+            prev = levels[-1]
+            levels.append(prev[0::2] + prev[1::2])
+    # the leaves are non-negative, so a finite root bounds every partial sum
+    if not np.isfinite(levels[-1][0]):
+        raise InvalidWeightsError("the sum of the squared moduli overflows a float")
     for lvl in levels:
         lvl.setflags(write=False)
     return WeightTree(levels=tuple(reversed(levels)))

@@ -249,6 +249,23 @@ class TestPadding:
             ComplexMatrix.from_array(arr)
 
     @pytest.mark.parametrize(
+        "arr", [[[None, 1]], [[1, 2], [3, None]], [None, 1.0], np.array([[1, None]], dtype=object)]
+    )
+    def test_none_entry_named_not_a_number(self, arr):
+        # numpy turns None into NaN; the refusal must not call it non-finite
+        with pytest.raises(ParseError, match="not a number: None"):
+            ComplexMatrix.from_array(arr)
+
+    @pytest.mark.parametrize("arr", [[[math.nan, 1]], [[1, complex(0, math.inf)]]])
+    def test_non_finite_entry_named_non_finite(self, arr):
+        with pytest.raises(ParseError, match="non-finite"):
+            ComplexMatrix.from_array(arr)
+
+    def test_huge_integer_entry_accepted(self):
+        m = ComplexMatrix.from_array([[2 ** 70, 1]])
+        assert m.entries.tolist() == [2.0 ** 70, 1.0]
+
+    @pytest.mark.parametrize(
         "arr,error",
         [
             ([[math.nan]], ParseError),

@@ -1,10 +1,12 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qramprep import simulator
 from qramprep.errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
@@ -209,6 +211,40 @@ class TestOneBitPhaseCascade:
         label = 0b100  # phase bit 1, v=0
         state = make_state(1, 8, 1, {label: 0.5 + 0j})
         assert phase_cascade(state).branches[label] == 0.5 + 0j
+
+
+class TestPhaseCascadeFootprint:
+    """Traced peak of the phase cascade on the final state of a K=2^14, t=32 run."""
+
+    BYTES_PER_BRANCH = 64  # the result alone takes 16
+
+    @pytest.mark.parametrize("sim", ["fixed", "ideal"])
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_peak_per_branch(self, monkeypatch, mode, sim):
+        m = random_matrix(128, 128, seed=14, real=mode == "real_signed")
+        img, gamma = build_memory_image(m, 32, mode)
+        exact = gamma if sim == "ideal" else None
+        seen = []
+
+        def capture(state, exact):
+            seen.append(state)
+            return state
+
+        monkeypatch.setattr(simulator, "phase_cascade", capture)
+        (prepare_complex if mode == "complex" else prepare_real)(img, exact=exact)
+        monkeypatch.undo()
+        [state] = seen
+        assert state.amp.size == 1 << 14
+        phase_cascade(state, exact)  # let lazy set-up happen untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = phase_cascade(state, exact)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.amp.size == state.amp.size
+        assert peak <= self.BYTES_PER_BRANCH * state.amp.size
 
 
 class TestCircularShift:

@@ -16,6 +16,11 @@ simulator's one-bit phase cascade.
 became pair-free and address-ordered: it pairs every state through a
 scatter and writes all v = 0 outputs before all v = 1 outputs. The kernel
 must give the same branches, bit for bit, in whatever order.
+
+``reference_phase_cascade`` keeps the phase kernel as it was before it became
+one elementwise pass: it gathers the marked branches by index, computes their
+units, and scatters the products into a copy of the amplitudes. The kernel
+must give the same amplitudes, bit for bit.
 """
 import json
 import math
@@ -24,6 +29,7 @@ import numpy as np
 import pytest
 
 from qramprep import simulator
+from qramprep.angles import ComplexAngleTree
 from qramprep.cli import example_matrix
 from qramprep.matrix import random_matrix
 from qramprep.memory import build_memory_image
@@ -32,6 +38,7 @@ from qramprep.simulator import (
     _half_angle_cos_sin,
     _rotate_pairs,
     dump_state,
+    phase_cascade,
     prepare_complex,
     prepare_real,
     ry_cascade_by_gates,
@@ -366,4 +373,95 @@ def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
 
     got = run()
     monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
+    assert run() == got
+
+
+def reference_phase_cascade(state, exact=None):
+    """The phase kernel before it became one elementwise pass: gather, copy, scatter."""
+    marked = np.flatnonzero(state.v)
+    if exact is None:
+        width = state.aux_width
+        bits = state.w_aux[marked]
+        phi = bits * (math.tau / (1 << width))
+        quarters = bits << 2
+        on_grid = (quarters & ((1 << width) - 1)) == 0
+        quarter = np.where(on_grid, (quarters >> width).astype(np.int64), -1)
+    else:
+        phi = exact.phases[state.addr[marked]]
+        turns = np.rint(phi / (0.5 * math.pi))
+        quarter = np.where(turns * (0.5 * math.pi) == phi, turns, -1.0).astype(np.int64)
+    units = np.array([1.0, 1.0j, -1.0, -1.0j])[quarter & 3]
+    off_grid = np.flatnonzero(quarter < 0)
+    off_phi = phi[off_grid]
+    units.real[off_grid] = np.cos(off_phi)
+    units.imag[off_grid] = np.sin(off_phi)
+    amp = state.amp.copy()
+    amp[marked] *= units
+    return state._evolve(amp=amp)
+
+
+def phase_state(rng, k, t, aux_width):
+    """Mixed-v branches with w_aux bits on the quarter-turn grid, one step off it, or anywhere.
+
+    The on-grid bits are the whole quarter turns q * 2**(aux_width - 2) (0 and
+    pi for a one-bit register); the near bits are one step above or below
+    them. Amplitude parts mix random normals with signed zeros and tiny values.
+    """
+    size = 1 << aux_width
+    quarter = max(size >> 2, 1)
+    on = [q * quarter % size for q in range(4)]
+    near = [(b + step) % size for b in on for step in (1, -1)] if aux_width > 2 else []
+    choices = on + near + [int(b) for b in rng.integers(0, size, 4, dtype=np.uint64)]
+    labels = {}
+    for _ in range(60):
+        addr, v = int(rng.integers(1 << k)), int(rng.integers(2))
+        w_angle, w_aux = int(rng.integers(1 << t)), choices[rng.integers(len(choices))]
+        parts = np.where(rng.random(2) < 0.5, rng.choice(SIGNED_PARTS, 2), rng.normal(size=2))
+        label = (w_angle << (k + 1 + aux_width)) | (w_aux << (k + 1)) | (v << k) | addr
+        labels[label] = complex(parts[0], parts[1])
+    return BranchState(branches=labels, t=t, aux_width=aux_width, k=k)
+
+
+@pytest.mark.parametrize("aux_width", [1, 2, 3, 8, 32, 62])
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_kernel_matches_reference_bit_for_bit(seed, aux_width):
+    rng = np.random.default_rng(seed)
+    state = phase_state(rng, k=5, t=max(aux_width, 2), aux_width=aux_width)
+    assert set(state.v.tolist()) == {0, 1}
+    assert branch_bits(phase_cascade(state)) == branch_bits(reference_phase_cascade(state))
+
+
+# whole quarter turns, with a full turn and two negative ones outside [0, 2*pi)
+QUARTER_PHASES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau, -0.5 * math.pi, -math.pi]
+
+
+@pytest.mark.parametrize("phases", ["on-grid", "off-grid", "mixed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ideal_phase_kernel_matches_reference_bit_for_bit(seed, phases):
+    rng = np.random.default_rng(seed)
+    k = 5
+    state = phase_state(rng, k=k, t=16, aux_width=16)
+    on = rng.choice(QUARTER_PHASES, 1 << k)
+    near = np.nextafter(on, rng.choice([-1.0, 7.0], 1 << k))  # one ulp off, some below 0
+    anywhere = rng.uniform(-math.tau, 2 * math.tau, 1 << k)
+    table = {
+        "on-grid": on,
+        "off-grid": np.where(rng.random(1 << k) < 0.5, near, anywhere),
+        "mixed": np.choose(rng.integers(0, 3, 1 << k), (on, near, anywhere)),
+    }
+    exact = ComplexAngleTree(thetas=np.zeros((1 << k) - 1), phases=table[phases], mode="complex")
+    assert branch_bits(phase_cascade(state, exact)) == branch_bits(
+        reference_phase_cascade(state, exact)
+    )
+
+
+@pytest.mark.parametrize("t", [2, 16, 32, 62])
+@pytest.mark.parametrize("m,mode,sim", DUMP_CASES)
+def test_dumps_equal_under_reference_phase_kernel(monkeypatch, m, mode, sim, t):
+    def run():
+        state, ledger, _ = run_preparation(m, t, mode=mode, sim=sim)
+        return json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log
+
+    got = run()
+    monkeypatch.setattr(simulator, "phase_cascade", reference_phase_cascade)
     assert run() == got

@@ -65,6 +65,17 @@ class TestBuild:
         with pytest.raises(InvalidWeightsError):
             build_weight_tree([1.0, bad])
 
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1e308, 0.0, 0.0, 1e308]])
+    def test_overflowing_sum_rejected(self, weights):
+        # every leaf is finite, but the root is not
+        with pytest.raises(InvalidWeightsError, match="overflows"):
+            build_weight_tree(weights)
+
+    def test_largest_finite_sum_accepted(self):
+        half = np.finfo(np.float64).max / 2
+        tree = build_weight_tree([half, half])
+        assert tree.total == np.finfo(np.float64).max
+
     def test_levels_read_only(self):
         tree = build_weight_tree(EXAMPLE_WEIGHTS)
         with pytest.raises(ValueError):
