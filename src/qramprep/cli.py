@@ -15,7 +15,14 @@ from pathlib import Path
 
 from .errors import ExampleMismatchError, ParseError, QramPrepError
 from .fixedpoint import phase_distance
-from .matrix import ComplexMatrix, load_matrix, random_matrix, squared_moduli
+from .matrix import (
+    ComplexMatrix,
+    load_matrix,
+    random_matrix,
+    read_json,
+    read_json_stdlib,
+    squared_moduli,
+)
 from .memory import MemoryImage, build_memory_image
 from .simulator import dump_state, prepare_complex
 from .verify import (
@@ -100,10 +107,14 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
     if path.suffix.lower() == ".csv":
         return load_matrix(data, "csv"), None
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
+        doc = read_json(data)
+        is_image = isinstance(doc, dict) and "cells" in doc
+        if is_image:
+            # orjson reads integers from 2**64 up as floats, and complex cells above t = 32 reach them
+            doc = read_json_stdlib(data)
+    except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if isinstance(doc, dict) and "cells" in doc:
+    if is_image:
         return None, MemoryImage.from_json_dict(doc)
     return ComplexMatrix.from_json_dict(doc), None
 

@@ -6,7 +6,9 @@ dimension is a power of two. Entry (i, j) lives at flat index z = i * cols + j.
 Accepted input formats:
 
 * JSON: ``{"rows": M, "cols": N, "entries": [[re, im], ...]}`` with the
-  entries row-major and of length ``M * N``.
+  entries row-major and of length ``M * N``. Matrix JSON is read by orjson,
+  and the stdlib reader runs on the documents orjson refuses (and on those
+  that nest deeper than 128 levels or hold a backslash).
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
   ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
@@ -23,6 +25,7 @@ from numbers import Integral, Real
 from typing import NoReturn
 
 import numpy as np
+import orjson
 
 from .errors import (
     AllZeroMatrixError,
@@ -155,24 +158,72 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
 
     ``source`` may be str, bytes, or a file-like object.
     """
-    if isinstance(source, bytes):
-        try:
-            text = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    elif isinstance(source, str):
-        text = source
-    elif hasattr(source, "read"):
-        return load_matrix(source.read(), fmt)
-    else:
+    if not isinstance(source, (str, bytes)):
+        if hasattr(source, "read"):
+            return load_matrix(source.read(), fmt)
         raise ParseError(
             f"source must be str, bytes or a file-like object, got {type(source).__name__}"
         )
     if fmt == "json":
-        return _load_json(text)
+        return ComplexMatrix.from_json_dict(read_json(source))
     if fmt == "csv":
-        return _load_csv(text)
+        return _load_csv(_decode_utf8(source))
     raise ParseError(f"unknown matrix format {fmt!r}")
+
+
+# orjson 3.8 nests without a limit and crashes the interpreter (SIGSEGV) on arrays
+# ~150k deep, a 300 kB document; deeper documents go to the stdlib reader instead
+_ORJSON_MAX_DEPTH = 128
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def read_json(source: str | bytes):
+    """The JSON value in ``source``: orjson's reading, or the stdlib's where orjson refuses.
+
+    orjson refuses NaN and Infinity, numbers beyond double range, invalid
+    UTF-8, a BOM and lone surrogates, so each of those keeps the stdlib
+    reading and its error; so does a document with a backslash or nested
+    deeper than ``_ORJSON_MAX_DEPTH``. orjson reads integers outside
+    [-2**63, 2**64) as floats; :func:`read_json_stdlib` keeps them exact.
+    """
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+    if b"\\" not in data and _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(source)
+        except orjson.JSONDecodeError:
+            pass
+    return read_json_stdlib(source)
+
+
+def _nesting_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in JSON ``data`` that holds no backslash.
+
+    Without a backslash no quote is escaped, so a bracket lies inside a
+    string iff an odd number of quotes precede it.
+    """
+    marks = np.frombuffer(data.translate(None, _NOT_STRUCTURE), np.uint8)
+    folded = marks | 0x20  # '[' -> '{', ']' -> '}'
+    steps = (folded == 0x7B).view(np.int8) - (folded == 0x7D).view(np.int8)
+    steps[np.logical_xor.accumulate(marks == 0x22)] = 0
+    return int(np.cumsum(steps, dtype=np.intp).max(initial=0))
+
+
+def read_json_stdlib(source: str | bytes):
+    """The JSON value in ``source``: UTF-8 decoding and ``json.loads``, refusals as ParseError."""
+    text = _decode_utf8(source)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _decode_utf8(source: str | bytes) -> str:
+    if isinstance(source, str):
+        return source
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _require_number(x, what: str) -> None:
@@ -209,14 +260,6 @@ def _entry_array(entries: list) -> np.ndarray:
     if not np.isfinite(parts).all():
         _raise_first_bad_entry(entries)
     return parts.view(np.complex128)
-
-
-def _load_json(text: str) -> ComplexMatrix:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also integers past the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return ComplexMatrix.from_json_dict(doc)
 
 
 def parse_complex_literal(text: str) -> complex:

@@ -306,8 +306,11 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
     else:
         phi = exact.phases[state.addr]
         quarters = np.rint(phi / (0.5 * math.pi))
-        quarters = np.where(quarters * (0.5 * math.pi) == phi, quarters, -1.0).astype(np.int64)
-        off = np.flatnonzero(marked & (quarters < 0))
+        off_grid = quarters * (0.5 * math.pi) != phi
+        off = np.flatnonzero(marked & off_grid)
+        # a whole count of any size or sign, mod 4 in int64 (-1 & 3 == 3 below)
+        np.copyto(quarters, 0.0, where=off_grid)
+        quarters = np.fmod(quarters, 4, out=quarters).astype(np.int64)
         phi = phi[off]
     units = _QUARTER_TURNS[quarters & 3]
     units.real[off] = np.cos(phi)

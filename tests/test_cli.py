@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import orjson
 import pytest
 
 import qramprep
@@ -95,15 +96,36 @@ class TestJsonInput:
     @pytest.mark.parametrize("command", [["preprocess"], ["prepare"], ["sweep", "--t", "8"]])
     def test_matrix_file_is_parsed_once(self, example_path, monkeypatch, capsys, command):
         calls = []
-        loads = json.loads
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return loads(*args, **kwargs)
+        def counting(module):
+            loads = module.loads
 
-        monkeypatch.setattr(json, "loads", counting)
+            def parse(*args, **kwargs):
+                calls.append(module.__name__)
+                return loads(*args, **kwargs)
+
+            monkeypatch.setattr(module, "loads", parse)
+
+        counting(json)
+        counting(orjson)
         assert main([*command, "--input", str(example_path)]) == 0
-        assert len(calls) == 1
+        assert calls == ["orjson"]
+
+    def test_wide_image_cells_read_exactly(self, example_path, tmp_path, capsys):
+        # complex cells at t = 40 are 80 bits wide, past the integers orjson keeps exact
+        img_path, out_path = tmp_path / "img.json", tmp_path / "state.json"
+        assert main(["preprocess", "--input", str(example_path), "--t", "40",
+                     "--output", str(img_path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(img_path.read_text())
+        assert max(doc["cells"]) >= 2 ** 64
+        assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
+        state, _ = prepare_complex(MemoryImage.from_json_dict(doc))
+        assert capsys.readouterr().out == (
+            f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
+            f"work_clean: True\nmarker_set: True\nstatus: PASS\nwrote {out_path}\n"
+        )
+        assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
     def test_non_object_document_refused(self, tmp_path, capsys):
         src = tmp_path / "m.json"

@@ -1,9 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qramprep.errors import (
     AllZeroMatrixError,
@@ -12,12 +18,16 @@ from qramprep.errors import (
     InvalidSeedError,
     InvalidZeroFractionError,
     ParseError,
+    QramPrepError,
 )
 from qramprep.matrix import (
     ComplexMatrix,
+    _nesting_depth,
     load_matrix,
     parse_complex_literal,
     random_matrix,
+    read_json,
+    read_json_stdlib,
     scaled_moduli,
     squared_moduli,
 )
@@ -30,6 +40,33 @@ EXAMPLE_JSON = json.dumps(
     }
 )
 EXAMPLE_CSV = "2+1i,-1+2i,3,-i\n1-1i,2i,-2+1i,1+1i\n"
+
+MALFORMED_JSON = [
+    "{not json",
+    json.dumps([1, 2]),
+    json.dumps({"rows": 2, "cols": 2}),
+    json.dumps({"rows": 2.5, "cols": 2, "entries": [[1, 0]] * 5}),
+    json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0]] * 3}),
+    json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [1]]}),
+    json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], ["x", 0]]}),
+    json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [float("nan"), 0]]})
+    .replace("NaN", "1e999"),
+]
+
+
+def _row_doc(entries) -> str:
+    return json.dumps({"rows": 1, "cols": len(entries), "entries": entries}).replace(
+        "Infinity", "1e999"
+    )
+
+
+FIRST_BAD_ENTRY = [
+    ([[1, 0], [True, 0]], "entry 1 real part"),
+    ([[1, 0], [0, None]], "entry 1 imaginary part"),
+    ([[1, 0], [1, 1e999], ["x", 0], [0, 0]], "entry 1 imaginary part"),
+    ([[1, 0], [0, 0], [1, 2, 3], [0, 0]], "entry 2 must be a"),
+    ([[1, 0], 5], "entry 1 must be a"),
+]
 
 
 class TestLoadMatrix:
@@ -88,20 +125,7 @@ class TestLoadMatrix:
         with pytest.raises(EmptyMatrixError):
             load_matrix("", "csv")
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            "{not json",
-            json.dumps([1, 2]),
-            json.dumps({"rows": 2, "cols": 2}),
-            json.dumps({"rows": 2.5, "cols": 2, "entries": [[1, 0]] * 5}),
-            json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0]] * 3}),
-            json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [1]]}),
-            json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], ["x", 0]]}),
-            json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [float("nan"), 0]]})
-            .replace("NaN", "1e999"),
-        ],
-    )
+    @pytest.mark.parametrize("doc", MALFORMED_JSON)
     def test_malformed_json(self, doc):
         with pytest.raises(ParseError):
             load_matrix(doc, "json")
@@ -117,21 +141,10 @@ class TestLoadMatrix:
         with pytest.raises(ParseError):
             load_matrix(doc, "json")
 
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            ([[1, 0], [True, 0]], "entry 1 real part"),
-            ([[1, 0], [0, None]], "entry 1 imaginary part"),
-            ([[1, 0], [1, 1e999], ["x", 0], [0, 0]], "entry 1 imaginary part"),
-            ([[1, 0], [0, 0], [1, 2, 3], [0, 0]], "entry 2 must be a"),
-            ([[1, 0], 5], "entry 1 must be a"),
-        ],
-    )
+    @pytest.mark.parametrize("bad,message", FIRST_BAD_ENTRY)
     def test_first_bad_entry_named(self, bad, message):
-        cols = len(bad)
-        doc = json.dumps({"rows": 1, "cols": cols, "entries": bad}).replace("Infinity", "1e999")
         with pytest.raises(ParseError, match=message):
-            load_matrix(doc, "json")
+            load_matrix(_row_doc(bad), "json")
 
     def test_large_integers_match_float_conversion(self):
         big = [2 ** 60 + 1, 10 ** 30, -(2 ** 70) - 3]
@@ -161,6 +174,216 @@ class TestLoadMatrix:
     def test_file_like_source(self):
         m = load_matrix(io.StringIO(EXAMPLE_CSV), "csv")
         assert m.entries.tolist() == load_matrix(EXAMPLE_CSV, "csv").entries.tolist()
+
+
+def _entries_doc(numbers: list[str]) -> str:
+    """A 1 x n matrix whose real parts are the given number literals, written verbatim."""
+    pairs = ", ".join(f"[{x}, 1]" for x in numbers)
+    return f'{{"rows": 1, "cols": {len(numbers)}, "entries": [{pairs}]}}'
+
+
+def _random_doc(seed: int, **kwargs) -> str:
+    m = random_matrix(32, 32, seed=seed, **kwargs)  # K = 2^10
+    parts = m.entries.view(np.float64).reshape(-1, 2).tolist()
+    return json.dumps({"rows": 32, "cols": 32, "entries": parts})
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+SMALL = '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}'
+HUGE_DIMENSION = 2 ** 64  # orjson reads it as a float, the stdlib as an int
+
+READER_CORPUS = [
+    # the documents of TestLoadMatrix
+    EXAMPLE_JSON,
+    json.dumps({"rows": 1, "cols": 1, "entries": [[0, 0]]}),
+    json.dumps({"rows": 2, "cols": 2, "entries": [[0, 0]] * 4}),
+    json.dumps({"rows": 1, "cols": 1, "entries": [[5, 0]]}),
+    json.dumps({"rows": 2, "cols": 3, "entries": [[1, 0]] * 6}),
+    json.dumps({"rows": 3, "cols": 1, "entries": [[1, 0]] * 3}),
+    json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}),
+    json.dumps({"rows": 0, "cols": 4, "entries": []}),
+    *MALFORMED_JSON,
+    *(_row_doc(bad) for bad, _ in FIRST_BAD_ENTRY),
+    _entries_doc(["1" + "0" * 400, "1"]),
+    _entries_doc(["1" + "0" * 5000, "1"]),
+    json.dumps({"rows": 1, "cols": 4,
+                "entries": [[2 ** 60 + 1, 1], [10 ** 30, 1], [-(2 ** 70) - 3, 1], [0.5, -0.0]]}),
+    "",
+    # random K = 2^10 matrices
+    _random_doc(1),
+    _random_doc(2, real=True),
+    _random_doc(3, zero_fraction=0.5),
+    # number spellings, subnormals and underflow
+    _entries_doc(["1E5", "1e+5", "-0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-400"]),
+    _entries_doc(["1.00000000000000011102230246251565404236316680908203125",
+                  "2.4703282292062328e-324", "1.7976931348623158e308", "0e0", "-0e-0"]),
+    # integers past 53 and 64 bits
+    _entries_doc([str(n) for n in (2 ** 53 + 1, 2 ** 63, 2 ** 64, 2 ** 64 + 1, 10 ** 30,
+                                   -(2 ** 70) - 3)]),
+    json.dumps({"rows": 2 ** 63, "cols": 1, "entries": [[1, 0]]}),
+    json.dumps({"rows": 1, "cols": -(2 ** 64), "entries": [[1, 0]]}),
+    # whitespace and duplicate keys
+    " \t\r\n" + EXAMPLE_JSON.replace(" ", "\n\t ") + "\r\n ",
+    SMALL.replace(" ", ""),
+    SMALL.replace(" ", "\x0c"),
+    SMALL.replace(" ", "\u00a0"),
+    '{"rows": 9, "rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "cols": 2}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "entries": [[0, 0], [0, 0]]}',
+    # text orjson refuses, and escapes
+    "\ufeff" + SMALL,
+    SMALL[:-1] + ', "note": "\u00e9\\n\\u00e9\\""}',
+    SMALL[:-1] + ', "note": "\\ud800"}',
+    SMALL.replace("[1, 0]", '["\\ud800", 0]'),
+    SMALL[:-1] + ', "note": "\ud800"}',
+    # numbers orjson refuses
+    _entries_doc(["NaN", "1"]),
+    _entries_doc(["1", "-Infinity"]),
+    _entries_doc(["1e999", "1"]),
+    _entries_doc(["1.7976931348623159e308", "1"]),
+    SMALL[:-1] + ', "note": [NaN, Infinity, 1e999]}',
+    SMALL[:-1] + ', "note": ' + "9" * 401 + "}",
+    SMALL[:-1] + ', "note": ' + "9" * 5001 + "}",
+    # nesting at and past the depth orjson is given, and past the stdlib's recursion limit
+    _nested(128),
+    _nested(129),
+    SMALL[:-1] + ', "note": ' + _nested(128) + "}",
+    SMALL[:-1] + ', "note": ' + _nested(200) + "}",
+    SMALL[:-1] + ', "note": "' + "[" * 300 + '"}',
+    _nested(2000),
+    SMALL.replace("[1, 0]", _nested(2000)),
+    SMALL[:-1] + ', "note": ' + _nested(2000) + "}",
+]
+
+BYTE_CORPUS = [
+    b"\xef\xbb\xbf" + SMALL.encode(),
+    SMALL.encode()[:-1] + b', "note": "\xff"}',
+    SMALL.encode()[:-1] + b', "note": "\xc3"}',
+    b"\xff" + SMALL.encode(),
+]
+
+
+def _outcome(read, source):
+    try:
+        m = read(source)
+    except QramPrepError as exc:
+        return type(exc), str(exc)
+    return m.rows, m.cols, m.original_rows, m.original_cols, m.entries.tobytes()
+
+
+def _stdlib_reading(source):
+    return ComplexMatrix.from_json_dict(read_json_stdlib(source))
+
+
+def assert_reads_like_stdlib(source):
+    got = _outcome(lambda s: load_matrix(s, "json"), source)
+    want = _outcome(_stdlib_reading, source)
+    if got == want:
+        return
+    # orjson reads an integer outside [-2**63, 2**64) as a float, so such a dimension is
+    # refused as "must be integers", where the stdlib reading refuses it on its value
+    doc = read_json_stdlib(source)
+    assert isinstance(doc, dict)
+    assert any(isinstance(d, int) and not -(2 ** 63) <= d < HUGE_DIMENSION
+               for d in (doc.get("rows"), doc.get("cols")))
+    assert got[0] is ParseError
+    assert isinstance(want[0], type) and issubclass(want[0], QramPrepError)
+
+
+class TestReaderDifferential:
+    """``load_matrix`` against the stdlib reading: same matrix bit for bit, or same refusal."""
+
+    @pytest.mark.parametrize("doc", READER_CORPUS, ids=range(len(READER_CORPUS)))
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_corpus(self, doc, as_bytes):
+        assert_reads_like_stdlib(doc.encode("utf-8", "surrogatepass") if as_bytes else doc)
+
+    @pytest.mark.parametrize("data", BYTE_CORPUS, ids=range(len(BYTE_CORPUS)))
+    def test_byte_corpus(self, data):
+        assert_reads_like_stdlib(data)
+
+    @pytest.mark.parametrize(
+        "dimension", [HUGE_DIMENSION, HUGE_DIMENSION + 1, 10 ** 30, -(2 ** 63) - 1, -(10 ** 30)]
+    )
+    def test_huge_dimension_refused(self, dimension):
+        doc = json.dumps({"rows": dimension, "cols": 1, "entries": [[1, 0]]})
+        with pytest.raises(ParseError):
+            load_matrix(doc, "json")
+        assert_reads_like_stdlib(doc)
+
+    def test_corpus_reaches_both_readers(self, monkeypatch):
+        stdlib = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: stdlib.append(text) or loads(text))
+        for doc in READER_CORPUS:
+            try:
+                read_json(doc)
+            except ParseError:
+                pass
+        assert 0 < len(stdlib) < len(READER_CORPUS)
+
+    def test_valid_document_never_reaches_the_stdlib(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called on a document orjson reads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert load_matrix(EXAMPLE_JSON.encode(), "json").size == 8
+
+    @pytest.mark.parametrize(
+        "data,depth",
+        [
+            (b"", 0),
+            (b"1", 0),
+            (b"[]", 1),
+            (b'{"a": [[1, 2], {"b": []}]}', 4),
+            (b'["]]]]", [[[]]]]', 4),
+            (b'{"a": "[[[[{{{{"}', 1),
+            (b'["", "[", "]"] [[', 2),
+            (EXAMPLE_JSON.encode(), 3),
+            (_nested(2000).encode(), 2000),
+        ],
+    )
+    def test_nesting_depth(self, data, depth):
+        assert _nesting_depth(data) == depth
+
+    def test_deep_nesting_refused_without_a_crash(self):
+        # orjson 3.8 overflows the C stack on arrays ~150k deep instead of refusing them
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "from qramprep.errors import ParseError\n"
+            "from qramprep.matrix import load_matrix\n"
+            "deep = b'[' * 400000 + b']' * 400000\n"
+            "for doc in (deep, b'{\"rows\": 1, \"cols\": 2, \"entries\": ' + deep + b'}'):\n"
+            "    try:\n"
+            "        load_matrix(doc, 'json')\n"
+            "    except ParseError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("ParseError invalid JSON: maximum recursion") for line in lines)
+
+    def test_signed_zeros_kept(self):
+        m = load_matrix(_entries_doc(["-0.0", "0.0", "-0"]), "json")
+        assert [math.copysign(1.0, x) for x in m.entries.real[:3]] == [-1.0, 1.0, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()),
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()),
+        ),
+        min_size=1, max_size=9,
+    ))
+    def test_finite_floats_and_unbounded_integers(self, pairs):
+        doc = json.dumps({"rows": 1, "cols": len(pairs), "entries": pairs})
+        assert_reads_like_stdlib(doc)
+        assert_reads_like_stdlib(doc.encode())
 
 
 class TestComplexLiteral:

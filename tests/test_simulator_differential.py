@@ -389,9 +389,10 @@ def reference_phase_cascade(state, exact=None):
     else:
         phi = exact.phases[state.addr[marked]]
         turns = np.rint(phi / (0.5 * math.pi))
-        quarter = np.where(turns * (0.5 * math.pi) == phi, turns, -1.0).astype(np.int64)
+        on_grid = turns * (0.5 * math.pi) == phi
+        quarter = turns.astype(np.int64)
     units = np.array([1.0, 1.0j, -1.0, -1.0j])[quarter & 3]
-    off_grid = np.flatnonzero(quarter < 0)
+    off_grid = np.flatnonzero(~on_grid)
     off_phi = phi[off_grid]
     units.real[off_grid] = np.cos(off_phi)
     units.imag[off_grid] = np.sin(off_phi)
