@@ -26,6 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
+from .fixedpoint import _as_floats, _first_bad
 from .matrix import ComplexMatrix, scaled_moduli
 from .weight_tree import WeightTree, build_weight_tree
 
@@ -36,9 +37,9 @@ MODES = ("complex", "real_signed")
 class ComplexAngleTree:
     """Angle tree plus leaf layer: everything written into memory cells.
 
-    ``thetas[z - 1]`` is the splitting angle at memory index z (z = 1..K-1);
-    ``phases[z]`` the leaf phase of entry z, which is 0 or pi in real_signed
-    mode.
+    ``thetas[z - 1]`` is the splitting angle at memory index z (z = 1..K-1),
+    in [0, pi]; ``phases[z]`` the leaf phase of entry z, in [0, 2*pi), which
+    is 0 or pi in real_signed mode.
     """
 
     thetas: np.ndarray
@@ -52,15 +53,14 @@ class ComplexAngleTree:
             raise IndexOutOfRangeError(
                 f"need K-1 angles for K phases, got {len(self.thetas)} and {len(self.phases)}"
             )
+        theta = _as_floats(self.thetas, "theta")
+        _first_bad(~((theta >= 0.0) & (theta <= math.pi)), theta, "theta", "lie in [0, pi]")
+        phi = _as_floats(self.phases, "phase")  # NaN fails both range tests
+        _first_bad(~((phi >= 0.0) & (phi < math.tau)), phi, "phase", "lie in [0, 2*pi)")
 
     @property
     def size(self) -> int:
         return len(self.phases)
-
-    @property
-    def preprocessing_ops(self) -> int:
-        """Angle evaluations (K-1) plus leaf evaluations (K)."""
-        return 2 * self.size - 1
 
 
 def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -124,29 +124,15 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _image_json_indented(image: MemoryImage) -> str:
-    """``json.dumps(image.to_json_dict(), sort_keys=True, indent=2) + "\\n"``, written directly.
-
-    With ``indent`` the json module drops to its pure-Python encoder; here
-    the sorted header keys are spelled out and the cells joined as text.
-    """
-    doc = image.to_json_dict()
-    cells = ",\n    ".join(map(str, doc["cells"]))
-    return (
-        f'{{\n  "cells": [\n    {cells}\n  ],\n  "k": {doc["k"]},\n'
-        f'  "mode": {json.dumps(doc["mode"])},\n  "t": {doc["t"]}\n}}\n'
-    )
-
-
 def cmd_preprocess(args) -> int:
     m, img = _read_input(args)
     if m is None:
         raise ParseError("preprocess needs a matrix input, not a memory image")
-    image, gamma = build_memory_image(m, args.t, args.mode)
-    _write_text(args.output, _image_json_indented(image))
+    image, _ = build_memory_image(m, args.t, args.mode)
+    _write_text(args.output, image.to_json())
     print(f"matrix: {m.original_rows}x{m.original_cols} padded to {m.rows}x{m.cols} (K={m.size})")
     print(f"cells: {image.size} x {image.width} bits = {image.size * image.width} bits")
-    print(f"preprocessing_ops: {gamma.preprocessing_ops}")
+    print(f"preprocessing_ops: {resource_report(m.size, args.t, args.mode).preprocessing_ops}")
     if args.output:
         print(f"wrote {args.output}")
     return 0

@@ -98,9 +98,6 @@ class ComplexMatrix:
         """Address width k = log2(K)."""
         return self.size.bit_length() - 1
 
-    def as_2d(self) -> np.ndarray:
-        return self.entries.reshape(self.rows, self.cols)
-
     @classmethod
     def from_array(cls, arr) -> "ComplexMatrix":
         """Build from a 2-d array-like, padding each dimension to a power of two."""

@@ -27,11 +27,12 @@ query costs k time units (one per tree level). It gathers from the field
 arrays. The ledger keeps the set of addresses each query reached as a
 bitmap of K bits (K/8 bytes); ``QueryLedger.access_log`` decodes them.
 
-JSON wire format: {"mode": ..., "t": t, "k": k, "cells": [unsigned ints]}.
+JSON wire format, as ``MemoryImage.to_json`` writes it for ``qramprep
+preprocess --output``: {"cells": [unsigned ints], "k": k, "mode": ..., "t": t}
+with sorted keys, indented two spaces, one cell per line.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -148,11 +149,18 @@ class MemoryImage:
         cells |= aux
         return cells.tolist()
 
-    def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "t": self.t, "k": self.k, "cells": self._cell_list()}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The image document, as ``qramprep preprocess --output`` writes it.
+
+        Byte for byte ``json.dumps({"mode", "t", "k", "cells"}, sort_keys=True,
+        indent=2) + "\\n"``: the repr of a list of Python ints separates them
+        with ", " as the json module does, and the mode is one of ``MODES``.
+        """
+        cells = str(self._cell_list())[1:-1].replace(", ", ",\n    ")
+        return (
+            f'{{\n  "cells": [\n    {cells}\n  ],\n  "k": {self.k},\n'
+            f'  "mode": "{self.mode}",\n  "t": {self.t}\n}}\n'
+        )
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MemoryImage":

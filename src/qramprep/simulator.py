@@ -306,11 +306,8 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
     else:
         phi = exact.phases[state.addr]
         quarters = np.rint(phi / (0.5 * math.pi))
-        off_grid = quarters * (0.5 * math.pi) != phi
-        off = np.flatnonzero(marked & off_grid)
-        # a whole count of any size or sign, mod 4 in int64 (-1 & 3 == 3 below)
-        np.copyto(quarters, 0.0, where=off_grid)
-        quarters = np.fmod(quarters, 4, out=quarters).astype(np.int64)
+        off = np.flatnonzero(marked & (quarters * (0.5 * math.pi) != phi))
+        quarters = quarters.astype(np.intp)  # 0..4: the tree keeps phi in [0, 2*pi)
         phi = phi[off]
     units = _QUARTER_TURNS[quarters & 3]
     units.real[off] = np.cos(phi)
@@ -384,22 +381,20 @@ def prepare_real(
     return _prepare(img, "real_signed", exact, on_iteration)
 
 
-def marker_check(
-    state: BranchState, h: int, wt: WeightTree, tol: float | None = None
-) -> bool:
+def marker_check(state: BranchState, h: int, wt: WeightTree) -> bool:
     """True iff the state has the depth-h routing-marker form.
 
     After iteration h < k every branch must read v = 0, address
-    0^{k-h-1} 1 bin_h(p), work clean, with |amplitude| = sqrt(T_{h,p}) / ||A||;
-    after h = k the marker sits in v = 1 and the address is bin_k(p).
+    0^{k-h-1} 1 bin_h(p), work clean, with |amplitude| = sqrt(T_{h,p}) / ||A||
+    to within k half magnitude-grid steps (plus 1e-10); after h = k the
+    marker sits in v = 1 and the address is bin_k(p).
     """
     k = state.k
     if not 1 <= h <= k:
         raise IndexOutOfRangeError(f"iteration {h} outside [1, {k}]")
     if wt.depth != k:
         raise IndexOutOfRangeError(f"tree depth {wt.depth} != address width {k}")
-    if tol is None:
-        tol = k * magnitude_grid(state.t) / 2 + 1e-10
+    tol = k * magnitude_grid(state.t) / 2 + 1e-10
     root = wt.total
     if root <= 0.0:
         return False

@@ -10,7 +10,12 @@ from qramprep.angles import (
     build_phase_layer,
     splitting_angle,
 )
-from qramprep.errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
+from qramprep.errors import (
+    AngleOutOfRangeError,
+    IndexOutOfRangeError,
+    NotRealMatrixError,
+    WrongModeError,
+)
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
 from qramprep.weight_tree import build_weight_tree
 
@@ -151,11 +156,26 @@ class TestComplexAngleTree:
         gamma = build_angle_structures(example)
         assert gamma.mode == "complex"
         assert gamma.size == 8
-        assert gamma.preprocessing_ops == 15
 
     def test_needs_one_angle_fewer_than_phases(self):
         with pytest.raises(IndexOutOfRangeError):
             ComplexAngleTree(thetas=np.zeros(2), phases=np.zeros(4), mode="real_signed")
+
+    @pytest.mark.parametrize(
+        "theta,phase",
+        [(-1e-300, 0.0), (np.nextafter(math.pi, 4.0), 0.0), (5.0, 0.0), (math.nan, 0.0),
+         (0.0, -1e-300), (0.0, -0.5 * math.pi), (0.0, math.tau), (0.0, 2.5 * math.pi),
+         # the ideal phase step would read these as whole quarter turns and give the unit 1
+         (0.0, 2.0 ** 60), (0.0, 1e300), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_angle_or_phase_out_of_range_refused(self, theta, phase):
+        with pytest.raises(AngleOutOfRangeError):
+            ComplexAngleTree(thetas=np.array([theta]), phases=np.array([phase, 0.0]), mode="complex")
+
+    def test_range_ends_accepted(self):
+        below_tau = np.nextafter(math.tau, 0.0)
+        ComplexAngleTree(thetas=np.array([0.0, math.pi, 1.0]),
+                         phases=np.array([0.0, below_tau, math.pi, 1.0]), mode="complex")
 
     def test_real_signed_build(self):
         m = ComplexMatrix.from_array([[1.0, -2.0, 0.0, 3.0]])

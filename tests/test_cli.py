@@ -12,8 +12,8 @@ import pytest
 
 import qramprep
 from qramprep import simulator
-from qramprep.cli import _image_json_indented, main
-from qramprep.matrix import load_matrix, random_matrix
+from qramprep.cli import main
+from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image
 from qramprep.simulator import dump_state, prepare_complex
 from qramprep.verify import ERROR_SLACK, error_bound, oracle_state, run_preparation, state_error
@@ -72,24 +72,47 @@ class TestPreprocess:
         assert a.read_bytes() == b.read_bytes()
 
 
+def indented_image_json(img: MemoryImage) -> str:
+    """The image document through the json module's indented encoder."""
+    doc = {"mode": img.mode, "t": img.t, "k": img.k, "cells": list(img.cells)}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Name the first differing offset: pytest's diff of megabyte strings takes minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ from offset {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
 class TestIndentedImageWriter:
-    """The direct writer against the json module's indented encoder, byte for byte."""
+    """``MemoryImage.to_json`` against the json module's indented encoder, byte for byte."""
 
     @pytest.mark.parametrize("mode", ["complex", "real_signed"])
     def test_matches_json_dumps_at_every_t(self, mode):
         m = random_matrix(4, 4, seed=12, real=mode == "real_signed")
         for t in range(2, 63):
             img, _ = build_memory_image(m, t, mode)
-            want = json.dumps(img.to_json_dict(), sort_keys=True, indent=2) + "\n"
-            assert _image_json_indented(img) == want, t
+            assert img.to_json() == indented_image_json(img), t
 
     def test_cli_output_is_json_dumps_with_indent(self, example_path, tmp_path):
         out_path = tmp_path / "image.json"
         assert main(["preprocess", "--input", str(example_path), "--output", str(out_path),
                      "--t", "40"]) == 0
         img, _ = build_memory_image(load_matrix(example_path.read_bytes(), "json"), 40, "complex")
-        want = json.dumps(img.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        assert out_path.read_text() == want
+        assert out_path.read_text() == indented_image_json(img)
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_two_cells(self, mode):
+        img, _ = build_memory_image(ComplexMatrix.from_array([[1.0, -1.0]]), 16, mode)
+        assert img.size == 2
+        assert img.to_json() == indented_image_json(img)
+
+    @pytest.mark.parametrize("t", [32, 40])
+    def test_k16_image(self, t):
+        # 64-bit cells (t = 32) join as machine words, 80-bit ones (t = 40) as Python ints
+        img, _ = build_memory_image(random_matrix(256, 256, seed=16), t, "complex")
+        assert_same_text(img.to_json(), indented_image_json(img))
 
 
 class TestJsonInput:

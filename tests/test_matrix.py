@@ -107,7 +107,7 @@ class TestLoadMatrix:
         m = load_matrix(doc, "json")
         assert (m.rows, m.cols) == (2, 4)
         assert (m.original_rows, m.original_cols) == (2, 3)
-        assert np.array_equal(m.as_2d()[:, 3], [0, 0])
+        assert np.array_equal(m.entries.reshape(m.rows, m.cols)[:, 3], [0, 0])
 
     def test_pads_3x1_rows(self):
         doc = json.dumps({"rows": 3, "cols": 1, "entries": [[1, 0]] * 3})
@@ -440,7 +440,7 @@ class TestScaledModuli:
     @pytest.mark.parametrize("e", [-1000, -600, 0, 600, 1020])
     def test_power_of_two_scaling_is_exact(self, e):
         m = random_matrix(8, 8, seed=4, zero_fraction=0.2)
-        grid = m.as_2d()
+        grid = m.entries.reshape(m.rows, m.cols)
         scaled = ComplexMatrix.from_array(np.ldexp(grid.real, e) + 1j * np.ldexp(grid.imag, e))
         moduli, exponent = scaled_moduli(scaled)
         want, base = scaled_moduli(m)
@@ -458,7 +458,7 @@ class TestPadding:
     def test_padded_entries_are_exact_zero(self):
         m = ComplexMatrix.from_array([[1 + 1j, 2], [3, 4], [5, 6]])
         assert (m.rows, m.cols) == (4, 2)
-        assert not m.as_2d()[3, :].any()
+        assert not m.entries.reshape(m.rows, m.cols)[3, :].any()
 
     def test_entries_read_only(self, example):
         with pytest.raises(ValueError):

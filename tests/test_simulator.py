@@ -194,15 +194,15 @@ class TestPhaseCascade:
         want = complex(math.cos(2.034), math.sin(2.034))
         assert abs(out.branches[label] - want) <= math.pi * 2 ** -t
 
-    @pytest.mark.parametrize("turns", [-3, -2, -1, 5])
-    def test_exact_quarter_turns_of_any_sign_are_exact_units(self, turns):
-        # ideal runs take phi from the angle tree, where a whole quarter turn may be negative
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_whole_quarter_turns_are_exact_units(self, turns):
+        # ideal runs take phi from the angle tree, which refuses any outside [0, 2*pi)
         k, t = 1, 8
         phases = np.array([turns * 0.5 * math.pi, 0.0])
         exact = ComplexAngleTree(thetas=np.zeros(1), phases=phases, mode="complex")
         label = 1 << k  # v = 1, address 0
         out = phase_cascade(make_state(k, t, t, {label: 1.0 + 0j}), exact)
-        assert out.branches[label] == [1, 1j, -1, -1j][turns % 4]
+        assert out.branches[label] == [1, 1j, -1, -1j][turns]
 
 
 class TestOneBitPhaseCascade:

@@ -432,8 +432,10 @@ def test_phase_kernel_matches_reference_bit_for_bit(seed, aux_width):
     assert branch_bits(phase_cascade(state)) == branch_bits(reference_phase_cascade(state))
 
 
-# whole quarter turns, with a full turn and two negative ones outside [0, 2*pi)
-QUARTER_PHASES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau, -0.5 * math.pi, -math.pi]
+# the largest phase an angle tree holds, which rounds to four quarter turns
+BELOW_TAU = np.nextafter(math.tau, 0.0)
+# whole quarter turns, and the top of [0, 2*pi) one ulp off the fourth
+QUARTER_PHASES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, BELOW_TAU]
 
 
 @pytest.mark.parametrize("phases", ["on-grid", "off-grid", "mixed"])
@@ -443,8 +445,8 @@ def test_ideal_phase_kernel_matches_reference_bit_for_bit(seed, phases):
     k = 5
     state = phase_state(rng, k=k, t=16, aux_width=16)
     on = rng.choice(QUARTER_PHASES, 1 << k)
-    near = np.nextafter(on, rng.choice([-1.0, 7.0], 1 << k))  # one ulp off, some below 0
-    anywhere = rng.uniform(-math.tau, 2 * math.tau, 1 << k)
+    near = np.nextafter(on, rng.choice([0.0, BELOW_TAU], 1 << k))  # one ulp off, in range
+    anywhere = rng.uniform(0.0, BELOW_TAU, 1 << k)
     table = {
         "on-grid": on,
         "off-grid": np.where(rng.random(1 << k) < 0.5, near, anywhere),

@@ -81,7 +81,7 @@ class TestScaleRobustness:
     @pytest.mark.parametrize("mode", ["complex", "real_signed"])
     def test_ideal_run_at_any_scale(self, scale, mode):
         base = random_matrix(8, 8, seed=3, real=mode == "real_signed", zero_fraction=0.25)
-        m = ComplexMatrix.from_array(base.as_2d() * scale)
+        m = ComplexMatrix.from_array(base.entries.reshape(base.rows, base.cols) * scale)
         state, _, _ = run_preparation(m, 16, mode, sim="ideal")
         assert state_error(state, oracle_state(m)) <= 1e-10
         assert np.allclose(oracle_state(m), oracle_state(base), rtol=0, atol=1e-15)
@@ -101,7 +101,7 @@ class TestScaleRobustness:
     @pytest.mark.parametrize("e", [-1000, 1020])
     def test_power_of_two_scale_keeps_image_and_state(self, e):
         base = random_matrix(4, 8, seed=6, zero_fraction=0.2)
-        grid = base.as_2d()
+        grid = base.entries.reshape(base.rows, base.cols)
         m = ComplexMatrix.from_array(np.ldexp(grid.real, e) + 1j * np.ldexp(grid.imag, e))
         state, _, img = run_preparation(m, 32)
         base_state, _, base_img = run_preparation(base, 32)
