@@ -25,8 +25,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotRealMatrixError, WrongModeError
-from .fixedpoint import _as_floats, _first_bad
+from .errors import (
+    AngleOutOfRangeError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NotPowerOfTwoError,
+    NotRealMatrixError,
+    WrongModeError,
+)
+from .fixedpoint import _first_bad
 from .matrix import ComplexMatrix, scaled_moduli
 from .weight_tree import WeightTree, build_weight_tree
 
@@ -35,11 +42,14 @@ MODES = ("complex", "real_signed")
 
 @dataclass(frozen=True)
 class ComplexAngleTree:
-    """Angle tree plus leaf layer: everything written into memory cells.
+    """Angle tree plus leaf layer: the one checked hand-off to memory layouts.
 
     ``thetas[z - 1]`` is the splitting angle at memory index z (z = 1..K-1),
     in [0, pi]; ``phases[z]`` the leaf phase of entry z, in [0, 2*pi), which
-    is 0 or pi in real_signed mode.
+    is 0 or pi in real_signed mode. Both are kept as read-only 1-d float64
+    arrays (any other input is copied once). Refused: an unknown mode, K not
+    a power of two >= 2, other than K-1 angles, a real_signed phase other
+    than 0 or pi, and an angle or phase out of range (NaN too).
     """
 
     thetas: np.ndarray
@@ -49,13 +59,17 @@ class ComplexAngleTree:
     def __post_init__(self):
         if self.mode not in MODES:
             raise WrongModeError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if len(self.phases) != len(self.thetas) + 1:
-            raise IndexOutOfRangeError(
-                f"need K-1 angles for K phases, got {len(self.thetas)} and {len(self.phases)}"
-            )
-        theta = _as_floats(self.thetas, "theta")
+        theta, phi = _frozen_floats(self.thetas, "theta"), _frozen_floats(self.phases, "phase")
+        object.__setattr__(self, "thetas", theta)
+        object.__setattr__(self, "phases", phi)
+        n = phi.size
+        if n < 2 or n & (n - 1):
+            raise NotPowerOfTwoError(f"need 2**k phases (k >= 1), got {n}")
+        if theta.size != n - 1:
+            raise LengthMismatchError(f"need K-1 angles for K phases, got {theta.size} and {n}")
+        if self.mode == "real_signed" and not np.all((phi == 0.0) | (phi == math.pi)):
+            raise NotRealMatrixError("real_signed phases must be 0 or pi")
         _first_bad(~((theta >= 0.0) & (theta <= math.pi)), theta, "theta", "lie in [0, pi]")
-        phi = _as_floats(self.phases, "phase")  # NaN fails both range tests
         _first_bad(~((phi >= 0.0) & (phi < math.tau)), phi, "phase", "lie in [0, 2*pi)")
 
     @property
@@ -63,12 +77,23 @@ class ComplexAngleTree:
         return len(self.phases)
 
 
+def _frozen_floats(x, what: str) -> np.ndarray:
+    """``x`` as a read-only 1-d float64 array: ``x`` itself if it is one, else a copy."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and not x.flags.writeable:
+        return x
+    try:
+        out = np.array(x, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AngleOutOfRangeError(f"{what} must be real numbers: {exc}") from exc
+    out.flags.writeable = False
+    return out
+
+
 def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """2 * arcsin(sqrt(R / (L + R))) for each sibling pair; 0 where L + R is 0."""
     total = left + right
     ratio = np.divide(right, total, out=np.zeros_like(total), where=total > 0.0)
-    # clip guards against ratios like 1 + 1e-17 from the division
-    root = np.sqrt(np.clip(ratio, 0.0, 1.0))
+    root = np.sqrt(ratio)  # finite L, R >= 0 round to L + R >= R: the ratio is in [0, 1]
     # math.asin, not np.arcsin: SIMD builds of np.arcsin can differ in the
     # last ulps, which moves rounded cells at high t
     return 2.0 * np.fromiter(map(math.asin, root.tolist()), dtype=np.float64, count=root.size)

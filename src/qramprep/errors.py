@@ -68,7 +68,7 @@ class NotRealMatrixError(QramPrepError):
 # --- memory model ---
 
 class LengthMismatchError(QramPrepError):
-    """Field sequences passed to a memory layout have inconsistent lengths."""
+    """Lengths that must agree do not: angles and phases, image cells and k, state and oracle."""
 
 
 class WidthMismatchError(QramPrepError):

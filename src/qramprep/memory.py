@@ -15,11 +15,11 @@ keep the width uniform, but its phase field (entry 0) is live.
 An image holds its cells as two read-only uint64 arrays, the angle fields
 and the aux fields (``MemoryImage.field_arrays``); each field is at most 62
 bits, so the split fits machine words even where a whole cell (complex mode
-above t = 32) does not. Layouts encode whole arrays of angles and phases
-with the array codecs of :mod:`qramprep.fixedpoint` and hand the field
-arrays straight in. Cells as Python ints exist only at the boundary: the
-JSON round trip, ``MemoryImage(cells=...)`` (checked in bulk, then split)
-and ``image.cells`` (built on each read, not kept).
+above t = 32) does not. Layouts encode a checked ``ComplexAngleTree`` as
+whole arrays with the codecs of :mod:`qramprep.fixedpoint` and hand the
+field arrays straight in. Cells as Python ints exist only at the boundary:
+the JSON round trip, ``MemoryImage(cells=...)`` (checked in bulk, then
+split) and ``image.cells`` (built on each read, not kept).
 
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
@@ -44,8 +44,6 @@ from .angles import MODES, ComplexAngleTree, build_angle_structures
 from .errors import (
     InvalidDimensionsError,
     LengthMismatchError,
-    NotPowerOfTwoError,
-    NotRealMatrixError,
     ParseError,
     WidthMismatchError,
     WrongModeError,
@@ -237,57 +235,37 @@ class QueryLedger:
         self.reached.append(np.packbits(reached).tobytes())
 
 
-def _checked_precision(thetas, phases, t: int) -> int:
-    """t as an int, once K-1 angles and K phases with K a power of two >= 2 are given."""
-    check_precision(t)
-    if len(thetas) + 1 != len(phases):
-        raise LengthMismatchError(
-            f"need K-1 angles for K phases, got {len(thetas)} and {len(phases)}"
-        )
-    n = len(phases)
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwoError(f"cell count must be a power of two >= 2, got {n}")
-    return int(t)
+def _pack(gamma: ComplexAngleTree, aux_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
+    """Image of the tree's encoded angles (cell 0, no sibling pair, holds 0) and ``aux_bits``."""
+    angle = np.zeros(gamma.size, dtype=np.uint64)
+    angle[1:] = encode_magnitude_angles(gamma.thetas, t)  # also checks t
+    return MemoryImage._from_fields(angle, aux_bits.astype(np.uint64, copy=False), int(t), mode)
 
 
-def _pack(thetas, aux_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
-    """The image of encoded angle and aux fields, handed in as arrays.
-
-    Cell 0 has no sibling pair: its angle field holds 0.
-    """
-    angle = np.zeros(aux_bits.size, dtype=np.uint64)
-    angle[1:] = encode_magnitude_angles(thetas, t)
-    return MemoryImage._from_fields(angle, aux_bits.astype(np.uint64, copy=False), t, mode)
-
-
-def layout_complex(thetas, phases, t: int) -> MemoryImage:
-    """Pack K-1 angles and K phases into K cells of width 2t.
+def layout_complex(gamma: ComplexAngleTree, t: int) -> MemoryImage:
+    """Pack the tree's K-1 angles and K phases into K cells of width 2t, in either mode.
 
     Cell z holds encode(theta_z) in the high t bits and encode(phi_z) in the
     low t bits; the angle field of cell 0 is all zeros.
     """
-    t = _checked_precision(thetas, phases, t)
-    return _pack(thetas, encode_phases(phases, t), t, "complex")
+    return _pack(gamma, encode_phases(gamma.phases, t), t, "complex")
 
 
-def layout_real_signed(thetas, phases, t: int) -> MemoryImage:
-    """Pack K-1 angles and K phases of 0 or pi into K cells of width t+1.
+def layout_real_signed(gamma: ComplexAngleTree, t: int) -> MemoryImage:
+    """Pack a real_signed tree's K-1 angles and K phases of 0 or pi into K cells of width t+1.
 
     The one-bit phase field holds phi / pi. Cell 0 keeps the phase bit of
     entry 0 next to its dummy angle field: the leaf query reaches address 0.
     """
-    t = _checked_precision(thetas, phases, t)
-    phi = np.asarray(phases, dtype=np.float64)
-    half_turn = phi == math.pi
-    if not np.all(half_turn | (phi == 0.0)):
-        raise NotRealMatrixError("real_signed phases must be 0 or pi")
-    return _pack(thetas, half_turn.astype(np.uint64), t, "real_signed")
+    if gamma.mode != "real_signed":
+        raise WrongModeError(f"need a real_signed angle structure, got {gamma.mode}")
+    return _pack(gamma, gamma.phases == math.pi, t, "real_signed")
 
 
 def layout_image(gamma: ComplexAngleTree, t: int) -> MemoryImage:
     """Lay out an angle structure's angles and leaf phases at precision t, in its mode."""
     layout = layout_complex if gamma.mode == "complex" else layout_real_signed
-    return layout(gamma.thetas, gamma.phases, t)
+    return layout(gamma, t)
 
 
 def build_memory_image(

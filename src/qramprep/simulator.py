@@ -337,10 +337,9 @@ def _prepare(
 ) -> tuple[BranchState, QueryLedger]:
     if img.mode != mode:
         raise WrongModeError(f"need a {mode} image, got {img.mode}")
-    if exact is not None and exact.size != img.size:
-        raise WrongModeError(
-            f"exact angle structure has {exact.size} cells, image has {img.size}"
-        )
+    if exact is not None and (exact.mode, exact.size) != (mode, img.size):
+        raise WrongModeError(f"need a {mode} exact angle structure of {img.size} cells, "
+                             f"got a {exact.mode} one of {exact.size}")
     state = init_state(img.k, img.t, mode)
     ledger = QueryLedger(img.k)
     for h in range(1, img.k + 1):

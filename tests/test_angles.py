@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qramprep.angles import (
     ComplexAngleTree,
+    _split_angles,
     build_angle_structures,
     build_angle_tree,
     build_phase_layer,
@@ -13,6 +16,8 @@ from qramprep.angles import (
 from qramprep.errors import (
     AngleOutOfRangeError,
     IndexOutOfRangeError,
+    LengthMismatchError,
+    NotPowerOfTwoError,
     NotRealMatrixError,
     WrongModeError,
 )
@@ -93,6 +98,19 @@ class TestAngleTree:
             assert math.isclose(math.sin(theta / 2) ** 2 * total, right, rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(math.cos(theta / 2) ** 2 * total, left, rel_tol=1e-12, abs_tol=1e-12)
 
+    # finite weights whose pairwise sums stay finite, as build_weight_tree guarantees
+    weights = st.floats(0.0, sys.float_info.max / 2, allow_subnormal=True)
+
+    @given(st.lists(st.tuples(weights, weights), min_size=1, max_size=50))
+    def test_ratio_needs_no_clip(self, pairs):
+        # the formula with the clip into [0, 1] it once carried, bit for bit
+        left, right = (np.array(side, dtype=np.float64) for side in zip(*pairs))
+        total = left + right
+        ratio = np.divide(right, total, out=np.zeros_like(total), where=total > 0.0)
+        assert np.all((ratio >= 0.0) & (ratio <= 1.0))
+        clipped = [2.0 * math.asin(math.sqrt(r)) for r in np.clip(ratio, 0.0, 1.0).tolist()]
+        assert _split_angles(left, right).tobytes() == np.array(clipped).tobytes()
+
 
 class TestPhaseLayer:
     def test_example_values(self, example):
@@ -158,8 +176,39 @@ class TestComplexAngleTree:
         assert gamma.size == 8
 
     def test_needs_one_angle_fewer_than_phases(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(LengthMismatchError):
             ComplexAngleTree(thetas=np.zeros(2), phases=np.zeros(4), mode="real_signed")
+
+    @pytest.mark.parametrize("k_cells", [0, 1, 3, 6])
+    def test_cell_count_must_be_power_of_two(self, k_cells):
+        with pytest.raises(NotPowerOfTwoError):
+            ComplexAngleTree(thetas=np.zeros(max(k_cells - 1, 0)), phases=np.zeros(k_cells),
+                             mode="complex")
+
+    # checked before the range tests: NaN, 2*pi and -pi name the mode, not the range
+    @pytest.mark.parametrize("phase", [1.0, math.pi / 2, 2 * math.pi, -math.pi, math.nan])
+    def test_real_signed_phase_must_be_zero_or_pi(self, phase):
+        with pytest.raises(NotRealMatrixError):
+            ComplexAngleTree(thetas=[1.0], phases=[0.0, phase], mode="real_signed")
+
+    def test_stores_read_only_float64(self):
+        gamma = ComplexAngleTree(thetas=[1], phases=[[0.0], [math.pi]], mode="real_signed")
+        for arr in (gamma.thetas, gamma.phases):
+            assert arr.dtype == np.float64 and arr.ndim == 1 and not arr.flags.writeable
+        assert gamma.phases.tolist() == [0.0, math.pi]
+
+    def test_read_only_input_kept_writable_input_copied(self):
+        thetas, phases = np.array([1.0]), np.array([0.0, 1.0])
+        thetas.flags.writeable = False
+        gamma = ComplexAngleTree(thetas=thetas, phases=phases, mode="complex")
+        assert gamma.thetas is thetas
+        phases[1] = 7.0  # out of range, but the tree holds its own copy
+        assert gamma.phases.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [["x"], [None], [[1.0], [2.0, 3.0]]])
+    def test_non_numbers_refused(self, bad):
+        with pytest.raises(AngleOutOfRangeError):
+            ComplexAngleTree(thetas=bad, phases=[0.0, 0.0], mode="complex")
 
     @pytest.mark.parametrize(
         "theta,phase",

@@ -275,6 +275,19 @@ class TestPrepare:
         assert main(["prepare", *spec]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["4", "4by4", "axb", "2x2x2"])
+    def test_random_needs_rows_x_cols(self, capsys, spec):
+        assert main(["prepare", "--random", spec]) == 1
+        assert "--random expects ROWSxCOLS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["preprocess"], ["sweep", "--t", "8"]])
+    def test_image_input_needs_a_matrix_command(self, example_path, tmp_path, capsys, command):
+        img_path = tmp_path / "img.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        assert main([*command, "--input", str(img_path)]) == 1
+        assert "needs a matrix input, not a memory image" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", [1e-170, 1e300])
     def test_tiny_and_huge_entries(self, tmp_path, capsys, scale):
         src = tmp_path / "m.json"

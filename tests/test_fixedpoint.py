@@ -141,6 +141,12 @@ class TestPhaseCodec:
         with pytest.raises(AngleOutOfRangeError):
             encode_phase(math.inf, 8)
 
+    @pytest.mark.parametrize("phi", ["1.0", None, [1.0]])
+    def test_non_number_rejected(self, phi):
+        # the array encoder would read "1.0" and [1.0] as the number 1
+        with pytest.raises(AngleOutOfRangeError):
+            encode_phase(phi, 8)
+
     def test_precision_out_of_range(self):
         with pytest.raises(PrecisionOutOfRangeError):
             encode_phase(1.0, 63)

@@ -51,6 +51,8 @@ MALFORMED_JSON = [
     json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], ["x", 0]]}),
     json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0], [float("nan"), 0]]})
     .replace("NaN", "1e999"),
+    json.dumps({"rows": 1, "cols": 2, "entries": 5}),
+    json.dumps({"rows": 1, "cols": 2, "entries": None}),
 ]
 
 
@@ -404,7 +406,7 @@ class TestComplexLiteral:
     def test_forms(self, text, value):
         assert parse_complex_literal(text) == value
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+", "inf", "1+2x"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+", "inf", "1+2x", "1e999", "-1e999i"])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_complex_literal(text)
@@ -500,6 +502,30 @@ class TestPadding:
         # the finite and all-zero checks run before the two-cell check
         with pytest.raises(error):
             ComplexMatrix.from_array(arr)
+
+    def test_one_dimensional_input_is_one_row(self):
+        m = ComplexMatrix.from_array([1, 2, 3])
+        assert (m.rows, m.cols, m.original_rows, m.original_cols) == (1, 4, 1, 3)
+
+    @pytest.mark.parametrize("arr", [5.0, [[[1.0, 2.0]]]])
+    def test_not_two_dimensional_rejected(self, arr):
+        with pytest.raises(InvalidDimensionsError, match="2-d"):
+            ComplexMatrix.from_array(arr)
+
+    @pytest.mark.parametrize("arr", [[], [[]], np.zeros((3, 0))])
+    def test_no_rows_or_no_columns(self, arr):
+        with pytest.raises(EmptyMatrixError):
+            ComplexMatrix.from_array(arr)
+
+    @pytest.mark.parametrize(
+        "rows,cols,count,original",
+        [(3, 2, 6, (3, 2)), (2, 2, 3, (2, 2)), (2, 2, 4, (3, 2)), (2, 2, 4, (2, 0))],
+        ids=["not a power of two", "entry count", "original rows beyond", "no original cols"],
+    )
+    def test_inconsistent_dimensions_rejected(self, rows, cols, count, original):
+        with pytest.raises(InvalidDimensionsError):
+            ComplexMatrix(rows=rows, cols=cols, entries=np.ones(count, dtype=np.complex128),
+                          original_rows=original[0], original_cols=original[1])
 
     def test_dirty_padding_rejected(self):
         with pytest.raises(InvalidDimensionsError):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qramprep.angles import build_angle_structures
+from qramprep.angles import ComplexAngleTree, build_angle_structures
 from qramprep.errors import (
     InvalidDimensionsError,
     LengthMismatchError,
@@ -62,11 +62,11 @@ class TestLayoutComplex:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            layout_complex([1.0, 1.0], [0.0] * 4, 8)
+            layout_complex(ComplexAngleTree([1.0, 1.0], [0.0] * 4, "complex"), 8)
 
     def test_not_power_of_two(self):
         with pytest.raises(NotPowerOfTwoError):
-            layout_complex([1.0] * 2, [0.0] * 3, 8)
+            layout_complex(ComplexAngleTree([1.0] * 2, [0.0] * 3, "complex"), 8)
 
     def test_bit_packing(self, example_image):
         img = example_image
@@ -98,12 +98,23 @@ class TestLayoutRealSigned:
     @pytest.mark.parametrize("phase", [math.pi / 2, 1.0, 2 * math.pi, -math.pi, math.nan])
     def test_phase_other_than_zero_or_pi_refused(self, phase):
         with pytest.raises(NotRealMatrixError):
-            layout_real_signed([1.0], [0.0, phase], 8)
+            layout_real_signed(ComplexAngleTree([1.0], [0.0, phase], "real_signed"), 8)
 
     def test_phase_bit_is_phi_over_pi(self):
-        img = layout_real_signed([0.0], [-0.0, math.pi], 8)
+        img = layout_real_signed(ComplexAngleTree([0.0], [-0.0, math.pi], "real_signed"), 8)
         assert img.cells == (0, 1)
         assert all(type(c) is int for c in img.cells)
+
+    def test_complex_tree_refused(self, example):
+        with pytest.raises(WrongModeError):
+            layout_real_signed(build_angle_structures(example, "complex"), 8)
+
+    def test_complex_layout_of_real_signed_tree(self):
+        m = random_matrix(4, 4, seed=2, real=True)
+        gamma = build_angle_structures(m, "real_signed")
+        img = layout_complex(gamma, 12)
+        assert img.mode == "complex" and img.width == 24
+        assert img == layout_complex(build_angle_structures(m, "complex"), 12)
 
 
 class TestJsonRoundTrip:
@@ -115,6 +126,11 @@ class TestJsonRoundTrip:
     def test_missing_key(self):
         with pytest.raises(ParseError):
             MemoryImage.from_json_dict({"mode": "complex", "t": 8, "k": 1})
+
+    @pytest.mark.parametrize("cells", ["ab", 5, None, {"0": 1, "1": 2}])
+    def test_cells_must_be_a_list(self, cells):
+        with pytest.raises(ParseError, match="cells must be a list"):
+            MemoryImage.from_json_dict({"mode": "complex", "t": 4, "k": 1, "cells": cells})
 
     def test_oversized_cell_rejected(self):
         with pytest.raises(WidthMismatchError):

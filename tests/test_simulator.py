@@ -11,12 +11,13 @@ from qramprep.angles import ComplexAngleTree
 from qramprep.errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
+    IndexOutOfRangeError,
     InvalidDimensionsError,
     WrongModeError,
 )
 from qramprep.fixedpoint import encode_magnitude_angle, encode_phase
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
-from qramprep.memory import QueryLedger, build_memory_image, query
+from qramprep.memory import QueryLedger, build_memory_image, layout_complex, query
 from qramprep.simulator import (
     BranchState,
     circular_shift,
@@ -30,7 +31,7 @@ from qramprep.simulator import (
     ry_cascade_by_gates,
 )
 from qramprep.verify import address_amplitudes, oracle_state, run_preparation, state_error
-from qramprep.weight_tree import build_weight_tree
+from qramprep.weight_tree import WeightTree, build_weight_tree
 
 
 def make_state(k, t, aux_width, branches):
@@ -345,6 +346,27 @@ class TestPrepareComplex:
         with pytest.raises(WrongModeError):
             prepare_complex(img)
 
+    @pytest.mark.parametrize("mode,other", [("complex", "real_signed"), ("real_signed", "complex")])
+    def test_exact_structure_of_other_mode_refused(self, mode, other):
+        # a complex structure would turn a real_signed run's amplitudes complex
+        m = random_matrix(2, 2, seed=1, real=True)
+        img, _ = build_memory_image(m, 8, mode)
+        _, gamma = build_memory_image(m, 8, other)
+        with pytest.raises(WrongModeError):
+            (prepare_complex if mode == "complex" else prepare_real)(img, exact=gamma)
+
+    def test_exact_structure_of_other_size_refused(self, example):
+        img, _ = build_memory_image(example, 8, "complex")
+        _, gamma = build_memory_image(random_matrix(2, 2, seed=1), 8, "complex")
+        with pytest.raises(WrongModeError):
+            prepare_complex(img, exact=gamma)
+
+    def test_ideal_run_from_a_tree_of_lists(self):
+        gamma = ComplexAngleTree(thetas=[1.0], phases=[0.0, 1.0], mode="complex")
+        state, _ = prepare_complex(layout_complex(gamma, 16), exact=gamma)
+        want = [math.cos(0.5), math.sin(0.5) * complex(math.cos(1.0), math.sin(1.0))]
+        assert address_amplitudes(state) == pytest.approx(want, abs=1e-15)
+
     def test_padding_never_reaches_the_state(self):
         # 2x3 input pads to 2x4; column 3 must end with exactly zero amplitude
         m = ComplexMatrix.from_array([[1 + 1j, 2, 3j], [4, 5 - 2j, 6]])
@@ -435,6 +457,32 @@ class TestMarkerCheck:
         stripped = {l & ~(1 << 3): a for l, a in seen[3].branches.items()}
         bad = BranchState(stripped, t=16, aux_width=16, k=3)
         assert not marker_check(bad, 3, tree)
+
+    @pytest.mark.parametrize("h", [0, 4])
+    def test_iteration_out_of_range(self, example, h):
+        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
+        with pytest.raises(IndexOutOfRangeError):
+            marker_check(state, h, build_weight_tree(squared_moduli(example)))
+
+    def test_tree_of_other_depth(self, example):
+        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
+        with pytest.raises(IndexOutOfRangeError):
+            marker_check(state, 2, build_weight_tree([1.0, 2.0, 3.0, 4.0]))
+
+    def test_zero_root_weight(self, example):
+        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
+        zero_tree = WeightTree(levels=tuple(np.zeros(1 << h) for h in range(4)))
+        assert not marker_check(state, 3, zero_tree)
+
+    def test_dirty_work_registers(self, example):
+        img, gamma = build_memory_image(example, 16, "complex")
+        tree = build_weight_tree(squared_moduli(example))
+        seen = {}
+        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        good = seen[3]
+        dirty = {l | (1 << good.angle_shift): a for l, a in good.branches.items()}
+        bad = BranchState(dirty, t=good.t, aux_width=good.aux_width, k=good.k)
+        assert marker_check(good, 3, tree) and not marker_check(bad, 3, tree)
 
 
 class TestStateHygiene:

@@ -7,6 +7,7 @@ import pytest
 
 from qramprep.errors import (
     DirtyStateError,
+    LengthMismatchError,
     NotPowerOfTwoError,
     PrecisionOutOfRangeError,
     WrongModeError,
@@ -70,6 +71,19 @@ class TestStateError:
         state = BranchState({**clean.branches, 3: 0.5}, t=8, aux_width=8, k=clean.k)  # v = 0 branch
         with pytest.raises(DirtyStateError):
             state_error(state, vec)
+
+    def test_dirty_work_registers_rejected(self, example):
+        vec = oracle_state(example)
+        clean = state_from_vector(vec)
+        label = next(iter(clean.branches)) | 1 << clean.angle_shift  # w_angle = 1
+        state = BranchState({**clean.branches, label: 0.5}, t=8, aux_width=8, k=clean.k)
+        with pytest.raises(DirtyStateError, match="work registers"):
+            state_error(state, vec)
+
+    def test_oracle_of_other_length_rejected(self, example):
+        vec = oracle_state(example)
+        with pytest.raises(LengthMismatchError):
+            state_error(state_from_vector(vec), vec[:4])
 
 
 class TestScaleRobustness:
