@@ -20,6 +20,7 @@ from .verify import (
     error_bound,
     oracle_state,
     precision_sweep,
+    quantized_oracle,
     resource_report,
     run_preparation,
     state_error,
@@ -45,6 +46,7 @@ __all__ = [
     "precision_sweep",
     "prepare_complex",
     "prepare_real",
+    "quantized_oracle",
     "random_matrix",
     "resource_report",
     "run_preparation",

@@ -109,14 +109,26 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
     try:
         doc = read_json(data)
         is_image = isinstance(doc, dict) and "cells" in doc
-        if is_image:
-            # orjson reads integers from 2**64 up as floats, and complex cells above t = 32 reach them
-            doc = read_json_stdlib(data)
+        if is_image and _holds_float(doc):
+            doc = read_json_stdlib(data)  # complex cells above t = 32 reach 2**64
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if is_image:
         return None, MemoryImage.from_json_dict(doc)
     return ComplexMatrix.from_json_dict(doc), None
+
+
+def _holds_float(image_doc: dict) -> bool:
+    """Whether an image document's header or cells hold a float.
+
+    orjson reads integers outside [-2**63, 2**64) as floats, so only such a
+    document can read differently with the stdlib, which keeps them exact.
+    """
+    header = (image_doc.get(key) for key in ("mode", "t", "k"))
+    cells = image_doc["cells"]
+    return any(type(value) is float for value in header) or (
+        isinstance(cells, list) and float in set(map(type, cells))
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -18,8 +18,9 @@ bits, so the split fits machine words even where a whole cell (complex mode
 above t = 32) does not. Layouts encode a checked ``ComplexAngleTree`` as
 whole arrays with the codecs of :mod:`qramprep.fixedpoint` and hand the
 field arrays straight in. Cells as Python ints exist only at the boundary:
-the JSON round trip, ``MemoryImage(cells=...)`` (checked in bulk, then
-split) and ``image.cells`` (built on each read, not kept).
+reading JSON, writing cells wider than 64 bits as JSON,
+``MemoryImage(cells=...)`` (checked in bulk, then split) and ``image.cells``
+(built on each read, not kept).
 
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
@@ -29,7 +30,11 @@ bitmap of K bits (K/8 bytes); ``QueryLedger.access_log`` decodes them.
 
 JSON wire format, as ``MemoryImage.to_json`` writes it for ``qramprep
 preprocess --output``: {"cells": [unsigned ints], "k": k, "mode": ..., "t": t}
-with sorted keys, indented two spaces, one cell per line.
+with sorted keys, indented two spaces, one cell per line. One format, two
+writers, split where orjson's integers end: cells of at most 64 bits (complex
+mode up to t = 32, real_signed at every t) are joined into one uint64 array
+that orjson writes; wider cells are joined as Python ints and written from
+their repr.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
+import orjson
 
 from .angles import MODES, ComplexAngleTree, build_angle_structures
 from .errors import (
@@ -53,6 +59,12 @@ from .matrix import ComplexMatrix
 
 if TYPE_CHECKING:
     from .simulator import BranchState
+
+# the json module's sort_keys=True, indent=2 layout plus its trailing newline
+_IMAGE_JSON_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    | orjson.OPT_APPEND_NEWLINE
+)
 
 
 def cell_width(t: int, mode: str) -> int:
@@ -138,22 +150,33 @@ class MemoryImage:
         """Width of the low (phase) field."""
         return self.width - self.t
 
-    def _cell_list(self) -> list[int]:
-        """Cells 0..K-1 as Python ints."""
+    def _joined(self) -> np.ndarray:
+        """Cells 0..K-1 joined from the field arrays: uint64, or Python ints past 64 bits."""
         angle, aux = self.field_arrays
         if self.width > 64:  # wider than a machine word: join as Python ints
             angle, aux = angle.astype(object), aux.astype(object)
         cells = angle << self.aux_width
         cells |= aux
-        return cells.tolist()
+        return cells
+
+    def _cell_list(self) -> list[int]:
+        """Cells 0..K-1 as Python ints."""
+        return self._joined().tolist()
 
     def to_json(self) -> str:
         """The image document, as ``qramprep preprocess --output`` writes it.
 
         Byte for byte ``json.dumps({"mode", "t", "k", "cells"}, sort_keys=True,
-        indent=2) + "\\n"``: the repr of a list of Python ints separates them
-        with ", " as the json module does, and the mode is one of ``MODES``.
+        indent=2) + "\\n"``, from one of two writers chosen by the cell width.
+        Cells of at most 64 bits (complex mode up to t = 32, real_signed at
+        every t) go to orjson as one uint64 array, with no Python int built.
+        Wider cells exceed orjson's integers: the repr of a list of Python
+        ints separates them with ", " as the json module does, and the mode
+        is one of ``MODES``.
         """
+        if self.width <= 64:
+            doc = {"cells": self._joined(), "k": self.k, "mode": self.mode, "t": self.t}
+            return orjson.dumps(doc, option=_IMAGE_JSON_OPTIONS).decode()
         cells = str(self._cell_list())[1:-1].replace(", ", ",\n    ")
         return (
             f'{{\n  "cells": [\n    {cells}\n  ],\n  "k": {self.k},\n'

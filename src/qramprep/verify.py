@@ -10,6 +10,9 @@ against the precision budget
 where delta_theta = 2**(1-t) and delta_phi = pi * 2**(-t) are the worst-case
 grid roundings (cascades are exact unitaries here, so both cascade error
 terms are zero). Acceptance checks allow a slack factor of 4 on this budget.
+That check cannot see a cascade that is slightly wrong. The quantized
+oracle can: it is the state the image's decoded cells define, built level by
+level from the cells alone, and a fixed run must match it to round-off.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .errors import (
     NotPowerOfTwoError,
     WrongModeError,
 )
-from .fixedpoint import check_precision
+from .fixedpoint import check_precision, magnitude_grid, phase_grid
 from .matrix import ComplexMatrix, scaled_entries
 from .memory import MemoryImage, QueryLedger, build_memory_image, cell_width, layout_image
 from .simulator import BranchState, prepare_complex, prepare_real
@@ -43,6 +46,25 @@ def oracle_state(m: ComplexMatrix) -> np.ndarray:
     """
     ent, _ = scaled_entries(m)
     return ent / math.sqrt(math.fsum((ent.real ** 2 + ent.imag ** 2).tolist()))
+
+
+def quantized_oracle(img: MemoryImage) -> np.ndarray:
+    """Address amplitudes a fixed run from ``img`` must produce, length K.
+
+    The image's angle fields are decoded on the magnitude grid and its phase
+    fields on the phase grid (one-bit fields hold phi / pi). Leaf z gets the
+    product of cos (left turn) or sin (right turn) of the decoded half-angles
+    along its root path, one array pass per level, times e^{i phi~_z}.
+    Nothing is shared with the simulator, so the two check each other.
+    """
+    angle, aux = img.field_arrays
+    half = 0.5 * magnitude_grid(img.t) * angle  # cell 0's angle field is never used
+    cos, sin = np.cos(half), np.sin(half)
+    amp = np.ones(1)
+    for _ in range(img.k):
+        n = amp.size  # cells n..2n-1 split the n nodes of this level
+        amp = np.stack((amp * cos[n:2 * n], amp * sin[n:2 * n]), axis=1).reshape(-1)
+    return amp * np.exp(1j * (phase_grid(img.aux_width) * aux))
 
 
 def address_amplitudes(state: BranchState) -> np.ndarray:

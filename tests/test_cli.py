@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import orjson
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qramprep
 from qramprep import simulator
 from qramprep.cli import main
 from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
-from qramprep.memory import MemoryImage, build_memory_image
+from qramprep.memory import MemoryImage, build_memory_image, cell_width
 from qramprep.simulator import dump_state, prepare_complex
 from qramprep.verify import ERROR_SLACK, error_bound, oracle_state, run_preparation, state_error
 
@@ -72,10 +74,15 @@ class TestPreprocess:
         assert a.read_bytes() == b.read_bytes()
 
 
+def image_document(cells: list[int], t: int, mode: str) -> str:
+    """An image document of ``cells`` through the json module's indented encoder."""
+    doc = {"mode": mode, "t": t, "k": len(cells).bit_length() - 1, "cells": cells}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def indented_image_json(img: MemoryImage) -> str:
     """The image document through the json module's indented encoder."""
-    doc = {"mode": img.mode, "t": img.t, "k": img.k, "cells": list(img.cells)}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return image_document(list(img.cells), img.t, img.mode)
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -85,8 +92,42 @@ def assert_same_text(got: str, want: str) -> None:
         pytest.fail(f"texts differ from offset {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
 
 
+def edge_cells(width: int, size: int) -> list[int]:
+    """``size`` cells of ``width`` bits: 0, the widest, the word edges that fit, then random."""
+    words = (2**63 - 1, 2**63, 2**64 - 1, 2**64)
+    edges = [0, (1 << width) - 1, *(c for c in words if c >> width == 0)]
+    rng = random.Random(width)
+    return (edges + [rng.getrandbits(width) for _ in range(size - len(edges))])[:size]
+
+
 class TestIndentedImageWriter:
-    """``MemoryImage.to_json`` against the json module's indented encoder, byte for byte."""
+    """``MemoryImage.to_json`` against the json module's indented encoder, byte for byte.
+
+    Cells of at most 64 bits take orjson's writer, wider ones the repr writer.
+    """
+
+    # widths 64 and 63 fill a machine word; 66 and 124 spill past it
+    EDGE_SHAPES = [("complex", 32), ("real_signed", 62), ("complex", 33), ("complex", 62)]
+
+    @pytest.mark.parametrize("size", [2, 4, 2**16])
+    @pytest.mark.parametrize("mode,t", EDGE_SHAPES)
+    def test_word_edge_cells(self, mode, t, size):
+        cells = edge_cells(cell_width(t, mode), size)
+        img = MemoryImage(cells=cells, t=t, mode=mode)
+        assert_same_text(img.to_json(), image_document(cells, t, mode))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_field_arrays(self, data):
+        mode = data.draw(st.sampled_from(["complex", "real_signed"]))
+        t = data.draw(st.integers(2, 62))
+        aux_width = cell_width(t, mode) - t
+        k = data.draw(st.integers(1, 6))
+        fields = st.tuples(st.integers(0, 2**t - 1), st.integers(0, 2**aux_width - 1))
+        pairs = data.draw(st.lists(fields, min_size=1 << k, max_size=1 << k))
+        cells = [angle << aux_width | aux for angle, aux in pairs]
+        img = MemoryImage(cells=cells, t=t, mode=mode)
+        assert img.to_json() == image_document(cells, t, mode)
 
     @pytest.mark.parametrize("mode", ["complex", "real_signed"])
     def test_matches_json_dumps_at_every_t(self, mode):
@@ -115,26 +156,42 @@ class TestIndentedImageWriter:
         assert_same_text(img.to_json(), indented_image_json(img))
 
 
+def count_parses(monkeypatch) -> list[str]:
+    """The list that names, in call order, the module of every json or orjson ``loads``."""
+    calls = []
+
+    def counting(module):
+        loads = module.loads
+
+        def parse(*args, **kwargs):
+            calls.append(module.__name__)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(module, "loads", parse)
+
+    counting(json)
+    counting(orjson)
+    return calls
+
+
 class TestJsonInput:
     @pytest.mark.parametrize("command", [["preprocess"], ["prepare"], ["sweep", "--t", "8"]])
     def test_matrix_file_is_parsed_once(self, example_path, monkeypatch, capsys, command):
-        calls = []
-
-        def counting(module):
-            loads = module.loads
-
-            def parse(*args, **kwargs):
-                calls.append(module.__name__)
-                return loads(*args, **kwargs)
-
-            monkeypatch.setattr(module, "loads", parse)
-
-        counting(json)
-        counting(orjson)
+        calls = count_parses(monkeypatch)
         assert main([*command, "--input", str(example_path)]) == 0
         assert calls == ["orjson"]
 
-    def test_wide_image_cells_read_exactly(self, example_path, tmp_path, capsys):
+    @pytest.mark.parametrize("mode,t", [("complex", 16), ("complex", 32), ("real_signed", 62)])
+    def test_image_file_is_parsed_once(self, tmp_path, monkeypatch, capsys, mode, t):
+        # cells of at most 64 bits are integers orjson keeps exact
+        img_path = tmp_path / "img.json"
+        assert main(["preprocess", "--random", "8x8", "--mode", mode, "--t", str(t),
+                     "--output", str(img_path)]) == 0
+        calls = count_parses(monkeypatch)
+        assert main(["prepare", "--input", str(img_path)]) == 0
+        assert calls == ["orjson"]
+
+    def test_wide_image_cells_read_exactly(self, example_path, tmp_path, monkeypatch, capsys):
         # complex cells at t = 40 are 80 bits wide, past the integers orjson keeps exact
         img_path, out_path = tmp_path / "img.json", tmp_path / "state.json"
         assert main(["preprocess", "--input", str(example_path), "--t", "40",
@@ -142,13 +199,34 @@ class TestJsonInput:
         capsys.readouterr()
         doc = json.loads(img_path.read_text())
         assert max(doc["cells"]) >= 2 ** 64
+        calls = count_parses(monkeypatch)
         assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
+        assert calls == ["orjson", "json"]
         state, _ = prepare_complex(MemoryImage.from_json_dict(doc))
         assert capsys.readouterr().out == (
             f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
             f"work_clean: True\nmarker_set: True\nstatus: PASS\nwrote {out_path}\n"
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("cells", 2**64, "cell 2 does not fit in 64 bits"),
+        ("cells", -2**63 - 1, "cell 2 does not fit in 64 bits"),
+        ("cells", 1.0, "cell 2 does not fit in 64 bits"),
+        ("t", 2**70, "t must be an integer in [2, 62], got 1180591620717411303424"),
+        ("k", 2**70, "k = 1180591620717411303424 needs 2**k cells, got 4"),
+    ])
+    def test_image_refusals_name_exact_values(self, tmp_path, capsys, key, value, message):
+        # orjson reads 2**64, -2**63 - 1 and 2**70 as floats; the refusals keep the integers
+        doc = json.loads(image_document(edge_cells(64, 4), 32, "complex"))
+        if key == "cells":
+            doc["cells"][2] = value
+        else:
+            doc[key] = value
+        src = tmp_path / "img.json"
+        src.write_text(json.dumps(doc))
+        assert main(["prepare", "--input", str(src)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_object_document_refused(self, tmp_path, capsys):
         src = tmp_path / "m.json"

@@ -12,14 +12,17 @@ from qramprep.errors import (
     PrecisionOutOfRangeError,
     WrongModeError,
 )
-from qramprep import verify
+from qramprep import simulator, verify
+from qramprep.fixedpoint import magnitude_grid
 from qramprep.matrix import ComplexMatrix, random_matrix
-from qramprep.memory import build_memory_image
+from qramprep.memory import MemoryImage, build_memory_image
 from qramprep.simulator import BranchState
 from qramprep.verify import (
+    ERROR_SLACK,
     error_bound,
     oracle_state,
     precision_sweep,
+    quantized_oracle,
     resource_report,
     run_preparation,
     state_error,
@@ -122,6 +125,49 @@ class TestScaleRobustness:
         assert img == base_img
         assert np.array_equal(state.amp, base_state.amp)
         assert np.array_equal(oracle_state(m), oracle_state(base))
+
+
+class TestQuantizedOracle:
+    """Fixed runs against the state their image's decoded cells define."""
+
+    T_VALUES = [2, 8, 16, 32, 48, 62]
+    MODEL_TOL = 1e-12
+
+    @pytest.mark.parametrize("mode,aux_width", [("complex", 8), ("real_signed", 1)])
+    def test_two_cells_by_hand(self, mode, aux_width):
+        # cell 1 holds the root angle, 37 grid steps, and entry 1's phase, pi
+        img = MemoryImage(cells=[0, 37 << aux_width | 1 << (aux_width - 1)], t=8, mode=mode)
+        half = 37 * magnitude_grid(8) / 2
+        assert np.allclose(quantized_oracle(img), [math.cos(half), -math.sin(half)],
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("t", T_VALUES)
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_fixed_run_matches(self, mode, t):
+        for zero_fraction in (0.0, 0.75, 0.95):
+            m = random_matrix(16, 16, seed=t, real=mode == "real_signed",
+                              zero_fraction=zero_fraction)
+            state, _, img = run_preparation(m, t, mode)
+            assert state_error(state, quantized_oracle(img)) <= self.MODEL_TOL, zero_fraction
+
+    @pytest.mark.parametrize("scale", TestScaleRobustness.SCALES)
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_fixed_run_matches_at_any_scale(self, scale, mode):
+        base = random_matrix(8, 8, seed=3, real=mode == "real_signed", zero_fraction=0.25)
+        m = ComplexMatrix.from_array(base.entries.reshape(base.rows, base.cols) * scale)
+        for t in self.T_VALUES:
+            state, _, img = run_preparation(m, t, mode)
+            assert state_error(state, quantized_oracle(img)) <= self.MODEL_TOL, t
+
+    def test_catches_an_over_rotation_within_the_budget(self, monkeypatch):
+        # every angle 3e-9 too large (relative): the state stays inside 4x the
+        # budget, but no longer matches the cells it was prepared from
+        m = random_matrix(256, 256, seed=7)
+        grid = simulator.magnitude_grid
+        monkeypatch.setattr(simulator, "magnitude_grid", lambda t: (1 + 3e-9) * grid(t))
+        state, _, img = run_preparation(m, 32)
+        assert state_error(state, oracle_state(m)) <= ERROR_SLACK * error_bound(m.depth, 32)
+        assert state_error(state, quantized_oracle(img)) > self.MODEL_TOL
 
 
 class TestErrorBound:
