@@ -17,9 +17,9 @@ from .errors import ExampleMismatchError, ParseError, QramPrepError
 from .fixedpoint import phase_distance
 from .matrix import (
     ComplexMatrix,
+    _read_matrix_json,
     load_matrix,
     random_matrix,
-    read_json,
     read_json_stdlib,
     squared_moduli,
 )
@@ -31,6 +31,7 @@ from .verify import (
     error_bound,
     oracle_state,
     precision_sweep,
+    quantized_oracle,
     resource_report,
     run_preparation,
     state_error,
@@ -71,7 +72,8 @@ EXAMPLE_STEP_MODULI = {
 ANGLE_TOL = 1e-3  # recorded angles and phases carry three decimals
 STEP_TOL = 1e-6
 FINAL_TOL = 1e-10
-NORM_TOL = 1e-12  # a run from a memory image has no oracle; it must stay a unit vector
+NORM_TOL = 1e-12  # a run from a memory image has no matrix; it must stay a unit vector
+MODEL_TOL = 1e-12  # and match the quantized state that the image's fields encode
 
 
 def example_matrix() -> ComplexMatrix:
@@ -107,12 +109,14 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
     if path.suffix.lower() == ".csv":
         return load_matrix(data, "csv"), None
     try:
-        doc = read_json(data)
+        doc = _read_matrix_json(data)
         is_image = isinstance(doc, dict) and "cells" in doc
         if is_image and _holds_float(doc):
             doc = read_json_stdlib(data)  # complex cells above t = 32 reach 2**64
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if isinstance(doc, ComplexMatrix):
+        return doc, None
     if is_image:
         return None, MemoryImage.from_json_dict(doc)
     return ComplexMatrix.from_json_dict(doc), None
@@ -161,6 +165,10 @@ def cmd_prepare(args) -> int:
         marked = state.marker_set()
         ok = norm_error <= NORM_TOL and clean and marked
         checks = {"norm_error": f"{norm_error:.6e}", "work_clean": clean, "marker_set": marked}
+        if clean and marked:
+            model_error = state_error(state, quantized_oracle(img))
+            ok = ok and model_error <= MODEL_TOL
+            checks["model_error"] = f"{model_error:.6e}"
     else:
         state, ledger, _ = run_preparation(m, args.t, mode=args.mode, sim=args.sim)
         err = state_error(state, oracle_state(m))

@@ -6,9 +6,13 @@ dimension is a power of two. Entry (i, j) lives at flat index z = i * cols + j.
 Accepted input formats:
 
 * JSON: ``{"rows": M, "cols": N, "entries": [[re, im], ...]}`` with the
-  entries row-major and of length ``M * N``. Matrix JSON is read by orjson,
-  and the stdlib reader runs on the documents orjson refuses (and on those
-  that nest deeper than 128 levels or hold a backslash).
+  entries row-major and of length ``M * N``. Matrix JSON is read by orjson.
+  A regular document (one array of pairs with only whitespace and commas
+  between them, no string holding a bracket, comma or backslash; every
+  ``json.dumps`` layout) is read with its pair brackets blanked, as one flat
+  list of parts with no list per entry. Other documents are read nested,
+  and the stdlib reader runs on those orjson refuses (and on those that
+  nest deeper than 128 levels or hold a backslash).
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
   ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
@@ -153,7 +157,10 @@ class ComplexMatrix:
 def load_matrix(source, fmt: str) -> ComplexMatrix:
     """Parse and validate a matrix from JSON or CSV content.
 
-    ``source`` may be str, bytes, or a file-like object.
+    ``source`` may be str, bytes, or a file-like object. A regular JSON
+    document (see :func:`_regular_matrix`), which every ``json.dumps`` layout
+    of a matrix is, is read flat with no per-entry lists; any other JSON is
+    read nested, by :meth:`ComplexMatrix.from_json_dict`.
     """
     if not isinstance(source, (str, bytes)):
         if hasattr(source, "read"):
@@ -162,7 +169,8 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
             f"source must be str, bytes or a file-like object, got {type(source).__name__}"
         )
     if fmt == "json":
-        return ComplexMatrix.from_json_dict(read_json(source))
+        doc = _read_matrix_json(source)
+        return doc if isinstance(doc, ComplexMatrix) else ComplexMatrix.from_json_dict(doc)
     if fmt == "csv":
         return _load_csv(_decode_utf8(source))
     raise ParseError(f"unknown matrix format {fmt!r}")
@@ -171,38 +179,129 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
 # orjson 3.8 nests without a limit and crashes the interpreter (SIGSEGV) on arrays
 # ~150k deep, a 300 kB document; deeper documents go to the stdlib reader instead
 _ORJSON_MAX_DEPTH = 128
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}",')))
+_JSON_SPACE = b" \t\n\r"
 
 
-def read_json(source: str | bytes):
-    """The JSON value in ``source``: orjson's reading, or the stdlib's where orjson refuses.
+def _read_matrix_json(source: str | bytes):
+    """The matrix of a regular document, read flat; for any other, the JSON value in ``source``.
 
+    That value is orjson's reading, or the stdlib's where orjson refuses.
     orjson refuses NaN and Infinity, numbers beyond double range, invalid
     UTF-8, a BOM and lone surrogates, so each of those keeps the stdlib
     reading and its error; so does a document with a backslash or nested
     deeper than ``_ORJSON_MAX_DEPTH``. orjson reads integers outside
     [-2**63, 2**64) as floats; :func:`read_json_stdlib` keeps them exact.
+    The document's structure is scanned once, for the flat and the orjson reading.
     """
     data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
-    if b"\\" not in data and _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
-        try:
-            return orjson.loads(source)
-        except orjson.JSONDecodeError:
-            pass
+    marks = _marks(data)
+    if marks is not None:
+        m = _regular_matrix(data, marks)
+        if m is not None:
+            return m
+        if _nesting_depth(marks) <= _ORJSON_MAX_DEPTH:
+            try:
+                return orjson.loads(source)
+            except orjson.JSONDecodeError:
+                pass
     return read_json_stdlib(source)
 
 
-def _nesting_depth(data: bytes) -> int:
-    """How deep arrays and objects nest in JSON ``data`` that holds no backslash.
+def _marks(data: bytes) -> bytes | None:
+    """The structural bytes ``[]{}",`` of JSON ``data`` in order; None if it holds a backslash."""
+    return None if b"\\" in data else data.translate(None, _NOT_MARK)
+
+
+def _nesting_depth(marks: bytes) -> int:
+    """How deep arrays and objects nest in the JSON whose :func:`_marks` are ``marks``.
 
     Without a backslash no quote is escaped, so a bracket lies inside a
     string iff an odd number of quotes precede it.
     """
-    marks = np.frombuffer(data.translate(None, _NOT_STRUCTURE), np.uint8)
-    folded = marks | 0x20  # '[' -> '{', ']' -> '}'
+    marks = np.frombuffer(marks, np.uint8)
+    folded = marks | 0x20  # '[' -> '{', ']' -> '}'; ',' stays itself
     steps = (folded == 0x7B).view(np.int8) - (folded == 0x7D).view(np.int8)
     steps[np.logical_xor.accumulate(marks == 0x22)] = 0
     return int(np.cumsum(steps, dtype=np.intp).max(initial=0))
+
+
+def _regular_matrix(data: bytes, marks: bytes) -> ComplexMatrix | None:
+    """The matrix of a regular document, parsed as one flat list; None for any other document.
+
+    Regular: ``data`` holds no backslash, its :func:`_marks` read
+    ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are dropped
+    (so no string holds a structural byte, and the object's one array is
+    n >= 1 pairs), and only JSON whitespace lies in that array outside its
+    pairs (see :func:`_blank_pairs`). orjson then reads the text with the
+    pair brackets blanked, ``entries`` as ``[re0, im0, re1, im1, ...]``. The
+    matrix is built only if that parse succeeds and rows, cols and the
+    2 rows*cols parts are what :meth:`ComplexMatrix.from_json_dict` accepts;
+    every other document reads the nested way, so each refusal keeps its
+    type and message.
+    """
+    marks = marks.replace(b'""', b"")
+    first, last = marks.find(b"["), marks.rfind(b"]")
+    n = (last - first) // 4
+    if n < 1 or marks[:first] != b"{".ljust(first, b",") \
+            or marks[first:last + 1] != b"[[,]" + b",[,]" * (n - 1) + b"]" \
+            or marks[last + 1:] != b"}".rjust(len(marks) - last - 1, b","):
+        return None
+    flat = _blank_pairs(data, n)
+    if flat is None:
+        return None
+    try:
+        doc = orjson.loads(flat)
+    except orjson.JSONDecodeError:
+        return None
+    del flat  # free each stage before the next one is built: together they set the peak
+    rows, cols, entries = doc.get("rows"), doc.get("cols"), doc.get("entries")
+    # the CLI reads a document with cells as a memory image
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1 \
+            or "cells" in doc or type(entries) is not list or len(entries) != 2 * rows * cols \
+            or not set(map(type, entries)) <= {int, float}:
+        return None
+    # orjson 3.8 reads no integer past 64 bits and no number past the double
+    # range; these two guards keep any other reading on the nested path
+    try:
+        parts = np.fromiter(entries, dtype=np.float64, count=len(entries))
+    except OverflowError:
+        return None
+    del doc, entries
+    if not np.isfinite(parts).all():
+        return None
+    return ComplexMatrix.from_array(parts.view(np.complex128).reshape(rows, cols))
+
+
+def _blank_pairs(data: bytes, n: int) -> bytearray | None:
+    """``data`` with the brackets of its n pairs blanked; None if more than whitespace parts them.
+
+    No string of ``data`` holds a bracket (see :func:`_regular_matrix`), so
+    its first and last bracket enclose the array. Once the brackets are gone,
+    a value outside the pairs would read as an empty part beside it
+    (``[1[, 2], ...]``), so every gap must be whitespace and one comma. The
+    first gap is blanked everywhere with one ``bytes.replace``; gaps that
+    differ from it (row breaks, say) are checked and blanked one by one.
+    """
+    outer, close = data.find(b"["), data.rfind(b"]")
+    start, end = data.find(b"[", outer + 1), data.rfind(b"]", outer, close)
+    if data[outer + 1:start].strip(_JSON_SPACE) or data[end + 1:close].strip(_JSON_SPACE):
+        return None
+    if n > 1:
+        stop = data.find(b"]", start)
+        gap = data[stop + 1:data.find(b"[", stop)]
+        if gap.strip(_JSON_SPACE) != b",":
+            return None
+        data = data.replace(b"]" + gap + b"[", b" " + gap + b" ")
+    flat = bytearray(data)
+    flat[start] = flat[end] = ord(" ")
+    at = start
+    while (at := flat.find(b"[", at, end)) != -1:
+        stop = flat.rfind(b"]", start, at)
+        if flat[stop + 1:at].strip(_JSON_SPACE) != b",":
+            return None
+        flat[stop] = flat[at] = ord(" ")
+    return flat
 
 
 def read_json_stdlib(source: str | bytes):

@@ -415,19 +415,17 @@ def dump_state(state: BranchState) -> dict:
     if not state.work_clean():
         raise DirtyStateError("cannot dump a state with nonzero work registers")
     order = np.lexsort((state.v, state.addr))
-    amp = state.amp[order]
     # the rows are acyclic, so the cyclic collector would only rescan them
     # as they accumulate; pause it, and restore the caller's setting
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         rows = [
-            {"address": a, "v": v, "amp": [re, im]}
-            for a, v, re, im in zip(
+            {"address": a, "v": v, "amp": pair}
+            for a, v, pair in zip(
                 state.addr[order].tolist(),
                 state.v[order].tolist(),
-                amp.real.tolist(),
-                amp.imag.tolist(),
+                state.amp[order].view(np.float64).reshape(-1, 2).tolist(),
             )
         ]
     finally:

@@ -13,12 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qramprep
-from qramprep import simulator
+from qramprep import matrix, simulator
 from qramprep.cli import main
 from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image, cell_width
 from qramprep.simulator import dump_state, prepare_complex
-from qramprep.verify import ERROR_SLACK, error_bound, oracle_state, run_preparation, state_error
+from qramprep.verify import (
+    ERROR_SLACK,
+    error_bound,
+    oracle_state,
+    quantized_oracle,
+    run_preparation,
+    state_error,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "example_matrix.json"
 
@@ -181,6 +188,29 @@ class TestJsonInput:
         assert main([*command, "--input", str(example_path)]) == 0
         assert calls == ["orjson"]
 
+    def test_matrix_file_is_read_flat(self, example_path, monkeypatch, capsys):
+        def refuse(entries):
+            raise AssertionError("entries read as a list per entry")
+
+        monkeypatch.setattr(matrix, "_entry_array", refuse)
+        assert main(["preprocess", "--input", str(example_path)]) == 0
+        assert "K=8" in capsys.readouterr().out
+
+    def test_image_file_is_scanned_once(self, example_path, tmp_path, monkeypatch, capsys):
+        img_path = tmp_path / "img.json"
+        assert main(["preprocess", "--input", str(example_path), "--output", str(img_path)]) == 0
+        scans = []
+        marks = matrix._marks
+        monkeypatch.setattr(matrix, "_marks", lambda data: scans.append(1) or marks(data))
+        assert main(["prepare", "--input", str(img_path)]) == 0
+        assert scans == [1]
+
+    def test_matrix_document_with_cells_is_an_image(self, tmp_path, capsys):
+        src = tmp_path / "m.json"
+        src.write_text('{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "cells": 3}')
+        assert main(["preprocess", "--input", str(src)]) == 1
+        assert capsys.readouterr().err == "error: memory image document missing key: 'mode'\n"
+
     @pytest.mark.parametrize("mode,t", [("complex", 16), ("complex", 32), ("real_signed", 62)])
     def test_image_file_is_parsed_once(self, tmp_path, monkeypatch, capsys, mode, t):
         # cells of at most 64 bits are integers orjson keeps exact
@@ -202,10 +232,13 @@ class TestJsonInput:
         calls = count_parses(monkeypatch)
         assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
         assert calls == ["orjson", "json"]
-        state, _ = prepare_complex(MemoryImage.from_json_dict(doc))
+        img = MemoryImage.from_json_dict(doc)
+        state, _ = prepare_complex(img)
         assert capsys.readouterr().out == (
             f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
-            f"work_clean: True\nmarker_set: True\nstatus: PASS\nwrote {out_path}\n"
+            f"work_clean: True\nmarker_set: True\n"
+            f"model_error: {state_error(state, quantized_oracle(img)):.6e}\n"
+            f"status: PASS\nwrote {out_path}\n"
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
@@ -301,10 +334,13 @@ class TestPrepare:
         main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
         capsys.readouterr()
         assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
-        state, _ = prepare_complex(MemoryImage.from_json_dict(json.loads(img_path.read_text())))
+        img = MemoryImage.from_json_dict(json.loads(img_path.read_text()))
+        state, _ = prepare_complex(img)
         assert capsys.readouterr().out == (
             f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
-            f"work_clean: True\nmarker_set: True\nstatus: PASS\nwrote {out_path}\n"
+            f"work_clean: True\nmarker_set: True\n"
+            f"model_error: {state_error(state, quantized_oracle(img)):.6e}\n"
+            f"status: PASS\nwrote {out_path}\n"
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
@@ -322,6 +358,21 @@ class TestPrepare:
         out = capsys.readouterr().out
         assert "work_clean: True" in out and "marker_set: True" in out
         assert "status: PASS" in out
+
+    def test_image_run_fails_on_an_over_rotation(self, example_path, tmp_path, capsys,
+                                                 monkeypatch):
+        # every angle 3e-9 too large (relative): the state stays a clean, marked unit
+        # vector, and only the image's own quantized state tells the run is wrong
+        img_path = tmp_path / "img.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        grid = simulator.magnitude_grid
+        monkeypatch.setattr(simulator, "magnitude_grid", lambda t: (1 + 3e-9) * grid(t))
+        assert main(["prepare", "--input", str(img_path)]) == 1
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(out["norm_error"]) <= 1e-12
+        assert (out["work_clean"], out["marker_set"], out["status"]) == ("True", "True", "FAIL")
+        assert float(out["model_error"]) > 1e-9
 
     def test_image_run_fails_on_a_dropped_branch(self, example_path, tmp_path, capsys,
                                                  monkeypatch):

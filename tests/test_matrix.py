@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qramprep import matrix
 from qramprep.errors import (
     AllZeroMatrixError,
     EmptyMatrixError,
@@ -26,11 +28,11 @@ from qramprep.matrix import (
     load_matrix,
     parse_complex_literal,
     random_matrix,
-    read_json,
     read_json_stdlib,
     scaled_moduli,
     squared_moduli,
 )
+from qramprep.memory import build_memory_image
 
 EXAMPLE_JSON = json.dumps(
     {
@@ -196,6 +198,38 @@ def _nested(depth: int) -> str:
 
 SMALL = '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}'
 HUGE_DIMENSION = 2 ** 64  # orjson reads it as a float, the stdlib as an int
+EXAMPLE_FILE = (Path(__file__).resolve().parent.parent / "data" / "example_matrix.json").read_text()
+
+
+def _pairs(m: ComplexMatrix) -> list:
+    return m.entries.view(np.float64).reshape(-1, 2).tolist()
+
+
+def _layouts(doc: dict) -> list[str]:
+    """``doc`` as ``json.dumps`` writes it indented, compact and with its default separators."""
+    return [json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":")), json.dumps(doc)]
+
+
+def _with_entries(text: str) -> str:
+    """SMALL with ``text`` in place of its entries."""
+    return SMALL.replace("[[1, 0], [0, 1]]", text)
+
+
+LAYOUTS = _layouts({"rows": 4, "cols": 4, "entries": _pairs(random_matrix(4, 4, seed=9))})
+# documents that load_matrix reads flat, with no list per entry
+FLAT_READABLE = [
+    *LAYOUTS,
+    EXAMPLE_JSON,
+    EXAMPLE_FILE,  # a row break is a second gap between pairs
+    SMALL.replace(" ", ""),
+    _with_entries("[ [ 1 , 0 ] ,\n\t[ 0 , 1 ] ]"),
+    _with_entries("[[1, 0], [0, 1] ,[1, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
+    '{"entries": [[1, 0], [0, 1]], "cols": 2, "rows": 1}',
+    '{"id": 7, "rows": 1, "scale": 1.5, "cols": 2, "entries": [[1, 0], [0, 1]], "ok": true,'
+    ' "tag": null, "name": "m", "": ""}',
+    json.dumps({"rows": 2, "cols": 2, "entries": [[0, 0]] * 4}),  # refused all zero
+    json.dumps({"rows": 1, "cols": 1, "entries": [[5, 0]]}),  # refused single cell
+]
 
 READER_CORPUS = [
     # the documents of TestLoadMatrix
@@ -257,6 +291,45 @@ READER_CORPUS = [
     _nested(2000),
     SMALL.replace("[1, 0]", _nested(2000)),
     SMALL[:-1] + ', "note": ' + _nested(2000) + "}",
+    # json.dumps layouts, keys in every order, extra scalar keys
+    *FLAT_READABLE,
+    *(json.dumps(dict(keys)) for keys in itertools.permutations(
+        [("rows", 1), ("cols", 2), ("entries", [[1, 0], [0.5, -2]])])),
+    # strings that hold a structural byte, and other arrays or objects beside the pairs
+    *(SMALL[:-1] + f', "note": "{text}"}}' for text in ["[", "]", ",", "a, b", "[,]", "{", '"']),
+    '{"]": 1, ' + SMALL[1:],
+    _with_entries('[[1, 0], ["[", 1]]'),
+    SMALL[:-1] + ', "meta": {"a": 1}}',
+    SMALL[:-1] + ', "cells": [1, 2]}',
+    SMALL[:-1] + ', "cells": 3}',
+    # pairs of other lengths, and values beside or inside the pairs
+    *(_with_entries(text) for text in [
+        "[[1, 0], [0]]", "[[1, 0], [0, 1, 2]]", "[[1, 0], []]", "[[1], [0, 1, 2]]",
+        "[[1, 0], 5, [0, 1]]", "[5, [1, 0], [0, 1]]", "[[1, 0], [0, 1], 5]",
+        "[1[, 0], [0, 1]]", "[[1, 0], [0, ]1]", "[[1, 0]5, [, 1]]", "[[1, 0], 1[, 1]]",
+        "[[1, 0], [0, true]]", "[[null, 0], [0, 1]]", '[["1", 0], [0, 1]]', "[[1, 0], [0, -]]",
+    ]),
+    _with_entries("[[1, 0], [0, 1]1, [, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
+    _with_entries("[[1, 0], [0, 1], 1[, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
+    # missing and doubled commas
+    *(_with_entries(text) for text in [
+        "[[1 0], [0, 1]]", "[[1, 0] [0, 1]]", "[[1,, 0], [0, 1]]", "[[1, 0],, [0, 1]]",
+        "[[1, 0], [0, 1],]", "[, [1, 0], [0, 1]]", "[[, 1, 0], [0, 1]]",
+    ]),
+    SMALL.replace('"rows": 1,', '"rows": 1'),
+    SMALL.replace('"rows": 1,', '"rows": 1,,'),
+    SMALL + ",",
+    SMALL + " 1",
+    # dimensions that do not fit the pairs, and duplicate entries
+    json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0]] * 5}),
+    json.dumps({"rows": 1, "cols": 1, "entries": [[1, 0], [0, 1]]}),
+    json.dumps({"rows": 1, "cols": 1, "entries": []}),
+    json.dumps({"rows": True, "cols": 2, "entries": [[1, 0], [0, 1]]}),
+    json.dumps({"rows": 1.0, "cols": 2, "entries": [[1, 0], [0, 1]]}),
+    SMALL[:-1] + ', "entries": 5}',
+    '{"entries": 5, ' + SMALL[1:],
+    # a memory image
+    build_memory_image(random_matrix(2, 4, seed=1), 16, "complex")[0].to_json(),
 ]
 
 BYTE_CORPUS = [
@@ -321,8 +394,8 @@ class TestReaderDifferential:
         monkeypatch.setattr(json, "loads", lambda text: stdlib.append(text) or loads(text))
         for doc in READER_CORPUS:
             try:
-                read_json(doc)
-            except ParseError:
+                matrix._read_matrix_json(doc)
+            except QramPrepError:
                 pass
         assert 0 < len(stdlib) < len(READER_CORPUS)
 
@@ -348,7 +421,7 @@ class TestReaderDifferential:
         ],
     )
     def test_nesting_depth(self, data, depth):
-        assert _nesting_depth(data) == depth
+        assert _nesting_depth(matrix._marks(data)) == depth
 
     def test_deep_nesting_refused_without_a_crash(self):
         # orjson 3.8 overflows the C stack on arrays ~150k deep instead of refusing them
@@ -374,6 +447,19 @@ class TestReaderDifferential:
         m = load_matrix(_entries_doc(["-0.0", "0.0", "-0"]), "json")
         assert [math.copysign(1.0, x) for x in m.entries.real[:3]] == [-1.0, 1.0, 1.0]
 
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from([doc.encode() for doc in FLAT_READABLE]), st.data())
+    def test_one_byte_edit(self, doc, data):
+        # each edit of a regular document is read flat, nested, or refused, as the stdlib does
+        edits = b'[],"1t'
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(doc)))
+            edited = doc[:at] + bytes([data.draw(st.sampled_from(edits))]) + doc[at:]
+        else:
+            at = data.draw(st.sampled_from([i for i, b in enumerate(doc) if b in edits]))
+            edited = doc[:at] + doc[at + 1:]
+        assert_reads_like_stdlib(edited)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
         st.tuples(
@@ -386,6 +472,38 @@ class TestReaderDifferential:
         doc = json.dumps({"rows": 1, "cols": len(pairs), "entries": pairs})
         assert_reads_like_stdlib(doc)
         assert_reads_like_stdlib(doc.encode())
+
+
+def _refuse_nested_reading(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("entries read as a list per entry")
+
+    monkeypatch.setattr(matrix, "_entry_array", refuse)
+
+
+class TestFlatReading:
+    """Which documents are read flat: the nested reading (``_entry_array``) never runs."""
+
+    @pytest.mark.parametrize("doc", FLAT_READABLE, ids=range(len(FLAT_READABLE)))
+    def test_read_flat(self, doc, monkeypatch):
+        want = _outcome(_stdlib_reading, doc)
+        _refuse_nested_reading(monkeypatch)
+        assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
+
+    @pytest.mark.parametrize("doc", [
+        SMALL[:-1] + ', "cells": 3}',
+        SMALL[:-1] + ', "note": "]"}',
+        SMALL[:-1] + ', "note": [1, 2]}',
+        SMALL.replace("[0, 1]", "[0, 1.5e0]").replace(" ", "\x0c"),
+        _nested(300),
+        build_memory_image(random_matrix(2, 4, seed=1), 16, "complex")[0].to_json(),
+    ])
+    def test_declined_document_is_scanned_once(self, doc, monkeypatch):
+        scans = []
+        marks = matrix._marks
+        monkeypatch.setattr(matrix, "_marks", lambda data: scans.append(1) or marks(data))
+        assert _outcome(lambda s: load_matrix(s, "json"), doc) == _outcome(_stdlib_reading, doc)
+        assert scans == [1]
 
 
 class TestComplexLiteral:

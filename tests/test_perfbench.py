@@ -54,6 +54,15 @@ def test_traced_workload_reports_every_layer_metric(workloads, tracing, name):
     assert tracer.metrics()[1] == []
 
 
+def test_preprocess_reads_its_matrix_flat(workloads, monkeypatch):
+    def refuse(entries):
+        raise AssertionError("entries read as a list per entry")
+
+    monkeypatch.setattr(workloads.qp.matrix, "_entry_array", refuse)
+    wl = workloads.build("preprocess", seed=401, k=6)
+    assert 0.0 <= wl.check(wl.op()) <= 1.0
+
+
 def test_check_rejects_a_corrupted_image(workloads):
     wl = workloads.build("preprocess", seed=401, k=6)
     doc = json.loads(wl.op())
