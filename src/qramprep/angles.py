@@ -3,10 +3,13 @@
 The angle at memory index z rotates probability weight between the two child
 subtrees under node z of the weight tree:
 
-    theta_z = 2 * arcsin(sqrt(T_R / (T_L + T_R)))    (0 when both children are 0)
+    theta_z = 2 * atan2(sqrt(T_R), sqrt(T_L))    (0 when both children are 0)
 
 so that a y-rotation by theta_z maps |0> to sqrt(T_L / (T_L + T_R)) |0> +
-sqrt(T_R / (T_L + T_R)) |1>. All theta_z are unsigned magnitudes in [0, pi];
+sqrt(T_R / (T_L + T_R)) |1>. It equals 2 * arcsin(sqrt(T_R / (T_L + T_R)))
+mathematically, but stays well conditioned over all of [0, pi]: the ratio
+form rounds R / (L + R) to 1 once T_L is below ~2^-53 of T_R, and so drops
+the lighter child. All theta_z are unsigned magnitudes in [0, pi];
 sign and phase information lives only in the per-entry leaf layer of
 phases phi_z = atan2(im, re) reduced to [0, 2*pi), 0 for zero entries. Real
 data is the one-bit case of the same layer: every phase is 0 or pi.
@@ -90,13 +93,17 @@ def _frozen_floats(x, what: str) -> np.ndarray:
 
 
 def _split_angles(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """2 * arcsin(sqrt(R / (L + R))) for each sibling pair; 0 where L + R is 0."""
-    total = left + right
-    ratio = np.divide(right, total, out=np.zeros_like(total), where=total > 0.0)
-    root = np.sqrt(ratio)  # finite L, R >= 0 round to L + R >= R: the ratio is in [0, 1]
-    # math.asin, not np.arcsin: SIMD builds of np.arcsin can differ in the
-    # last ulps, which moves rounded cells at high t
-    return 2.0 * np.fromiter(map(math.asin, root.tolist()), dtype=np.float64, count=root.size)
+    """2 * atan2(sqrt(R), sqrt(L)) for each sibling pair; 0 where L and R are both 0.
+
+    Mathematically 2 * arcsin(sqrt(R / (L + R))), but well conditioned over all
+    of [0, pi]: no ratio rounds a tiny sibling away, and L = 0 or R = 0 gives
+    exactly pi or 0. Computed in place, so a level holds two temporaries.
+    """
+    theta, root_left = np.sqrt(right), np.sqrt(left)
+    root_left += 0.0  # -0.0 to +0.0: atan2(0, -0) is pi
+    np.arctan2(theta, root_left, out=theta)
+    theta *= 2.0
+    return theta
 
 
 def splitting_angle(z: int, tree: WeightTree) -> float:

@@ -86,10 +86,8 @@ def encode_phases(phis, t: int) -> np.ndarray:
     check_precision(t)
     x = _as_floats(phis, "phi")
     _first_bad(~np.isfinite(x), x, "phi", "be finite")
-    reduced = np.mod(x, math.tau)
-    # float mod can land exactly on the modulus (tiny negatives do)
-    reduced = np.where(reduced >= math.tau, 0.0, reduced)
-    return _round_half_up(reduced / phase_grid(t)) % (1 << t)
+    # a tiny negative phi reduces to exactly 2*pi, whose code 2**t wraps to 0
+    return _round_half_up(np.mod(x, math.tau) / phase_grid(t)) % (1 << t)
 
 
 def encode_magnitude_angle(theta: float, t: int) -> int:

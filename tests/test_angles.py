@@ -102,14 +102,25 @@ class TestAngleTree:
     weights = st.floats(0.0, sys.float_info.max / 2, allow_subnormal=True)
 
     @given(st.lists(st.tuples(weights, weights), min_size=1, max_size=50))
-    def test_ratio_needs_no_clip(self, pairs):
-        # the formula with the clip into [0, 1] it once carried, bit for bit
+    def test_matches_scalar_atan2_form(self, pairs):
+        # the level pass is the scalar 2 atan2(sqrt(R), sqrt(L)) per pair, bit for bit
         left, right = (np.array(side, dtype=np.float64) for side in zip(*pairs))
-        total = left + right
-        ratio = np.divide(right, total, out=np.zeros_like(total), where=total > 0.0)
-        assert np.all((ratio >= 0.0) & (ratio <= 1.0))
-        clipped = [2.0 * math.asin(math.sqrt(r)) for r in np.clip(ratio, 0.0, 1.0).tolist()]
-        assert _split_angles(left, right).tobytes() == np.array(clipped).tobytes()
+        scalar = [2 * np.arctan2(np.sqrt(np.float64(r)), np.sqrt(np.float64(l))) for l, r in pairs]
+        assert _split_angles(left, right).tobytes() == np.array(scalar).tobytes()
+
+    @given(st.floats(2.0 ** -20, 2.0 ** 20), st.floats(1e-300, 1.0))
+    def test_tiny_sibling_keeps_its_weight(self, right, ratio):
+        # cos(theta/2) sqrt(L + R) = sqrt(L) to a few ulps, for L/R down to 1e-300;
+        # 2 asin(sqrt(R / (L + R))) rounds the ratio to 1 below L/R ~ 2^-53 and loses sqrt(L)
+        left = ratio * right
+        theta = _split_angles(np.array([left]), np.array([right]))[0]
+        norm = np.sqrt(left + right)
+        assert abs(np.cos(theta / 2) * norm - np.sqrt(left)) <= 4 * np.spacing(norm)
+
+    def test_negative_zero_weights_split_like_zero(self):
+        # atan2(0, -0) is pi: a -0.0 weight must still give the zero-pair angle 0
+        thetas = build_angle_tree(build_weight_tree([-0.0, 0.0, 1.0, 0.0]))
+        assert thetas.tolist() == [math.pi, 0.0, 0.0]
 
 
 class TestPhaseLayer:

@@ -425,6 +425,14 @@ class TestPrepare:
         assert main(["prepare", "--input", str(src), "--sim", "ideal", "--t", "24"]) == 0
         assert "status: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_entry_far_below_its_sibling(self, tmp_path, capsys, mode):
+        # 1e-9 squares to 1e-18 of its sibling's weight: the ideal angle must keep it
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [[1e-9, 0.0], [1.0, 0.0]]}))
+        assert main(["prepare", "--input", str(src), "--mode", mode, "--sim", "ideal"]) == 0
+        assert "status: PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("seed", ["-1", "--seed=-7"], ids=["-1", "=-7"])
     def test_negative_seed_is_refused(self, capsys, seed):
         spec = [seed] if seed.startswith("--") else ["--seed", seed]

@@ -233,6 +233,11 @@ class TestArrayEncodersMatchScalarRule:
                 assert encode_magnitude_angle(float(theta), t) == scalar_magnitude_bits(theta, t)
                 assert encode_phase(float(phi), t) == scalar_phase_bits(phi, t)
 
+    @pytest.mark.parametrize("t", [16, 62])
+    def test_phases_reducing_to_tau_wrap_to_zero(self, t):
+        # phase_grid(t) is exact, so 2*pi encodes as 2**t and the final mod maps it to 0
+        assert encode_phases([-1e-300, -5e-17, -1e-17, math.tau], t).tolist() == [0, 0, 0, 0]
+
     def test_first_bad_index_named(self):
         with pytest.raises(AngleOutOfRangeError, match="index 2"):
             encode_magnitude_angles([0.0, 1.0, math.nan, -1.0], 8)

@@ -1,10 +1,12 @@
 """Vectorized layouts against a per-cell reference layout, bit for bit.
 
 The reference below walks the weight tree one memory index at a time with
-scalar ``math`` calls and the half-up rounding rule, the way cells were
-built before the writer path was vectorized. It lives here only. Leaf phases
-come from ``build_phase_layer`` in both paths: np.arctan2 and math.atan2 can
-differ in the last ulp, which shows in the phase field at t = 62.
+scalar calls and the half-up rounding rule, the way cells were built before
+the writer path was vectorized. It lives here only. Its angle is
+2 atan2(sqrt(R), sqrt(L)) on numpy float64 scalars, not ``math.atan2``, and
+leaf phases come from ``build_phase_layer`` in both paths: numpy's SIMD
+arctan2 and libm's atan2 can differ in the last ulp, which shows in the
+angle and phase fields at t = 62.
 """
 import math
 
@@ -21,13 +23,9 @@ from qramprep.weight_tree import build_weight_tree
 def reference_angle(tree, z: int) -> float:
     level = z.bit_length()
     pos = z - (1 << (level - 1))
-    left = float(tree.levels[level][2 * pos])
-    right = float(tree.levels[level][2 * pos + 1])
-    total = left + right
-    if total <= 0.0:
-        return 0.0
-    ratio = min(max(right / total, 0.0), 1.0)
-    return 2.0 * math.asin(math.sqrt(ratio))
+    left = tree.levels[level][2 * pos]
+    right = tree.levels[level][2 * pos + 1]
+    return float(2 * np.arctan2(np.sqrt(right), np.sqrt(left)))
 
 
 def reference_phase_bits(phi: float, t: int) -> int:

@@ -194,6 +194,12 @@ class TestImageTypes:
         with pytest.raises(LengthMismatchError):
             MemoryImage(cells=(0,) * n, t=4, mode="complex")
 
+    def test_smallest_image_two_cells(self):
+        # K = 2 (k = 1) is the smallest image; K = 1 is refused
+        assert MemoryImage(cells=(0, 17), t=4, mode="complex").cells == (0, 17)
+        with pytest.raises(LengthMismatchError):
+            MemoryImage(cells=(17,), t=4, mode="complex")
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(WrongModeError):
             MemoryImage(cells=(0, 0), t=4, mode="polar")

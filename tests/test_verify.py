@@ -4,12 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qramprep.errors import (
     DirtyStateError,
     LengthMismatchError,
     NotPowerOfTwoError,
     PrecisionOutOfRangeError,
+    QramPrepError,
     WrongModeError,
 )
 from qramprep import simulator, verify
@@ -242,6 +244,13 @@ class TestResourceReport:
         with pytest.raises(NotPowerOfTwoError):
             resource_report(1000, 32)
 
+    def test_smallest_size_two(self):
+        # K = 2 (k = 1) is the smallest size; K = 1 is refused
+        rep = resource_report(2, 8)
+        assert (rep.k, rep.query_count, rep.memory_bits) == (1, 4, 2 * 16)
+        with pytest.raises(NotPowerOfTwoError):
+            resource_report(1, 8)
+
     def test_bad_mode(self):
         with pytest.raises(WrongModeError):
             resource_report(8, 8, "dense")
@@ -347,3 +356,43 @@ class TestRunPreparation:
         alive = []
         run_preparation(example, 12, sim=sim, on_iteration=lambda h, s: alive.append(refs[0]()))
         assert [gamma is not None for gamma in alive] == [kept] * example.depth
+
+
+# every finite float, plus the zeros and the extremes of scale
+ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, 1e160, 1e-160]
+)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A 1x1..5x5 matrix as nested lists, a mode, and a precision t."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(["complex", "real_signed"]))
+    real = st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    arr = np.array(draw(real), dtype=np.complex128)
+    if mode == "complex":
+        arr = arr + 1j * np.array(draw(real))
+    return arr.tolist(), mode, draw(st.sampled_from([2, 5, 16, 32, 48]))
+
+
+class TestEveryAcceptedMatrixPrepares:
+    """The whole pipeline, from ``from_array`` to both simulators, on arbitrary finite input."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(pipeline_cases())
+    @example(([[1e-9, 1.0]], "real_signed", 32))
+    @example(([[1e-9, 1.0]], "complex", 32))
+    @example(([[1e-9j, 1.0]], "complex", 48))
+    def test_refused_by_type_or_prepared_right(self, case):
+        arr, mode, t = case
+        try:
+            m = ComplexMatrix.from_array(arr)
+        except QramPrepError:
+            return
+        oracle = oracle_state(m)
+        fixed, _, img = run_preparation(m, t, mode, "fixed")
+        assert state_error(fixed, oracle) <= ERROR_SLACK * error_bound(m.depth, t)
+        assert state_error(fixed, quantized_oracle(img)) <= 1e-12
+        ideal, _, _ = run_preparation(m, t, mode, "ideal")
+        assert state_error(ideal, oracle) <= 1e-10

@@ -56,6 +56,13 @@ class TestBuild:
         with pytest.raises(NotPowerOfTwoError):
             build_weight_tree(weights)
 
+    def test_smallest_size_two(self):
+        # K = 2 (k = 1) is the smallest tree; K = 1 is refused
+        tree = build_weight_tree([1.0, 3.0])
+        assert tree.depth == 1 and tree.total == 4.0
+        with pytest.raises(NotPowerOfTwoError):
+            build_weight_tree([4.0])
+
     def test_all_zero(self):
         with pytest.raises(AllZeroWeightsError):
             build_weight_tree([0.0, 0.0, 0.0, 0.0])
