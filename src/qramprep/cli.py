@@ -20,7 +20,6 @@ from .matrix import (
     _read_matrix_json,
     load_matrix,
     random_matrix,
-    read_json_stdlib,
     squared_moduli,
 )
 from .memory import MemoryImage, build_memory_image
@@ -45,6 +44,7 @@ EXAMPLE_ENTRIES = [
     [2 + 1j, -1 + 2j, 3 + 0j, 0 - 1j],
     [1 - 1j, 0 + 2j, -2 + 1j, 1 + 1j],
 ]
+EXAMPLE_T = 16  # the run uses exact angles and only queries its image: any t replays alike
 EXAMPLE_SQUARED_MODULI = [5.0, 5.0, 9.0, 1.0, 2.0, 4.0, 5.0, 2.0]
 EXAMPLE_TREE_LEVELS = [[33.0], [20.0, 13.0], [10.0, 10.0, 6.0, 7.0]]
 EXAMPLE_ANGLES = [1.357, math.pi / 2, 1.648, math.pi / 2, 0.644, 1.911, 1.128]
@@ -110,29 +110,13 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
         return load_matrix(data, "csv"), None
     try:
         doc = _read_matrix_json(data)
-        is_image = isinstance(doc, dict) and "cells" in doc
-        if is_image and _holds_float(doc):
-            doc = read_json_stdlib(data)  # complex cells above t = 32 reach 2**64
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if isinstance(doc, ComplexMatrix):
         return doc, None
-    if is_image:
+    if isinstance(doc, dict) and "cells" in doc:
         return None, MemoryImage.from_json_dict(doc)
     return ComplexMatrix.from_json_dict(doc), None
-
-
-def _holds_float(image_doc: dict) -> bool:
-    """Whether an image document's header or cells hold a float.
-
-    orjson reads integers outside [-2**63, 2**64) as floats, so only such a
-    document can read differently with the stdlib, which keeps them exact.
-    """
-    header = (image_doc.get(key) for key in ("mode", "t", "k"))
-    cells = image_doc["cells"]
-    return any(type(value) is float for value in header) or (
-        isinstance(cells, list) and float in set(map(type, cells))
-    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -211,7 +195,7 @@ def cmd_example(args) -> int:
         got = tree.levels[h].tolist()
         _check(f"tree level {h}", got == expected, f"{got}")
 
-    image, gamma = build_memory_image(m, args.t, "complex")
+    image, gamma = build_memory_image(m, EXAMPLE_T, "complex")
     worst = max(abs(float(g) - e) for g, e in zip(gamma.thetas, EXAMPLE_ANGLES))
     _check(
         "splitting angles z=1..7",
@@ -308,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("example", help="replay the recorded 2x4 worked example")
-    p.add_argument("--t", type=int, default=16)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("sweep", help="measure error against the budget across t")

@@ -6,13 +6,13 @@ dimension is a power of two. Entry (i, j) lives at flat index z = i * cols + j.
 Accepted input formats:
 
 * JSON: ``{"rows": M, "cols": N, "entries": [[re, im], ...]}`` with the
-  entries row-major and of length ``M * N``. Matrix JSON is read by orjson.
+  entries row-major and of length ``M * N``. Matrix JSON has two readings.
   A regular document (one array of pairs with only whitespace and commas
   between them, no string holding a bracket, comma or backslash; every
-  ``json.dumps`` layout) is read with its pair brackets blanked, as one flat
-  list of parts with no list per entry. Other documents are read nested,
-  and the stdlib reader runs on those orjson refuses (and on those that
-  nest deeper than 128 levels or hold a backslash).
+  ``json.dumps`` layout) is read flat: orjson reads it with its pair
+  brackets blanked, as one list of parts with no list per entry. Any other
+  document is read by the stdlib's ``json.loads``, which is the reference
+  reading, and its entries are checked pair by pair.
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
   ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
@@ -160,7 +160,9 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
     ``source`` may be str, bytes, or a file-like object. A regular JSON
     document (see :func:`_regular_matrix`), which every ``json.dumps`` layout
     of a matrix is, is read flat with no per-entry lists; any other JSON is
-    read nested, by :meth:`ComplexMatrix.from_json_dict`.
+    read by the stdlib (:func:`read_json_stdlib`) and checked by
+    :meth:`ComplexMatrix.from_json_dict`. Both readings give the same matrix
+    or the same refusal.
     """
     if not isinstance(source, (str, bytes)):
         if hasattr(source, "read"):
@@ -176,71 +178,39 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
     raise ParseError(f"unknown matrix format {fmt!r}")
 
 
-# orjson 3.8 nests without a limit and crashes the interpreter (SIGSEGV) on arrays
-# ~150k deep, a 300 kB document; deeper documents go to the stdlib reader instead
-_ORJSON_MAX_DEPTH = 128
 _NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}",')))
 _JSON_SPACE = b" \t\n\r"
 
 
 def _read_matrix_json(source: str | bytes):
-    """The matrix of a regular document, read flat; for any other, the JSON value in ``source``.
+    """The matrix of a regular document, read flat; for any other, the stdlib's JSON value.
 
-    That value is orjson's reading, or the stdlib's where orjson refuses.
-    orjson refuses NaN and Infinity, numbers beyond double range, invalid
-    UTF-8, a BOM and lone surrogates, so each of those keeps the stdlib
-    reading and its error; so does a document with a backslash or nested
-    deeper than ``_ORJSON_MAX_DEPTH``. orjson reads integers outside
-    [-2**63, 2**64) as floats; :func:`read_json_stdlib` keeps them exact.
-    The document's structure is scanned once, for the flat and the orjson reading.
+    Any other document is read by :func:`read_json_stdlib`, the reference
+    reading, so each refusal keeps the stdlib's type and message and every
+    integer stays exact.
     """
     data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
-    marks = _marks(data)
-    if marks is not None:
-        m = _regular_matrix(data, marks)
-        if m is not None:
-            return m
-        if _nesting_depth(marks) <= _ORJSON_MAX_DEPTH:
-            try:
-                return orjson.loads(source)
-            except orjson.JSONDecodeError:
-                pass
-    return read_json_stdlib(source)
+    m = _regular_matrix(data)
+    return read_json_stdlib(source) if m is None else m
 
 
-def _marks(data: bytes) -> bytes | None:
-    """The structural bytes ``[]{}",`` of JSON ``data`` in order; None if it holds a backslash."""
-    return None if b"\\" in data else data.translate(None, _NOT_MARK)
-
-
-def _nesting_depth(marks: bytes) -> int:
-    """How deep arrays and objects nest in the JSON whose :func:`_marks` are ``marks``.
-
-    Without a backslash no quote is escaped, so a bracket lies inside a
-    string iff an odd number of quotes precede it.
-    """
-    marks = np.frombuffer(marks, np.uint8)
-    folded = marks | 0x20  # '[' -> '{', ']' -> '}'; ',' stays itself
-    steps = (folded == 0x7B).view(np.int8) - (folded == 0x7D).view(np.int8)
-    steps[np.logical_xor.accumulate(marks == 0x22)] = 0
-    return int(np.cumsum(steps, dtype=np.intp).max(initial=0))
-
-
-def _regular_matrix(data: bytes, marks: bytes) -> ComplexMatrix | None:
+def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     """The matrix of a regular document, parsed as one flat list; None for any other document.
 
-    Regular: ``data`` holds no backslash, its :func:`_marks` read
-    ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are dropped
-    (so no string holds a structural byte, and the object's one array is
-    n >= 1 pairs), and only JSON whitespace lies in that array outside its
-    pairs (see :func:`_blank_pairs`). orjson then reads the text with the
-    pair brackets blanked, ``entries`` as ``[re0, im0, re1, im1, ...]``. The
-    matrix is built only if that parse succeeds and rows, cols and the
-    2 rows*cols parts are what :meth:`ComplexMatrix.from_json_dict` accepts;
-    every other document reads the nested way, so each refusal keeps its
-    type and message.
+    Regular: ``data`` holds no backslash, its structural bytes ``[]{}",``
+    read ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are
+    dropped (so no string holds a structural byte, and the object's one
+    array is n >= 1 pairs), and only JSON whitespace lies in that array
+    outside its pairs (see :func:`_blank_pairs`). orjson then reads the text
+    with the pair brackets blanked, which nests two levels deep, ``entries``
+    as ``[re0, im0, re1, im1, ...]``. The matrix is built only if that parse
+    succeeds and rows, cols and the 2 rows*cols parts are what
+    :meth:`ComplexMatrix.from_json_dict` accepts; every other document is
+    left to the stdlib reading, so each refusal keeps its type and message.
     """
-    marks = marks.replace(b'""', b"")
+    if b"\\" in data:
+        return None
+    marks = data.translate(None, _NOT_MARK).replace(b'""', b"")
     first, last = marks.find(b"["), marks.rfind(b"]")
     n = (last - first) // 4
     if n < 1 or marks[:first] != b"{".ljust(first, b",") \
@@ -262,7 +232,7 @@ def _regular_matrix(data: bytes, marks: bytes) -> ComplexMatrix | None:
             or not set(map(type, entries)) <= {int, float}:
         return None
     # orjson 3.8 reads no integer past 64 bits and no number past the double
-    # range; these two guards keep any other reading on the nested path
+    # range; these two guards leave such documents to the stdlib reading
     try:
         parts = np.fromiter(entries, dtype=np.float64, count=len(entries))
     except OverflowError:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qramprep
 from qramprep import matrix, simulator
-from qramprep.cli import main
+from qramprep.cli import build_parser, main
 from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image, cell_width
 from qramprep.simulator import dump_state, prepare_complex
@@ -26,6 +26,7 @@ from qramprep.verify import (
     run_preparation,
     state_error,
 )
+from test_matrix import BYTE_CORPUS, READER_CORPUS
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "example_matrix.json"
 
@@ -44,6 +45,11 @@ class TestExampleCommand:
         assert "all checks passed" in out
         assert "squared moduli: ok" in out
         assert "8 queries" in out
+
+    def test_takes_no_precision(self, capsys):
+        # the replay uses exact angles, so a --t would change nothing
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["example", "--t", "16"])
 
 
 class TestPreprocess:
@@ -196,33 +202,25 @@ class TestJsonInput:
         assert main(["preprocess", "--input", str(example_path)]) == 0
         assert "K=8" in capsys.readouterr().out
 
-    def test_image_file_is_scanned_once(self, example_path, tmp_path, monkeypatch, capsys):
-        img_path = tmp_path / "img.json"
-        assert main(["preprocess", "--input", str(example_path), "--output", str(img_path)]) == 0
-        scans = []
-        marks = matrix._marks
-        monkeypatch.setattr(matrix, "_marks", lambda data: scans.append(1) or marks(data))
-        assert main(["prepare", "--input", str(img_path)]) == 0
-        assert scans == [1]
-
     def test_matrix_document_with_cells_is_an_image(self, tmp_path, capsys):
         src = tmp_path / "m.json"
         src.write_text('{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "cells": 3}')
         assert main(["preprocess", "--input", str(src)]) == 1
         assert capsys.readouterr().err == "error: memory image document missing key: 'mode'\n"
 
-    @pytest.mark.parametrize("mode,t", [("complex", 16), ("complex", 32), ("real_signed", 62)])
+    @pytest.mark.parametrize(
+        "mode,t", [("complex", 16), ("complex", 32), ("complex", 40), ("real_signed", 62)]
+    )
     def test_image_file_is_parsed_once(self, tmp_path, monkeypatch, capsys, mode, t):
-        # cells of at most 64 bits are integers orjson keeps exact
         img_path = tmp_path / "img.json"
         assert main(["preprocess", "--random", "8x8", "--mode", mode, "--t", str(t),
                      "--output", str(img_path)]) == 0
         calls = count_parses(monkeypatch)
         assert main(["prepare", "--input", str(img_path)]) == 0
-        assert calls == ["orjson"]
+        assert calls == ["json"]
 
     def test_wide_image_cells_read_exactly(self, example_path, tmp_path, monkeypatch, capsys):
-        # complex cells at t = 40 are 80 bits wide, past the integers orjson keeps exact
+        # complex cells at t = 40 are 80 bits wide, past a machine word
         img_path, out_path = tmp_path / "img.json", tmp_path / "state.json"
         assert main(["preprocess", "--input", str(example_path), "--t", "40",
                      "--output", str(img_path)]) == 0
@@ -231,7 +229,7 @@ class TestJsonInput:
         assert max(doc["cells"]) >= 2 ** 64
         calls = count_parses(monkeypatch)
         assert main(["prepare", "--input", str(img_path), "--output", str(out_path)]) == 0
-        assert calls == ["orjson", "json"]
+        assert calls == ["json"]
         img = MemoryImage.from_json_dict(doc)
         state, _ = prepare_complex(img)
         assert capsys.readouterr().out == (
@@ -250,7 +248,7 @@ class TestJsonInput:
         ("k", 2**70, "k = 1180591620717411303424 needs 2**k cells, got 4"),
     ])
     def test_image_refusals_name_exact_values(self, tmp_path, capsys, key, value, message):
-        # orjson reads 2**64, -2**63 - 1 and 2**70 as floats; the refusals keep the integers
+        # integers past a machine word are refused by their exact values
         doc = json.loads(image_document(edge_cells(64, 4), 32, "complex"))
         if key == "cells":
             doc["cells"][2] = value
@@ -266,6 +264,48 @@ class TestJsonInput:
         src.write_text("[[1, 0], [2, 0]]")
         assert main(["preprocess", "--input", str(src)]) == 1
         assert "must be an object" in capsys.readouterr().err
+
+
+def _bad_images() -> list[str]:
+    """A valid image document with one bad ``k``, ``mode``, ``t`` or ``cells`` each."""
+    base = json.loads(image_document(edge_cells(16, 8), 8, "complex"))
+    bad_values = {
+        "k": [-1, 0, 2, 2**70, 3.0, "3", None, True],
+        "mode": ["bogus", "", 3, None, ["complex"]],
+        "t": [0, 1, 63, 2**70, -8, 8.0, "8", None, True],
+        "cells": ["x", None, 5, {}, [], [1], [1] * 3, [-1] * 8, [2**200] * 8, [1.5] * 8,
+                  [True] * 8, [[1]] * 8, [None] * 8, [1 << 16] * 8],
+    }
+    docs = [json.dumps({**base, key: value})
+            for key, values in bad_values.items() for value in values]
+    return docs + [json.dumps({k: v for k, v in base.items() if k != key}) for key in base]
+
+
+class TestEveryInputEndsCleanly:
+    """Any input file ends in exit 0, in one ``error:`` line, or in a reported FAIL."""
+
+    INPUTS = [doc.encode("utf-8", "surrogatepass") for doc in READER_CORPUS + _bad_images()]
+    INPUTS += BYTE_CORPUS
+
+    @pytest.mark.parametrize("command", [["preprocess"], ["prepare"], ["sweep", "--t", "8"]])
+    def test_no_traceback(self, tmp_path, capsys, command):
+        src = tmp_path / "input.json"
+        broken = []
+        for z, data in enumerate(self.INPUTS):
+            src.write_bytes(data)
+            try:
+                rc = main([*command, "--input", str(src)])
+            except Exception as exc:
+                broken.append((z, repr(exc)))
+                continue
+            out, err = capsys.readouterr()
+            clean = rc == 0 or rc == 1 and (
+                err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                or not err and "status: FAIL" in out
+            )
+            if not clean:
+                broken.append((z, rc, err))
+        assert not broken
 
 
 class TestPrepare:
