@@ -331,6 +331,13 @@ READER_CORPUS = [
     '{"entries": 5, ' + SMALL[1:],
     # a memory image
     build_memory_image(random_matrix(2, 4, seed=1), 16, "complex")[0].to_json(),
+    # documents that are not objects, or that hide brackets in strings or trail text
+    "1",
+    "[]",
+    '{"a": [[1, 2], {"b": []}]}',
+    '["]]]]", [[[]]]]',
+    '{"a": "[[[[{{{{"}',
+    '["", "[", "]"] [[',
 ]
 
 BYTE_CORPUS = [
