@@ -13,6 +13,7 @@ import math
 import sys
 from pathlib import Path
 
+from .angles import MODES
 from .errors import ExampleMismatchError, ParseError, QramPrepError
 from .fixedpoint import phase_distance
 from .matrix import (
@@ -26,6 +27,7 @@ from .memory import MemoryImage, build_memory_image
 from .simulator import dump_state, prepare_complex
 from .verify import (
     ERROR_SLACK,
+    SIM_MODES,
     _prepare,
     error_bound,
     oracle_state,
@@ -49,25 +51,6 @@ EXAMPLE_SQUARED_MODULI = [5.0, 5.0, 9.0, 1.0, 2.0, 4.0, 5.0, 2.0]
 EXAMPLE_TREE_LEVELS = [[33.0], [20.0, 13.0], [10.0, 10.0, 6.0, 7.0]]
 EXAMPLE_ANGLES = [1.357, math.pi / 2, 1.648, math.pi / 2, 0.644, 1.911, 1.128]
 EXAMPLE_PHASES = [0.464, 2.034, 0.0, -math.pi / 2, -0.785, math.pi / 2, 2.678, 0.785]
-EXAMPLE_STEP_MODULI = {
-    1: {0b010: math.sqrt(20 / 33), 0b011: math.sqrt(13 / 33)},
-    2: {
-        0b100: math.sqrt(10 / 33),
-        0b101: math.sqrt(10 / 33),
-        0b110: math.sqrt(6 / 33),
-        0b111: math.sqrt(7 / 33),
-    },
-    3: {
-        0: math.sqrt(5 / 33),
-        1: math.sqrt(5 / 33),
-        2: 3 / math.sqrt(33),
-        3: 1 / math.sqrt(33),
-        4: math.sqrt(2 / 33),
-        5: 2 / math.sqrt(33),
-        6: math.sqrt(5 / 33),
-        7: math.sqrt(2 / 33),
-    },
-}
 
 ANGLE_TOL = 1e-3  # recorded angles and phases carry three decimals
 STEP_TOL = 1e-6
@@ -95,13 +78,12 @@ def _parse_t_range(spec: str) -> list[int]:
 
 def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
     """Resolve --input / --random into a matrix or a memory image."""
-    if getattr(args, "random", None):
+    if args.random:
         try:
             rows, cols = (int(x) for x in args.random.lower().split("x", 1))
         except ValueError:
             raise ParseError(f"--random expects ROWSxCOLS, got {args.random!r}") from None
-        real = getattr(args, "mode", "complex") == "real_signed"
-        return random_matrix(rows, cols, seed=args.seed, real=real), None
+        return random_matrix(rows, cols, seed=args.seed, real=args.mode == "real_signed"), None
     if not args.input:
         raise ParseError("no input: pass --input PATH (or --random ROWSxCOLS)")
     path = Path(args.input)
@@ -182,13 +164,10 @@ def cmd_example(args) -> int:
     print(f"worked example: {m.original_rows}x{m.original_cols} complex matrix, "
           f"K={m.size}, k={m.depth}")
 
-    sq = squared_moduli(m)
-    _check("squared moduli", sq.tolist() == EXAMPLE_SQUARED_MODULI, f"{sq.tolist()}")
-    _check(
-        "normalization",
-        math.fsum(sq.tolist()) == EXAMPLE_TREE_LEVELS[0][0],
-        f"sum {math.fsum(sq.tolist())} == {EXAMPLE_TREE_LEVELS[0][0]}",
-    )
+    sq = squared_moduli(m).tolist()
+    _check("squared moduli", sq == EXAMPLE_SQUARED_MODULI, f"{sq}")
+    total, root = math.fsum(sq), EXAMPLE_TREE_LEVELS[0][0]
+    _check("normalization", total == root, f"sum {total} == {root}")
 
     tree = build_weight_tree(sq)
     for h, expected in enumerate(EXAMPLE_TREE_LEVELS):
@@ -211,19 +190,17 @@ def cmd_example(args) -> int:
     state, ledger = prepare_complex(
         image, exact=gamma, on_iteration=lambda h, s: captured.update({h: s})
     )
-    for h, expected in EXAMPLE_STEP_MODULI.items():
-        got = captured[h]
-        marker = (1 << m.depth) if h == m.depth else 0
-        labels = {((1 << h) | p) if h < m.depth else (marker | p) for p in expected}
+    # iteration h leaves sqrt(T_{h,p} / T_{0,0}) on node (h, p), marked by label
+    # bit h: an address bit while h < k, and v at h = k
+    for h, weights in enumerate([*EXAMPLE_TREE_LEVELS, EXAMPLE_SQUARED_MODULI][1:], 1):
+        expected = {(1 << h) | p: math.sqrt(w / root) for p, w in enumerate(weights)}
+        got = captured[h].branches
         _check(
             f"step 1 iteration h={h} branches",
-            set(got.branches) == labels,
-            f"{len(got.branches)} branches on the marker addresses",
+            set(got) == set(expected),
+            f"{len(got)} branches on the marker addresses",
         )
-        worst = max(
-            abs(abs(got.branches[((1 << h) | p) if h < m.depth else (marker | p)]) - mag)
-            for p, mag in expected.items()
-        )
+        worst = max(abs(abs(got[label]) - mag) for label, mag in expected.items())
         _check(f"step 1 iteration h={h} moduli", worst <= STEP_TOL, f"max deviation {worst:.2e}")
 
     err = state_error(state, oracle_state(m))
@@ -280,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="build and write a memory image")
     add_io(p, "memory image JSON path")
     p.add_argument("--t", type=int, default=16, help="fixed-point bits per field")
-    p.add_argument("--mode", choices=["complex", "real_signed"], default="complex")
+    p.add_argument("--mode", choices=MODES, default="complex")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("prepare", help="run the preparation procedure and verify it")
     add_io(p, "state dump JSON path")
     p.add_argument("--t", type=int, default=16)
-    p.add_argument("--mode", choices=["complex", "real_signed"], default="complex")
-    p.add_argument("--sim", choices=["fixed", "ideal"], default="fixed",
+    p.add_argument("--mode", choices=MODES, default="complex")
+    p.add_argument("--sim", choices=SIM_MODES, default="fixed",
                    help="fixed: quantized angles from the image; ideal: exact angles")
     p.set_defaults(func=cmd_prepare)
 
@@ -297,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="measure error against the budget across t")
     add_io(p, "CSV output path")
     p.add_argument("--t", default="6:16", help="precision range LO:HI (or single N)")
-    p.add_argument("--mode", choices=["complex", "real_signed"], default="complex")
+    p.add_argument("--mode", choices=MODES, default="complex")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("resources", help="closed-form resource report")
     p.add_argument("--K", type=int, required=True, help="cell count (power of two)")
     p.add_argument("--t", type=int, default=32)
-    p.add_argument("--mode", choices=["complex", "real_signed"], default="complex")
+    p.add_argument("--mode", choices=MODES, default="complex")
     p.add_argument("--output", help="report JSON path")
     p.set_defaults(func=cmd_resources)
 
@@ -314,8 +291,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QramPrepError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QramPrepError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

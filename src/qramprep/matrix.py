@@ -397,12 +397,14 @@ def random_matrix(
             or not 0.0 <= zero_fraction <= 1.0:  # NaN fails too
         raise InvalidZeroFractionError(f"zero_fraction must lie in [0, 1], got {zero_fraction!r}")
     rng = np.random.default_rng(int(seed))
-    values = rng.standard_normal((rows, cols))
+    try:
+        values = rng.standard_normal((rows, cols))
+    except ValueError as exc:  # a shape past the address space (a huge one raises MemoryError)
+        raise InvalidDimensionsError(f"{rows}x{cols} is too large: {exc}") from None
     if not real:
         values = values + 1j * rng.standard_normal((rows, cols))
     if zero_fraction > 0.0:
         values = np.where(rng.random((rows, cols)) < zero_fraction, 0.0, values)
     if not values.any():
-        values = np.asarray(values, dtype=np.complex128)
         values[0, 0] = 1.0
     return ComplexMatrix.from_array(values)

@@ -222,7 +222,10 @@ def _split_cells(cells, t: int, width: int) -> tuple[np.ndarray, np.ndarray]:
                 return _read_only(angle, aux)
     except OverflowError:  # a negative cell, or one too wide for 64 bits
         pass
-    z = next(z for z, c in enumerate(cells) if type(c) is not int or not 0 <= c < 1 << width)
+    z, c = next((z, c) for z, c in enumerate(cells)
+                if type(c) is not int or not 0 <= c < 1 << width)
+    if type(c) is not int:
+        raise WidthMismatchError(f"cell {z} is not an unsigned integer: {c!r}")
     raise WidthMismatchError(f"cell {z} does not fit in {width} bits")
 
 

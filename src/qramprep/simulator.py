@@ -228,15 +228,12 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     address stays sorted. Exactly zero results are dropped.
     """
     if state.v.any():
-        order = np.lexsort((state.v, state.w_aux, state.w_angle, state.addr))
-        partner = np.ones(order.size - 1, dtype=bool)  # sorted branch i + 1 pairs with branch i
-        for reg in (state.addr, state.w_angle, state.w_aux):
-            ranked = reg[order]
-            partner &= ranked[1:] == ranked[:-1]
-        starts = np.concatenate(([True], ~partner))
-        rep = order[starts]
+        _, rep, group = np.unique(
+            np.stack((state.addr.astype(np.uint64), state.w_angle, state.w_aux), axis=1),
+            axis=0, return_index=True, return_inverse=True,
+        )
         pair = np.zeros((rep.size, 2), dtype=np.complex128)
-        pair[np.cumsum(starts) - 1, state.v[order]] = state.amp[order]
+        pair[group.reshape(-1), state.v] = state.amp  # numpy 2.0.0 gives a 2-d inverse
         theta, a0, a1 = theta[rep], pair[:, 0], pair[:, 1]
     else:
         rep, a0, a1 = None, state.amp, 0.0

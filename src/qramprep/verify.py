@@ -123,8 +123,8 @@ def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
     """Resource counts for preparing K = 2**k amplitudes at precision t."""
     if not isinstance(K, Integral) or K < 2 or K & (K - 1):
         raise NotPowerOfTwoError(f"K must be a power of two >= 2, got {K!r}")
-    K = int(K)
     check_precision(t)
+    K, t = int(K), int(t)  # numpy ints in the fields would not serialize to JSON
     k = K.bit_length() - 1
     cell = cell_width(t, mode)  # refuses an unknown mode
     queries = 2 * k + 2

@@ -22,6 +22,7 @@ from qramprep.errors import (
     WrongModeError,
 )
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
+from qramprep.memory import build_memory_image
 from qramprep.weight_tree import build_weight_tree
 
 # recorded to three decimals; z = 1..7
@@ -146,6 +147,22 @@ class TestPhaseLayer:
     def test_zero_entry_phase_zero(self):
         m = ComplexMatrix.from_array([[0.0, 1.0]])
         assert build_phase_layer(m)[0] == 0.0
+
+    def test_zero_entries_of_any_sign_get_phase_zero(self):
+        # atan2 gives pi for complex(-0.0, 0.0) and -pi for complex(-0.0, -0.0)
+        zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        m = ComplexMatrix.from_array([zeros + [1.0, -1.0, 2.0, -2.0]])
+        assert np.signbit(m.entries.real[:4]).tolist() == [False, True, False, True]
+        assert build_phase_layer(m).tolist() == [0.0] * 4 + [0.0, math.pi, 0.0, math.pi]
+        for mode, t in [("complex", 16), ("real_signed", 16), ("complex", 62)]:
+            img, _ = build_memory_image(m, t, mode)
+            half_turn = 1 << (img.aux_width - 1)  # phi = pi in a t-bit or one-bit field
+            assert img.field_arrays[1].tolist() == [0] * 5 + [half_turn, 0, half_turn], mode
+
+    def test_results_are_read_only(self, example):
+        thetas = build_angle_tree(build_weight_tree(squared_moduli(example)))
+        for array in (thetas, build_phase_layer(example)):
+            assert not array.flags.writeable
 
     def test_polar_round_trip(self):
         m = random_matrix(8, 8, seed=17)

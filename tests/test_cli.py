@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qramprep
-from qramprep import matrix, simulator
+from qramprep import cli, matrix, simulator
 from qramprep.cli import build_parser, main
 from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image, cell_width
@@ -40,16 +41,127 @@ def example_path(tmp_path):
 
 class TestExampleCommand:
     def test_passes(self, capsys):
+        # exact where the values are exact; the round-off deviations only by their form
         assert main(["example"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "squared moduli: ok" in out
-        assert "8 queries" in out
+        lines = capsys.readouterr().out.splitlines()
+        deviation = r"\d\.\d\de[-+]\d\d"
+        want = [
+            "worked example: 2x4 complex matrix, K=8, k=3",
+            "  squared moduli: ok ([5.0, 5.0, 9.0, 1.0, 2.0, 4.0, 5.0, 2.0])",
+            "  normalization: ok (sum 33.0 == 33.0)",
+            "  tree level 0: ok ([33.0])",
+            "  tree level 1: ok ([20.0, 13.0])",
+            "  tree level 2: ok ([10.0, 10.0, 6.0, 7.0])",
+            rf"  splitting angles z=1..7: ok \(max deviation {deviation} <= 0.001\)",
+            rf"  leaf phases z=0..7: ok \(max deviation {deviation} <= 0.001\)",
+            *(line for h in (1, 2, 3) for line in (
+                f"  step 1 iteration h={h} branches: ok ({1 << h} branches on the marker addresses)",
+                rf"  step 1 iteration h={h} moduli: ok \(max deviation {deviation}\)",
+            )),
+            rf"  final state vs normalized entries: ok \(l2 error {deviation}\)",
+            "  query ledger: ok (8 queries, routing_time 24)",
+            "worked example: all checks passed",
+        ]
+        assert len(lines) == len(want)
+        for line, pattern in zip(lines, want):
+            assert line == pattern or "\\d" in pattern and re.fullmatch(pattern, line), line
 
     def test_takes_no_precision(self, capsys):
         # the replay uses exact angles, so a --t would change nothing
         with pytest.raises(SystemExit):
             build_parser().parse_args(["example", "--t", "16"])
+
+
+def replay_error(capsys, name: str) -> str:
+    """Run a replay that must fail at check ``name``; return the detail of its one error line."""
+    assert main(["example"]) == 1
+    out, err = capsys.readouterr()
+    prefix = f"error: {name}: "
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    detail = err[len(prefix):-1]
+    assert out.splitlines()[-1] == f"  {name}: MISMATCH ({detail})"
+    assert "all checks passed" not in out
+    return detail
+
+
+class TestExampleChecksFail:
+    """Each check of the replay fails it alone, with its own ``error:`` line."""
+
+    @pytest.mark.parametrize("table,index,name", [
+        ("EXAMPLE_SQUARED_MODULI", 2, "squared moduli"),
+        ("EXAMPLE_ANGLES", 6, "splitting angles z=1..7"),
+        ("EXAMPLE_PHASES", 0, "leaf phases z=0..7"),
+    ])
+    def test_recorded_entry(self, monkeypatch, capsys, table, index, name):
+        values = list(getattr(cli, table))
+        values[index] += 0.01
+        monkeypatch.setattr(cli, table, values)
+        replay_error(capsys, name)
+
+    @pytest.mark.parametrize("h,name", [(0, "normalization"), (1, "tree level 1"),
+                                        (2, "tree level 2")])
+    def test_recorded_tree_level(self, monkeypatch, capsys, h, name):
+        levels = [list(level) for level in cli.EXAMPLE_TREE_LEVELS]
+        levels[h][0] += 1.0
+        monkeypatch.setattr(cli, "EXAMPLE_TREE_LEVELS", levels)
+        replay_error(capsys, name)
+
+    @staticmethod
+    def patch_run(monkeypatch, at_iteration=None, at_end=None):
+        """Make the replay's run pass its states and result through the given edits."""
+        prepare = cli.prepare_complex
+
+        def edited(image, *, exact, on_iteration):
+            def hook(h, state):
+                on_iteration(h, at_iteration(h, state) if at_iteration else state)
+
+            state, ledger = prepare(image, exact=exact, on_iteration=hook)
+            return at_end(state, ledger) if at_end else (state, ledger)
+
+        monkeypatch.setattr(cli, "prepare_complex", edited)
+
+    @staticmethod
+    def edit_branches(state, edit):
+        branches = dict(state.branches)
+        edit(branches)
+        return dataclasses.replace(state, branches=branches)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_iteration_branches(self, monkeypatch, capsys, h):
+        def drop_last(at, state):
+            return self.edit_branches(state, lambda b: b.pop(max(b))) if at == h else state
+
+        self.patch_run(monkeypatch, at_iteration=drop_last)
+        detail = replay_error(capsys, f"step 1 iteration h={h} branches")
+        assert detail == f"{(1 << h) - 1} branches on the marker addresses"
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_iteration_moduli(self, monkeypatch, capsys, h):
+        def grow_first(at, state):
+            if at != h:
+                return state
+            return self.edit_branches(state, lambda b: b.update({min(b): b[min(b)] * 1.001}))
+
+        self.patch_run(monkeypatch, at_iteration=grow_first)
+        detail = replay_error(capsys, f"step 1 iteration h={h} moduli")
+        assert detail.startswith("max deviation ") and float(detail.split()[-1]) > 1e-4
+
+    def test_final_state(self, monkeypatch, capsys):
+        # a sign flip on one entry keeps every modulus, the norm and the ledger
+        def flip_first(state, ledger):
+            return self.edit_branches(state, lambda b: b.update({min(b): -b[min(b)]})), ledger
+
+        self.patch_run(monkeypatch, at_end=flip_first)
+        detail = replay_error(capsys, "final state vs normalized entries")
+        assert detail.startswith("l2 error ") and float(detail.split()[-1]) > 0.1
+
+    def test_query_ledger(self, monkeypatch, capsys):
+        def extra_query(state, ledger):
+            ledger.query_count += 1
+            return state, ledger
+
+        self.patch_run(monkeypatch, at_end=extra_query)
+        assert replay_error(capsys, "query ledger") == "9 queries, routing_time 27"
 
 
 class TestPreprocess:
@@ -85,6 +197,19 @@ class TestPreprocess:
         main(["preprocess", "--input", str(example_path), "--output", str(a)])
         main(["preprocess", "--input", str(example_path), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout(self, tmp_path, capsys):
+        out_path = tmp_path / "img.json"
+        assert main(["preprocess", "--random", "3x5", "--mode", "real_signed", "--t", "12",
+                     "--output", str(out_path)]) == 0
+        assert capsys.readouterr().out == (
+            "matrix: 3x5 padded to 4x8 (K=32)\n"
+            "cells: 32 x 13 bits = 416 bits\n"
+            "preprocessing_ops: 63\n"
+            f"wrote {out_path}\n"
+        )
+        assert main(["preprocess", "--random", "3x5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "preprocessing_ops: 63"
 
 
 def image_document(cells: list[int], t: int, mode: str) -> str:
@@ -243,7 +368,7 @@ class TestJsonInput:
     @pytest.mark.parametrize("key,value,message", [
         ("cells", 2**64, "cell 2 does not fit in 64 bits"),
         ("cells", -2**63 - 1, "cell 2 does not fit in 64 bits"),
-        ("cells", 1.0, "cell 2 does not fit in 64 bits"),
+        ("cells", 1.0, "cell 2 is not an unsigned integer: 1.0"),
         ("t", 2**70, "t must be an integer in [2, 62], got 1180591620717411303424"),
         ("k", 2**70, "k = 1180591620717411303424 needs 2**k cells, got 4"),
     ])
@@ -258,6 +383,14 @@ class TestJsonInput:
         src.write_text(json.dumps(doc))
         assert main(["prepare", "--input", str(src)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cell,shown", [(1.5, "1.5"), (True, "True"), (None, "None"),
+                                            ([1], "[1]")])
+    def test_non_integer_cell_named(self, tmp_path, capsys, cell, shown):
+        src = tmp_path / "img.json"
+        src.write_text(json.dumps({"mode": "complex", "t": 4, "k": 1, "cells": [cell, 0]}))
+        assert main(["prepare", "--input", str(src)]) == 1
+        assert capsys.readouterr().err == f"error: cell 0 is not an unsigned integer: {shown}\n"
 
     def test_non_object_document_refused(self, tmp_path, capsys):
         src = tmp_path / "m.json"
@@ -444,6 +577,26 @@ class TestPrepare:
         assert main(["prepare", *spec]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("raised,message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_random_matrix_out_of_memory(self, monkeypatch, capsys, raised, message):
+        def refuse(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(cli, "random_matrix", refuse)
+        assert main(["prepare", "--random", "1000000x1000000"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_random_shape_past_the_address_space(self, capsys):
+        # numpy refuses the shape before it allocates: nothing of that size is asked for
+        assert main(["prepare", "--random", "1099511627776x1099511627776"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1099511627776x1099511627776 is too large: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("spec", ["4", "4by4", "axb", "2x2x2"])
     def test_random_needs_rows_x_cols(self, capsys, spec):
         assert main(["prepare", "--random", spec]) == 1
@@ -509,6 +662,15 @@ class TestSweep:
         for line in lines[1:]:
             t, err, bound = line.split(",")
             assert float(err) <= 4 * float(bound)
+
+    def test_stdout_with_output(self, example_path, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--input", str(example_path), "--t", "6:8",
+                     "--output", str(out_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out_path} (3 rows)\n"
+            "status: PASS (all errors within 4.0 x bound: True)\n"
+        )
 
     def test_stdout_when_no_output(self, example_path, capsys):
         rc = main(["sweep", "--input", str(example_path), "--t", "8"])

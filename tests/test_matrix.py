@@ -476,6 +476,31 @@ class TestFlatReading:
         assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
 
 
+class TestRefusalMessages:
+    """Another layer refuses each of these with the same error type: only the
+    message shows which check ran."""
+
+    @pytest.mark.parametrize("source,fmt,error,message", [
+        (_entries_doc(["NaN", "1"]), "json", ParseError,
+         "entry 0 real part must be finite, got nan"),
+        (_entries_doc(["1", "-Infinity"]), "json", ParseError,
+         "entry 1 real part must be finite, got -inf"),
+        ("1,\n", "csv", ParseError, "empty complex literal"),
+        ("", "csv", EmptyMatrixError, "CSV input has no rows"),
+        ("\n\n", "csv", EmptyMatrixError, "CSV input has no rows"),
+    ])
+    def test_refusal_messages(self, source, fmt, error, message):
+        with pytest.raises(error) as info:
+            load_matrix(source, fmt)
+        assert str(info.value) == message
+
+    def test_bad_entry_scan_never_returns(self):
+        # its callers reach it only with a bad entry; given none, it still refuses
+        with pytest.raises(ParseError) as info:
+            matrix._raise_first_bad_entry([[1, 0], [0.5, -2]])
+        assert str(info.value) == "entries must be [re, im] pairs of finite numbers"
+
+
 class TestComplexLiteral:
     @pytest.mark.parametrize(
         "text,value",
@@ -635,6 +660,18 @@ class TestRandomMatrix:
     def test_real_mode(self):
         m = random_matrix(4, 4, seed=7, real=True)
         assert not m.entries.imag.any()
+
+    def test_complex_entries_are_two_normal_draws(self):
+        rng = np.random.default_rng(0)
+        real = rng.standard_normal((4, 4))
+        want = real + 1j * rng.standard_normal((4, 4))
+        assert np.all(want.imag != 0.0)
+        assert np.array_equal(random_matrix(4, 4, seed=0).entries, want.reshape(-1))
+
+    def test_shape_past_the_address_space_refused(self):
+        # numpy refuses a 2**80-entry shape before it allocates anything
+        with pytest.raises(InvalidDimensionsError, match=r"^1099511627776x1099511627776 is too"):
+            random_matrix(1 << 40, 1 << 40)
 
     @pytest.mark.parametrize("rows,cols", [(0, 4), (4, 0), (-2, 4), (0, 0)])
     def test_needs_positive_dimensions(self, rows, cols):

@@ -185,6 +185,14 @@ class TestImageTypes:
         with pytest.raises(PrecisionOutOfRangeError):
             MemoryImage.from_json_dict({**self.DOC, "t": t})
 
+    def test_numpy_integer_precision(self):
+        # 80-bit cells: a uint64 shift by a numpy t would raise TypeError
+        cells = (0, (1 << 79) | 5, (3 << 40) | 1, (1 << 80) - 1)
+        img = MemoryImage(cells=cells, t=np.int64(40), mode="complex")
+        assert type(img.t) is int
+        assert img == MemoryImage(cells=cells, t=40, mode="complex")
+        assert img.cells == cells
+
     def test_width_and_k_are_derived(self):
         img = MemoryImage(cells=(0,) * 8, t=4, mode="real_signed")
         assert (img.width, img.aux_width, img.k) == (5, 1, 3)
@@ -230,10 +238,13 @@ class TestBulkValidation:
                 angle, aux = img.field_arrays
                 assert [(int(a) << img.aux_width) | int(b) for a, b in zip(angle, aux)] == list(cells)
             else:
-                with pytest.raises(WidthMismatchError, match=f"cell 1 does not fit in {width} bits"):
-                    MemoryImage(cells=cells, t=t, mode=mode)
-                with pytest.raises(WidthMismatchError, match="cell 1 "):
-                    MemoryImage.from_json_dict(doc)
+                message = (f"cell 1 does not fit in {width} bits" if type(cell) is int
+                           else f"cell 1 is not an unsigned integer: {cell!r}")
+                for refused in (lambda: MemoryImage(cells=cells, t=t, mode=mode),
+                                lambda: MemoryImage.from_json_dict(doc)):
+                    with pytest.raises(WidthMismatchError) as info:
+                        refused()
+                    assert str(info.value) == message
 
     @pytest.mark.parametrize("t,mode", WIDTHS)
     def test_random_cells_split_exactly(self, t, mode):

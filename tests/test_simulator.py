@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -13,6 +14,7 @@ from qramprep.errors import (
     DirtyWorkRegistersError,
     IndexOutOfRangeError,
     InvalidDimensionsError,
+    PrecisionOutOfRangeError,
     WrongModeError,
 )
 from qramprep.fixedpoint import encode_magnitude_angle, encode_phase
@@ -80,6 +82,15 @@ class TestInitState:
         with pytest.raises(WrongModeError):
             init_state(2, 8, "qutrit")
 
+    @pytest.mark.parametrize("t", [1, 63])
+    def test_precision_outside_2_to_62_is_refused(self, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            init_state(2, t, "complex")
+
+    def test_branches_repr_is_the_label_dict(self):
+        state = make_state(2, 4, 4, {1: 1.0 + 0j, (3 << 7) | 2: -0.5j})
+        assert repr(state.branches) == repr({1: 1.0 + 0j, (3 << 7) | 2: -0.5j})
+
 
 class TestPreparationInvariants:
     """The loop keeps the state sorted by address and never sorts it."""
@@ -92,6 +103,7 @@ class TestPreparationInvariants:
             raise AssertionError("the preparation loop sorted its branches")
 
         monkeypatch.setattr(np, "lexsort", no_sort)
+        monkeypatch.setattr(np, "unique", no_sort)  # the pairing sort of _rotate_pairs
         seen = []
 
         def check(h, state):
@@ -513,6 +525,23 @@ class TestStateHygiene:
             auto, auto_ledger = prepare_complex(img)
             assert auto.branches == state.branches
             assert auto_ledger.query_count == ledger.query_count
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_arrays_read_only_after_every_operation(self, mode):
+        # states share arrays and cache their label dict: no op may leave one writable
+        img, _ = build_memory_image(random_matrix(4, 4, seed=5, real=mode == "real_signed"),
+                                    8, mode)
+        ledger = QueryLedger(img.k)
+        ask = lambda s: query(img, s, ledger)  # noqa: E731
+        ops = [ask, ry_cascade, ask, circular_shift] * img.k + [ask, phase_cascade, ask]
+        states = [make_state(2, 8, 8, {1: 1.0 + 0j}), init_state(img.k, 8, mode)]
+        for op in ops:
+            states.append(op(states[-1]))
+        states.append(ry_cascade_by_gates(states[2]))  # pairs v = 0 and v = 1 branches
+        states.append(dataclasses.replace(states[-1], branches=dict(states[-1].branches)))
+        for state in states:
+            for name in ("addr", "v", "w_angle", "w_aux", "amp"):
+                assert not getattr(state, name).flags.writeable, name
 
     def test_work_registers_clean_between_iterations(self):
         m = random_matrix(8, 8, seed=2)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import statistics
 import weakref
@@ -255,6 +257,18 @@ class TestResourceReport:
         with pytest.raises(WrongModeError):
             resource_report(8, 8, "dense")
 
+    @pytest.mark.parametrize("t", [1, 63])
+    def test_precision_outside_2_to_62_is_refused(self, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            resource_report(8, t)
+
+    def test_numpy_integers_give_python_int_fields(self):
+        rep = resource_report(np.int64(1024), np.int64(32))
+        assert rep == resource_report(1024, 32)
+        fields = dataclasses.asdict(rep)
+        assert all(type(v) is int for k, v in fields.items() if k != "mode")
+        assert json.loads(json.dumps(fields)) == fields
+
 
 class TestPrecisionSweep:
     def test_example_rows_and_budget(self, example):
@@ -322,6 +336,11 @@ class TestPrecisionSweep:
 
     def test_numpy_integer_precisions(self, example):
         assert precision_sweep(example, np.arange(6, 9)) == precision_sweep(example, [6, 7, 8])
+
+    def test_precisions_from_a_generator(self, example):
+        # the values are checked, then swept: a one-shot iterable must serve both
+        rows = precision_sweep(example, (t for t in (8, 6, 7)))
+        assert rows == precision_sweep(example, [6, 7, 8])
 
 
 class TestRunPreparation:
