@@ -29,21 +29,20 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
-    AngleOutOfRangeError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NotPowerOfTwoError,
     NotRealMatrixError,
     WrongModeError,
 )
-from .fixedpoint import _first_bad
+from .fixedpoint import _as_floats, _first_bad
 from .matrix import ComplexMatrix, scaled_moduli
 from .weight_tree import WeightTree, build_weight_tree
 
 MODES = ("complex", "real_signed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # it holds arrays: equal and hashed by identity
 class ComplexAngleTree:
     """Angle tree plus leaf layer: the one checked hand-off to memory layouts.
 
@@ -84,10 +83,7 @@ def _frozen_floats(x, what: str) -> np.ndarray:
     """``x`` as a read-only 1-d float64 array: ``x`` itself if it is one, else a copy."""
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and not x.flags.writeable:
         return x
-    try:
-        out = np.array(x, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AngleOutOfRangeError(f"{what} must be real numbers: {exc}") from exc
+    out = _as_floats(x, what).copy()  # never freeze the caller's array
     out.flags.writeable = False
     return out
 

@@ -20,7 +20,7 @@ whole arrays with the codecs of :mod:`qramprep.fixedpoint` and hand the
 field arrays straight in. Cells as Python ints exist only at the boundary:
 reading JSON, writing cells wider than 64 bits as JSON,
 ``MemoryImage(cells=...)`` (checked in bulk, then split) and ``image.cells``
-(built on each read, not kept).
+(built on each read, not kept; ``==`` and ``hash`` read it too).
 
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
@@ -33,11 +33,12 @@ preprocess --output``: {"cells": [unsigned ints], "k": k, "mode": ..., "t": t}
 with sorted keys, indented two spaces, one cell per line. One format, two
 writers, split where orjson's integers end: cells of at most 64 bits (complex
 mode up to t = 32, real_signed at every t) are joined into one uint64 array
-that orjson writes; wider cells are joined as Python ints and written from
-their repr.
+that orjson writes; wider cells are joined as Python ints and written by
+``json.dumps``.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -92,7 +93,7 @@ class _Cells:
         vars(image)["_cells"] = cells
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MemoryImage:
     """K = 2**k immutable cells of ``cell_width(t, mode)`` bits each.
 
@@ -121,16 +122,6 @@ class MemoryImage:
         for name, value in (("t", t), ("mode", mode), ("field_arrays", _read_only(angle, aux))):
             object.__setattr__(image, name, value)
         return image
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t, self.mode) == (other.t, other.mode) and all(
-            np.array_equal(a, b) for a, b in zip(self.field_arrays, other.field_arrays)
-        )
-
-    def __hash__(self):
-        return hash((self.t, self.mode, *(a.tobytes() for a in self.field_arrays)))
 
     @property
     def size(self) -> int:
@@ -167,21 +158,15 @@ class MemoryImage:
         """The image document, as ``qramprep preprocess --output`` writes it.
 
         Byte for byte ``json.dumps({"mode", "t", "k", "cells"}, sort_keys=True,
-        indent=2) + "\\n"``, from one of two writers chosen by the cell width.
-        Cells of at most 64 bits (complex mode up to t = 32, real_signed at
-        every t) go to orjson as one uint64 array, with no Python int built.
-        Wider cells exceed orjson's integers: the repr of a list of Python
-        ints separates them with ", " as the json module does, and the mode
-        is one of ``MODES``.
+        indent=2) + "\\n"``, which writes the cells wider than 64 bits (complex
+        mode above t = 32). Cells of at most 64 bits go to orjson as one
+        uint64 array, with no Python int built.
         """
         if self.width <= 64:
             doc = {"cells": self._joined(), "k": self.k, "mode": self.mode, "t": self.t}
             return orjson.dumps(doc, option=_IMAGE_JSON_OPTIONS).decode()
-        cells = str(self._cell_list())[1:-1].replace(", ", ",\n    ")
-        return (
-            f'{{\n  "cells": [\n    {cells}\n  ],\n  "k": {self.k},\n'
-            f'  "mode": "{self.mode}",\n  "t": {self.t}\n}}\n'
-        )
+        doc = {"cells": self._cell_list(), "k": self.k, "mode": self.mode, "t": self.t}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MemoryImage":

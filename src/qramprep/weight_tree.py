@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AllZeroWeightsError, InvalidWeightsError, NotPowerOfTwoError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # it holds arrays: equal and hashed by identity
 class WeightTree:
     """Immutable tree of subtree weight sums; ``levels[h][p]`` is node (h, p)."""
 

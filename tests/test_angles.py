@@ -267,3 +267,15 @@ class TestComplexAngleTree:
         with pytest.raises(WrongModeError):
             build_angle_structures(example, "octonion")
 
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_matrix(2, 4, seed=1),
+    lambda: build_weight_tree([1.0, 2.0, 3.0, 4.0]),
+    lambda: build_angle_structures(random_matrix(2, 4, seed=1)),
+], ids=["ComplexMatrix", "WeightTree", "ComplexAngleTree"])
+def test_array_holders_compare_and_hash_by_identity(build):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    x = build()
+    assert x == x and x != build()
+    assert hash(x) == hash(x) and x in {x}

@@ -494,12 +494,6 @@ class TestRefusalMessages:
             load_matrix(source, fmt)
         assert str(info.value) == message
 
-    def test_bad_entry_scan_never_returns(self):
-        # its callers reach it only with a bad entry; given none, it still refuses
-        with pytest.raises(ParseError) as info:
-            matrix._raise_first_bad_entry([[1, 0], [0.5, -2]])
-        assert str(info.value) == "entries must be [re, im] pairs of finite numbers"
-
 
 class TestComplexLiteral:
     @pytest.mark.parametrize(

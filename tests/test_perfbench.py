@@ -54,13 +54,55 @@ def test_traced_workload_reports_every_layer_metric(workloads, tracing, name):
     assert tracer.metrics()[1] == []
 
 
-def test_preprocess_reads_its_matrix_flat(workloads, monkeypatch):
-    def refuse(entries):
-        raise AssertionError("entries read as a list per entry")
+class ReferenceFormReached(Exception):
+    """A workload op reached a reference form that the benchmark does not time."""
 
-    monkeypatch.setattr(workloads.qp.matrix, "_entry_array", refuse)
-    wl = workloads.build("preprocess", seed=401, k=6)
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise ReferenceFormReached(name)
+
+    return refuse
+
+
+class _RefusingJson:
+    """Stands in for the ``json`` module inside ``qramprep.memory``: every name refuses."""
+
+    def __getattr__(self, name):
+        return _refuse(f"memory.json.{name}")
+
+
+@pytest.fixture
+def reference_forms_refused(workloads, monkeypatch):
+    # the reference forms: the stdlib reading's pair-by-pair entry check (so
+    # preprocess must read its matrix flat), the json module's writer of cells
+    # wider than 64 bits, and image equality. The global json module stays:
+    # the prepare_image op calls it itself
+    qp = workloads.qp
+    monkeypatch.setattr(qp.matrix, "_entry_array", _refuse("matrix._entry_array"))
+    monkeypatch.setattr(qp.memory, "json", _RefusingJson())
+    monkeypatch.setattr(qp.MemoryImage, "__eq__", _refuse("MemoryImage.__eq__"))
+    return qp
+
+
+@pytest.mark.parametrize("name", ["preprocess", "prepare_image", "sweep"])
+def test_workloads_run_no_reference_form(workloads, reference_forms_refused, name):
+    # each reference form is slower than the fast form beside it; no workload
+    # times one, so a workload routed onto one would only get slower unnoticed
+    wl = workloads.build(name, seed=401, k=6)
     assert 0.0 <= wl.check(wl.op()) <= 1.0
+
+
+def test_each_refused_reference_form_is_reached_on_its_own_path(reference_forms_refused):
+    qp = reference_forms_refused
+    irregular = '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "note": "[]"}'
+    with pytest.raises(ReferenceFormReached, match=r"^matrix\._entry_array$"):
+        qp.load_matrix(irregular, "json")
+    image, _ = qp.build_memory_image(qp.random_matrix(2, 2, seed=1), 40, "complex")
+    with pytest.raises(ReferenceFormReached, match=r"^memory\.json\.dumps$"):
+        image.to_json()
+    with pytest.raises(ReferenceFormReached, match=r"^MemoryImage\.__eq__$"):
+        image == image  # noqa: B015
 
 
 def test_check_rejects_a_corrupted_image(workloads):
