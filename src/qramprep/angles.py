@@ -108,7 +108,7 @@ def splitting_angle(z: int, tree: WeightTree) -> float:
     Node z >= 1 sits at level l = floor(log2 z) + 1, position z - 2**(l-1);
     its children are entries 2p and 2p + 1 of ``tree.levels[l]``.
     """
-    if not isinstance(z, Integral) or not 1 <= z < tree.size:
+    if isinstance(z, bool) or not isinstance(z, Integral) or not 1 <= z < tree.size:
         raise IndexOutOfRangeError(f"memory index {z!r} outside [1, {tree.size - 1}]")
     level = int(z).bit_length()
     pos = int(z) - (1 << (level - 1))

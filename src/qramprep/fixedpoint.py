@@ -33,11 +33,13 @@ MIN_PRECISION = 2
 MAX_PRECISION = 62
 
 
-def check_precision(t: int) -> None:
+def check_precision(t: int) -> int:
+    """``t`` as a Python int, so no grid or shift wraps a numpy int; any other t is refused."""
     if not isinstance(t, Integral) or not MIN_PRECISION <= t <= MAX_PRECISION:
         raise PrecisionOutOfRangeError(
             f"t must be an integer in [{MIN_PRECISION}, {MAX_PRECISION}], got {t!r}"
         )
+    return int(t)
 
 
 def magnitude_grid(t: int) -> float:
@@ -72,7 +74,7 @@ def encode_magnitude_angles(thetas, t: int) -> np.ndarray:
 
     The rounding error is at most half a grid step, 2**(1-t).
     """
-    check_precision(t)
+    t = check_precision(t)
     x = _as_floats(thetas, "theta")
     _first_bad(~((x >= 0.0) & (x <= math.pi)), x, "theta", "lie in [0, pi]")  # NaN fails too
     return _round_half_up(x / magnitude_grid(t))
@@ -83,7 +85,7 @@ def encode_phases(phis, t: int) -> np.ndarray:
 
     The circular rounding error is at most pi * 2**(-t).
     """
-    check_precision(t)
+    t = check_precision(t)
     x = _as_floats(phis, "phi")
     _first_bad(~np.isfinite(x), x, "phi", "be finite")
     # a tiny negative phi reduces to exactly 2*pi, whose code 2**t wraps to 0

@@ -7,12 +7,13 @@ Accepted input formats:
 
 * JSON: ``{"rows": M, "cols": N, "entries": [[re, im], ...]}`` with the
   entries row-major and of length ``M * N``. Matrix JSON has two readings.
-  A regular document (one array of pairs with only whitespace and commas
-  between them, no string holding a bracket, comma or backslash; every
+  A regular document (one array of pairs all parted by one gap of whitespace
+  and a comma, no string holding a bracket, comma or backslash; every
   ``json.dumps`` layout) is read flat: orjson reads it with its pair
   brackets blanked, as one list of parts with no list per entry. Any other
-  document is read by the stdlib's ``json.loads``, which is the reference
-  reading, and its entries are checked pair by pair.
+  document (a row-broken one such as ``data/example_matrix.json`` too) is
+  read by the stdlib's ``json.loads``, the reference reading, and its
+  entries are checked pair by pair.
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
   ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
@@ -199,11 +200,11 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     Regular: ``data`` holds no backslash, its structural bytes ``[]{}",``
     read ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are
     dropped (so no string holds a structural byte, and the object's one
-    array is n >= 1 pairs), and only JSON whitespace lies in that array
-    outside its pairs (see :func:`_blank_pairs`). orjson then reads the text
-    with the pair brackets blanked, which nests two levels deep, ``entries``
-    as ``[re0, im0, re1, im1, ...]``. The matrix is built only if that parse
-    succeeds and rows, cols and the 2 rows*cols parts are what
+    array is n >= 1 pairs), and in that array one gap of JSON whitespace and
+    a comma parts all pairs (see :func:`_blank_pairs`). orjson then reads the
+    text with the pair brackets blanked, which nests two levels deep,
+    ``entries`` as ``[re0, im0, re1, im1, ...]``. The matrix is built only if
+    that parse succeeds and rows, cols and the 2 rows*cols parts are what
     :meth:`ComplexMatrix.from_json_dict` accepts; every other document is
     left to the stdlib reading, so each refusal keeps its type and message.
     """
@@ -243,14 +244,15 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
 
 
 def _blank_pairs(data: bytes, n: int) -> bytearray | None:
-    """``data`` with the brackets of its n pairs blanked; None if more than whitespace parts them.
+    """``data`` with the brackets of its n pairs blanked; None unless one gap parts them all.
 
     No string of ``data`` holds a bracket (see :func:`_regular_matrix`), so
     its first and last bracket enclose the array. Once the brackets are gone,
     a value outside the pairs would read as an empty part beside it
-    (``[1[, 2], ...]``), so every gap must be whitespace and one comma. The
-    first gap is blanked everywhere with one ``bytes.replace``; gaps that
-    differ from it (row breaks, say) are checked and blanked one by one.
+    (``[1[, 2], ...]``), so the gap between pairs must be whitespace and one
+    comma. The first gap is blanked everywhere with one ``bytes.replace``; a
+    pair bracket left over means a gap that differs from it (a row break,
+    say), and such a document is left to the stdlib reading.
     """
     outer, close = data.find(b"["), data.rfind(b"]")
     start, end = data.find(b"[", outer + 1), data.rfind(b"]", outer, close)
@@ -259,17 +261,11 @@ def _blank_pairs(data: bytes, n: int) -> bytearray | None:
     if n > 1:
         stop = data.find(b"]", start)
         gap = data[stop + 1:data.find(b"[", stop)]
-        if gap.strip(_JSON_SPACE) != b",":
-            return None
         data = data.replace(b"]" + gap + b"[", b" " + gap + b" ")
+        if gap.strip(_JSON_SPACE) != b"," or data.find(b"[", start + 1, end) != -1:
+            return None
     flat = bytearray(data)
     flat[start] = flat[end] = ord(" ")
-    at = start
-    while (at := flat.find(b"[", at, end)) != -1:
-        stop = flat.rfind(b"]", start, at)
-        if flat[stop + 1:at].strip(_JSON_SPACE) != b",":
-            return None
-        flat[stop] = flat[at] = ord(" ")
     return flat
 
 

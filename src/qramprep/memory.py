@@ -68,6 +68,13 @@ _IMAGE_JSON_OPTIONS = (
 )
 
 
+def checked_width(value, what: str) -> int:
+    """An address or register width as a Python int; refused unless in [1, 62], room to shift."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= 62:
+        raise InvalidDimensionsError(f"{what} must be in [1, 62], got {value!r}")
+    return int(value)
+
+
 def cell_width(t: int, mode: str) -> int:
     """Bits per cell: a t-bit angle field plus a t-bit (complex) or one-bit phase field."""
     if mode == "complex":
@@ -106,8 +113,7 @@ class MemoryImage:
     mode: str
 
     def __post_init__(self):
-        check_precision(self.t)
-        object.__setattr__(self, "t", int(self.t))  # fixed-width ints would overflow cell shifts
+        object.__setattr__(self, "t", check_precision(self.t))
         cells = vars(self).pop("_cells")
         n = len(cells)
         if n < 2 or n & (n - 1):
@@ -226,6 +232,9 @@ class QueryLedger:
     query_count: int = 0
     reached: list[bytes] = field(default_factory=list, repr=False)
 
+    def __post_init__(self):
+        self.k = checked_width(self.k, "address width k")
+
     @property
     def routing_time(self) -> int:
         return self.query_count * self.k
@@ -248,9 +257,10 @@ class QueryLedger:
 
 def _pack(gamma: ComplexAngleTree, aux_bits: np.ndarray, t: int, mode: str) -> MemoryImage:
     """Image of the tree's encoded angles (cell 0, no sibling pair, holds 0) and ``aux_bits``."""
+    t = check_precision(t)
     angle = np.zeros(gamma.size, dtype=np.uint64)
-    angle[1:] = encode_magnitude_angles(gamma.thetas, t)  # also checks t
-    return MemoryImage._from_fields(angle, aux_bits.astype(np.uint64, copy=False), int(t), mode)
+    angle[1:] = encode_magnitude_angles(gamma.thetas, t)
+    return MemoryImage._from_fields(angle, aux_bits.astype(np.uint64, copy=False), t, mode)
 
 
 def layout_complex(gamma: ComplexAngleTree, t: int) -> MemoryImage:

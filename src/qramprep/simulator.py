@@ -8,8 +8,8 @@ stored structure-of-arrays: ``BranchState`` keeps one array per register, the
 index registers ``addr`` and ``v`` as intp and the work registers ``w_angle``
 and ``w_aux`` as uint64, and a complex128 array ``amp``, entry i of each
 describing branch i. Every register is at most 62 bits wide (a state refuses
-k > 62), so no packed label is ever formed while simulating. The
-state stays sparse: after every uncompute the work registers are zero on all
+wider k, t and aux_width), so no packed label is ever formed while simulating.
+The state stays sparse: after every uncompute the work registers are zero on all
 branches and at most 2**k branches remain, whatever t is. A dense vector over
 k + 2t + 1 qubits would be hopeless for t = 32; the branch arrays are exact
 and cheap.
@@ -68,17 +68,15 @@ from .errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
     IndexOutOfRangeError,
-    InvalidDimensionsError,
     WrongModeError,
 )
 from .fixedpoint import check_precision, magnitude_grid, phase_grid
-from .memory import MemoryImage, QueryLedger, cell_width, query
+from .memory import MemoryImage, QueryLedger, cell_width, checked_width, query
 from .weight_tree import WeightTree
 
 _ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
 # the index registers are intp, so a gather by address needs no cast copy
 _DTYPES = {"addr": np.intp, "v": np.intp, "w_angle": np.uint64, "w_aux": np.uint64}
-MAX_ADDRESS_WIDTH = 62  # k: shifting the intp address left by one must not overflow
 
 
 class _BranchView(Mapping):
@@ -130,12 +128,9 @@ class BranchState:
     k: int
 
     def __post_init__(self):
-        k = self.k
-        if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= MAX_ADDRESS_WIDTH:
-            raise InvalidDimensionsError(
-                f"address width k must be in [1, {MAX_ADDRESS_WIDTH}], got {k!r}"
-            )
-        self.k = int(k)  # fixed-width ints would overflow the label shifts
+        self.k = checked_width(self.k, "address width k")
+        self.t = check_precision(self.t)
+        self.aux_width = checked_width(self.aux_width, "aux_width")
         self._load_labels()
 
     def _load_labels(self) -> None:
@@ -204,8 +199,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
     """Single branch, all work registers zero, address 0...01, amplitude 1."""
-    check_precision(t)
-    t = int(t)  # fixed-width ints would overflow the label shifts
+    t = check_precision(t)
     return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
 
 
@@ -386,8 +380,8 @@ def marker_check(state: BranchState, h: int, wt: WeightTree) -> bool:
     marker sits in v = 1 and the address is bin_k(p).
     """
     k = state.k
-    if not 1 <= h <= k:
-        raise IndexOutOfRangeError(f"iteration {h} outside [1, {k}]")
+    if isinstance(h, bool) or not isinstance(h, Integral) or not 1 <= h <= k:
+        raise IndexOutOfRangeError(f"iteration {h!r} outside [1, {k}]")
     if wt.depth != k:
         raise IndexOutOfRangeError(f"tree depth {wt.depth} != address width {k}")
     tol = k * magnitude_grid(state.t) / 2 + 1e-10

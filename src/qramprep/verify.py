@@ -94,8 +94,7 @@ def error_bound(k: int, t: int) -> float:
     """Worst-case quantization error (k + pi) * 2**(-t) for exact cascades."""
     if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
         raise NotPowerOfTwoError(f"k must be a positive integer, got {k!r}")
-    check_precision(t)
-    return (k + math.pi) * 2.0 ** (-t)
+    return (k + math.pi) * 2.0 ** -check_precision(t)
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,7 @@ def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
     """Resource counts for preparing K = 2**k amplitudes at precision t."""
     if not isinstance(K, Integral) or K < 2 or K & (K - 1):
         raise NotPowerOfTwoError(f"K must be a power of two >= 2, got {K!r}")
-    check_precision(t)
-    K, t = int(K), int(t)  # numpy ints in the fields would not serialize to JSON
+    K, t = int(K), check_precision(t)  # numpy ints in the fields would not serialize to JSON
     k = K.bit_length() - 1
     cell = cell_width(t, mode)  # refuses an unknown mode
     queries = 2 * k + 2
@@ -179,13 +177,11 @@ def precision_sweep(
 
     The angle structure is built once; only the layout and the run repeat per t.
     """
-    t_values = list(t_values)
-    for t in t_values:
-        check_precision(t)  # before int(): 7.9 or "8" is no precision
+    t_values = sorted(set(map(check_precision, t_values)))
     oracle = oracle_state(m)
     gamma = build_angle_structures(m, mode)
     rows = []
-    for t in sorted(set(map(int, t_values))):
+    for t in t_values:
         # keep neither the state nor the query ledger alive into the next run
         error = state_error(_prepare(layout_image(gamma, t))[0], oracle)
         rows.append(SweepRow(t=t, measured_error=error, bound=error_bound(m.depth, t)))

@@ -58,10 +58,10 @@ class TestSplittingAngle:
         for z in range(1, tree.size):
             assert 0.0 <= splitting_angle(z, tree) <= math.pi
 
-    @pytest.mark.parametrize("z", [0, 8, -1, 1.0, 2.5, "1"])
+    @pytest.mark.parametrize("z", [0, 8, -1, 1.0, 2.5, "1", True, np.bool_(True)])
     def test_out_of_range(self, example_tree, z):
         # z outside [1, K-1] or not an integer
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(IndexOutOfRangeError, match=rf"^memory index {z!r} outside \[1, 7\]$"):
             splitting_angle(z, example_tree)
 
 

@@ -24,6 +24,7 @@ from qramprep.verify import (
     error_bound,
     oracle_state,
     quantized_oracle,
+    resource_report,
     run_preparation,
     state_error,
 )
@@ -315,17 +316,22 @@ def count_parses(monkeypatch) -> list[str]:
 class TestJsonInput:
     @pytest.mark.parametrize("command", [["preprocess"], ["prepare"], ["sweep", "--t", "8"]])
     def test_matrix_file_is_parsed_once(self, example_path, monkeypatch, capsys, command):
+        # the example file breaks its rows, so the stdlib reads it
         calls = count_parses(monkeypatch)
         assert main([*command, "--input", str(example_path)]) == 0
-        assert calls == ["orjson"]
+        assert calls == ["json"]
 
-    def test_matrix_file_is_read_flat(self, example_path, monkeypatch, capsys):
+    def test_matrix_file_is_read_flat(self, tmp_path, monkeypatch, capsys):
         def refuse(entries):
             raise AssertionError("entries read as a list per entry")
 
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(json.loads(DATA.read_text()), indent=2))
+        calls = count_parses(monkeypatch)
         monkeypatch.setattr(matrix, "_entry_array", refuse)
-        assert main(["preprocess", "--input", str(example_path)]) == 0
+        assert main(["preprocess", "--input", str(src)]) == 0
         assert "K=8" in capsys.readouterr().out
+        assert calls == ["orjson"]
 
     def test_matrix_document_with_cells_is_an_image(self, tmp_path, capsys):
         src = tmp_path / "m.json"
@@ -564,6 +570,36 @@ class TestPrepare:
         assert main(["prepare", "--input", str(img_path)]) == 1
         assert "status: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fault", ["dirty work register", "branch with v = 0"])
+    def test_image_run_fails_on_a_bad_final_state(self, example_path, tmp_path, capsys,
+                                                  monkeypatch, fault):
+        # a unit-norm state that is dirty or unmarked fails its check; the
+        # quantized-state comparison, which needs both, is not attempted
+        img_path = tmp_path / "img.json"
+        main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
+        capsys.readouterr()
+        prepare = cli._prepare
+
+        def faulty(img):
+            state, ledger = prepare(img)
+            branches = dict(state.branches)
+            label = min(branches)
+            if fault == "dirty work register":
+                branches[label | (1 << state.angle_shift)] = branches.pop(label)
+            else:
+                branches[label & ~(1 << state.k)] = branches.pop(label)
+            return dataclasses.replace(state, branches=branches), ledger
+
+        monkeypatch.setattr(cli, "_prepare", faulty)
+        assert main(["prepare", "--input", str(img_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        checks = dict(line.split(": ", 1) for line in out.splitlines())
+        flags = {"dirty work register": ("False", "True"), "branch with v = 0": ("True", "False")}
+        assert (checks["work_clean"], checks["marker_set"]) == flags[fault]
+        assert float(checks["norm_error"]) <= 1e-12
+        assert checks["status"] == "FAIL" and "model_error" not in checks
+
     @pytest.mark.parametrize("k", ["20000", "9" * 5000], ids=["k=20000", "k past the digit limit"])
     def test_image_with_huge_k_is_refused(self, tmp_path, capsys, k):
         # neither 1 << k nor a k past Python's integer digit limit may end in a traceback
@@ -688,6 +724,19 @@ class TestSweep:
         rc = main(["sweep", "--input", str(example_path), "--t", "16:6"])
         assert rc == 1
 
+    def test_range_of_one_precision(self, example_path, capsys):
+        assert main(["sweep", "--input", str(example_path), "--t", "8:8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,measured_error,bound"
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["8"]
+
+    def test_failing_sweep_exits_1(self, example_path, capsys):
+        # at t = 62 the float64 floor exceeds 4 x the budget (README)
+        assert main(["sweep", "--input", str(example_path), "--t", "62"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "status: FAIL (all errors within 4.0 x bound: False)"
+        assert err == ""
+
 
 class TestResources:
     def test_scale_row(self, capsys):
@@ -704,10 +753,31 @@ class TestResources:
         assert rc == 0
         assert json.loads(out_path.read_text())["qpu_qubits"] == 75
 
+    def test_prints_the_indented_report(self, capsys):
+        assert main(["resources", "--K", "1024", "--t", "32"]) == 0
+        report = dataclasses.asdict(resource_report(1024, 32, "complex"))
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
     def test_not_power_of_two(self, capsys):
         rc = main(["resources", "--K", "1000", "--t", "32"])
         assert rc == 1
         assert "power of two" in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("argv,t", [
+        (["preprocess"], 16), (["prepare"], 16), (["resources", "--K", "4"], 32),
+    ])
+    def test_precision(self, argv, t):
+        assert build_parser().parse_args(argv).t == t
+
+    @pytest.mark.parametrize("command", ["preprocess", "prepare", "sweep"])
+    def test_seed(self, command):
+        assert build_parser().parse_args([command]).seed == 0
+
+    def test_random_matrix_seed(self):
+        default, zero = random_matrix(4, 4), random_matrix(4, 4, seed=0)
+        assert default.entries.tobytes() == zero.entries.tobytes()
 
 
 class TestModuleEntryPoint:

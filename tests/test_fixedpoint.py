@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qramprep.errors import AngleOutOfRangeError, PrecisionOutOfRangeError
 from qramprep.fixedpoint import (
+    check_precision,
     encode_magnitude_angle,
     encode_magnitude_angles,
     encode_phase,
@@ -14,6 +15,17 @@ from qramprep.fixedpoint import (
     phase_distance,
     phase_grid,
 )
+
+
+class TestCheckPrecision:
+    @pytest.mark.parametrize("t", [2, 16, 62, np.int8(2), np.int32(40), np.uint64(62)])
+    def test_returns_a_python_int(self, t):
+        assert type(check_precision(t)) is int and check_precision(t) == t
+
+    @pytest.mark.parametrize("t", [1, 63, np.uint8(1), True, 16.0, "16", None])
+    def test_refuses_what_is_no_precision(self, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            check_precision(t)
 
 
 class TestMagnitudeCodec:

@@ -218,15 +218,19 @@ LAYOUTS = _layouts({"rows": 4, "cols": 4, "entries": _pairs(random_matrix(4, 4, 
 FLAT_READABLE = [
     *LAYOUTS,
     EXAMPLE_JSON,
-    EXAMPLE_FILE,  # a row break is a second gap between pairs
     SMALL.replace(" ", ""),
     _with_entries("[ [ 1 , 0 ] ,\n\t[ 0 , 1 ] ]"),
-    _with_entries("[[1, 0], [0, 1] ,[1, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
     '{"entries": [[1, 0], [0, 1]], "cols": 2, "rows": 1}',
     '{"id": 7, "rows": 1, "scale": 1.5, "cols": 2, "entries": [[1, 0], [0, 1]], "ok": true,'
     ' "tag": null, "name": "m", "": ""}',
     json.dumps({"rows": 2, "cols": 2, "entries": [[0, 0]] * 4}),  # refused all zero
     json.dumps({"rows": 1, "cols": 1, "entries": [[5, 0]]}),  # refused single cell
+    json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0.5], [-2.0, 0]]}),  # ints and floats
+]
+# documents whose gaps between pairs differ, read by the stdlib
+ROW_BROKEN = [
+    EXAMPLE_FILE,  # a row break is a second gap between pairs
+    _with_entries("[[1, 0], [0, 1] ,[1, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
 ]
 
 READER_CORPUS = [
@@ -293,6 +297,7 @@ READER_CORPUS = [
     SMALL[:-1] + ', "note": ' + _nested(2000) + "}",
     # json.dumps layouts, keys in every order, extra scalar keys
     *FLAT_READABLE,
+    *ROW_BROKEN,
     *(json.dumps(dict(keys)) for keys in itertools.permutations(
         [("rows", 1), ("cols", 2), ("entries", [[1, 0], [0.5, -2]])])),
     # strings that hold a structural byte, and other arrays or objects beside the pairs
@@ -433,7 +438,7 @@ class TestReaderDifferential:
         assert [math.copysign(1.0, x) for x in m.entries.real[:3]] == [-1.0, 1.0, 1.0]
 
     @settings(max_examples=600, deadline=None)
-    @given(st.sampled_from([doc.encode() for doc in FLAT_READABLE]), st.data())
+    @given(st.sampled_from([doc.encode() for doc in FLAT_READABLE + ROW_BROKEN]), st.data())
     def test_one_byte_edit(self, doc, data):
         # each edit of a regular document is read flat, nested, or refused, as the stdlib does
         edits = b'[],"1t'
@@ -467,13 +472,24 @@ def _refuse_nested_reading(monkeypatch):
 
 
 class TestFlatReading:
-    """Which documents are read flat: the nested reading (``_entry_array``) never runs."""
+    """Which documents are read flat, so that the nested reading (``_entry_array``) never
+    runs, and which are not."""
 
     @pytest.mark.parametrize("doc", FLAT_READABLE, ids=range(len(FLAT_READABLE)))
     def test_read_flat(self, doc, monkeypatch):
         want = _outcome(_stdlib_reading, doc)
         _refuse_nested_reading(monkeypatch)
         assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
+
+    @pytest.mark.parametrize("doc", ROW_BROKEN, ids=range(len(ROW_BROKEN)))
+    def test_row_broken_document_is_read_by_the_stdlib(self, doc, monkeypatch):
+        # one gap is blanked everywhere: a second gap leaves the document to
+        # the stdlib reading, whose entries reach the pair check once
+        want = _outcome(_stdlib_reading, doc)
+        calls, entry_array = [], matrix._entry_array
+        monkeypatch.setattr(matrix, "_entry_array", lambda e: calls.append(e) or entry_array(e))
+        assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
+        assert len(calls) == 1
 
 
 class TestRefusalMessages:
@@ -485,6 +501,10 @@ class TestRefusalMessages:
          "entry 0 real part must be finite, got nan"),
         (_entries_doc(["1", "-Infinity"]), "json", ParseError,
          "entry 1 real part must be finite, got -inf"),
+        (json.dumps({"rows": 0, "cols": 4, "entries": []}), "json", EmptyMatrixError,
+         "rows=0, cols=4"),
+        (json.dumps({"rows": 4, "cols": 0, "entries": []}), "json", EmptyMatrixError,
+         "rows=4, cols=0"),
         ("1,\n", "csv", ParseError, "empty complex literal"),
         ("", "csv", EmptyMatrixError, "CSV input has no rows"),
         ("\n\n", "csv", EmptyMatrixError, "CSV input has no rows"),

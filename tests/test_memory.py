@@ -412,6 +412,17 @@ class TestLedger:
         assert [len(bitmap) for bitmap in ledger.reached] == [max(1, (1 << k) // 8)] * 6
         assert ledger.access_log == want
 
+    @pytest.mark.parametrize("k", [-1, 0, 63, True, 3.0, None])
+    def test_address_width_outside_1_to_62_is_refused(self, k):
+        # QueryLedger(-1).record([0]) raised a bare ValueError from numpy
+        with pytest.raises(InvalidDimensionsError,
+                           match=r"^address width k must be in \[1, 62\], got "):
+            QueryLedger(k)
+
+    def test_address_width_is_a_python_int(self):
+        ledger = QueryLedger(np.int8(4))
+        assert type(ledger.k) is int and type(ledger.routing_time) is int
+
     def test_replace_counts(self):
         ledger = QueryLedger(k=3)
         ledger.record([1, 2])

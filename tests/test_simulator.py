@@ -82,6 +82,39 @@ class TestInitState:
         with pytest.raises(WrongModeError):
             init_state(2, 8, "qutrit")
 
+    @pytest.mark.parametrize("aux_width", [-1, 0, 63, 100, True, 8.0, None])
+    def test_aux_width_outside_1_to_62_is_refused(self, aux_width):
+        # 0 and 100 were accepted; 100 then overflowed in phase_cascade
+        with pytest.raises(InvalidDimensionsError,
+                           match=r"^aux_width must be in \[1, 62\], got "):
+            make_state(2, 8, aux_width, {1: 1.0 + 0j})
+
+    @pytest.mark.parametrize("aux_width", [1, 62])
+    def test_aux_width_bounds_are_accepted(self, aux_width):
+        state = make_state(2, 8, np.int8(aux_width), {1: 1.0 + 0j})
+        assert type(state.aux_width) is int and state.aux_width == aux_width
+        assert phase_cascade(state).amp.tolist() == [1.0 + 0j]
+
+    @pytest.mark.parametrize("t", [0, 1, 63, 8.0, True])
+    def test_state_refuses_a_precision_outside_2_to_62(self, t):
+        with pytest.raises(PrecisionOutOfRangeError):
+            make_state(2, t, 8, {1: 1.0 + 0j})
+
+    def test_state_stores_its_precision_as_a_python_int(self):
+        state = make_state(2, np.int32(40), 40, {1: 1.0 + 0j})
+        assert type(state.t) is int and state.t == 40
+        assert type(init_state(2, np.uint8(40)).t) is int
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_label_with_every_bit_set_loads_each_register_within_its_width(self, mode):
+        k, t = 3, 5
+        aux_width = 1 if mode == "real_signed" else t
+        label = (1 << (k + 1 + aux_width + t)) - 1
+        state = make_state(k, t, aux_width, {label: 1.0 + 0j})
+        registers = [state.addr, state.v, state.w_angle, state.w_aux]
+        assert [r.tolist() for r in registers] == [[7], [1], [31], [(1 << aux_width) - 1]]
+        assert list(state.branches) == [label]
+
     @pytest.mark.parametrize("t", [1, 63])
     def test_precision_outside_2_to_62_is_refused(self, t):
         with pytest.raises(PrecisionOutOfRangeError):
@@ -474,6 +507,13 @@ class TestMarkerCheck:
     def test_iteration_out_of_range(self, example, h):
         state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
         with pytest.raises(IndexOutOfRangeError):
+            marker_check(state, h, build_weight_tree(squared_moduli(example)))
+
+    @pytest.mark.parametrize("h", [True, 1.0, np.float64(2.0), "1", None])
+    def test_iteration_that_is_no_integer(self, example, h):
+        # a bool passed 1 <= h <= k as iteration 1; a float reached numpy's shift
+        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
+        with pytest.raises(IndexOutOfRangeError, match=r"^iteration .* outside \[1, 3\]$"):
             marker_check(state, h, build_weight_tree(squared_moduli(example)))
 
     def test_tree_of_other_depth(self, example):

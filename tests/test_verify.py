@@ -17,12 +17,14 @@ from qramprep.errors import (
     WrongModeError,
 )
 from qramprep import simulator, verify
-from qramprep.fixedpoint import magnitude_grid
+from qramprep.angles import MODES, build_angle_structures
+from qramprep.fixedpoint import encode_magnitude_angles, encode_phases, magnitude_grid
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image
-from qramprep.simulator import BranchState
+from qramprep.simulator import BranchState, dump_state
 from qramprep.verify import (
     ERROR_SLACK,
+    SIM_MODES,
     error_bound,
     oracle_state,
     precision_sweep,
@@ -199,6 +201,60 @@ class TestErrorBound:
 
     def test_numpy_integer_k(self):
         assert error_bound(np.int64(3), 10) == error_bound(3, 10)
+
+
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.uint8, np.uint64]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNumpyIntegerPrecision:
+    """A t of any numpy integer type gives exactly what the Python int gives, and no warning.
+
+    Each function converts t through ``check_precision``; computed on a
+    fixed-width integer, ``1 << t`` and ``2.0 ** -t`` wrap or overflow (an
+    int32 t = 40 gave a state 1.38 off, a uint8 t = 8 a budget of 3.2e75).
+    """
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTS)
+    @pytest.mark.parametrize("t", [2, 8, 16, 33, 40, 62])
+    def test_encoders_and_images(self, dtype, t):
+        for mode, real in (("complex", False), ("real_signed", True)):
+            m = random_matrix(4, 4, seed=1, real=real)
+            gamma = build_angle_structures(m, mode)
+            assert np.array_equal(encode_magnitude_angles(gamma.thetas, dtype(t)),
+                                  encode_magnitude_angles(gamma.thetas, t))
+            assert np.array_equal(encode_phases(gamma.phases, dtype(t)),
+                                  encode_phases(gamma.phases, t))
+            got, want = build_memory_image(m, dtype(t), mode)[0], build_memory_image(m, t, mode)[0]
+            assert type(got.t) is int
+            assert got == want and got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTS)
+    @pytest.mark.parametrize("sim", SIM_MODES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_preparation(self, dtype, sim, mode):
+        m = random_matrix(4, 4, seed=1, real=mode == "real_signed")
+        for t in (8, 40):
+            got, got_ledger, _ = run_preparation(m, dtype(t), mode, sim)
+            want, want_ledger, _ = run_preparation(m, t, mode, sim)
+            assert (got.t, type(got.t)) == (t, int)
+            assert dump_state(got) == dump_state(want)
+            assert got_ledger.access_log == want_ledger.access_log
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTS)
+    def test_budget_resources_and_sweep(self, dtype):
+        for t in (2, 8, 16, 33, 62):
+            assert error_bound(4, dtype(t)) == error_bound(4, t)
+            for mode in MODES:
+                report = resource_report(16, dtype(t), mode)
+                assert report == resource_report(16, t, mode)
+                assert json.dumps(dataclasses.asdict(report)) \
+                    == json.dumps(dataclasses.asdict(resource_report(16, t, mode)))
+        m = random_matrix(2, 4, seed=3)
+        ts = [2, 8, 33, 40, 62]
+        got = precision_sweep(m, map(dtype, ts))
+        assert got == precision_sweep(m, ts)
+        assert [type(row.t) for row in got] == [int] * len(ts)
 
 
 class TestResourceReport:
