@@ -49,6 +49,7 @@ import orjson
 
 from .angles import MODES, ComplexAngleTree, build_angle_structures
 from .errors import (
+    IndexOutOfRangeError,
     InvalidDimensionsError,
     LengthMismatchError,
     ParseError,
@@ -248,9 +249,17 @@ class QueryLedger:
         ]
 
     def record(self, addresses) -> None:
-        """Count one query and keep the bitmap of the distinct addresses it reached."""
+        """Count one query and keep the bitmap of the distinct addresses in [0, K) it reached."""
+        addresses = np.asarray(addresses)
+        if addresses.size and (addresses.dtype.kind not in "iu"
+                               or not 0 <= addresses.min() <= addresses.max() < 1 << self.k):
+            raise IndexOutOfRangeError(f"addresses must be integers in [0, {1 << self.k})")
+        self._record_register(addresses.astype(np.intp, copy=False))
+
+    def _record_register(self, addr: np.ndarray) -> None:
+        """``record`` of a state's address register, which is in range by construction."""
         reached = np.zeros(1 << self.k, dtype=bool)
-        reached[np.asarray(addresses, dtype=np.intp)] = True
+        reached[addr] = True
         self.query_count += 1
         self.reached.append(np.packbits(reached).tobytes())
 
@@ -311,6 +320,5 @@ def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "Branc
         )
     angle, aux = img.field_arrays
     addr = state.addr
-    out = state._evolve(w_angle=state.w_angle ^ angle[addr], w_aux=state.w_aux ^ aux[addr])
-    ledger.record(addr)
-    return out
+    ledger._record_register(addr)
+    return state._evolve(w_angle=state.w_angle ^ angle[addr], w_aux=state.w_aux ^ aux[addr])

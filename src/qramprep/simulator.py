@@ -18,7 +18,12 @@ Every operation is a whole-array pass. A query gathers the addressed cell
 fields and XORs them into the work registers; the y-rotation cascade rotates
 every (v=0, v=1) branch pair at once; the circular shift is bit arithmetic on
 the address and marker; the phase cascade is one elementwise pass that
-multiplies the marked amplitudes by their leaf phases.
+multiplies the marked amplitudes by their leaf phases. So a step costs a
+fixed few numpy calls, a few hundred ns each, plus its per-branch work, and
+the fixed part dominates while a state holds few branches. The four steps
+stay separate functions called through this module's globals: the acceptance
+suite and the benchmark's tracer name them, so a fused kernel would be a
+second path.
 
 Before every rotation of the loop no branch has v = 1, so the rotation builds
 no pairing: each branch is the v = 0 half of its own pair. It writes the two
@@ -49,8 +54,8 @@ the amplitude, built on first use; passing a mapping to the constructor, or
 to ``dataclasses.replace(state, branches=...)``, loads the arrays from the
 labels.
 
-State dump wire format: {"k": k, "branches": [{"address": a, "v": bit,
-"amp": [re, im]}]} sorted by address; dumping demands clean work registers.
+State dump wire format: {"branches": [{"address": a, "amp": [re, im], "v":
+bit}], "k": k}, rows sorted by address; dumping demands clean work registers.
 """
 from __future__ import annotations
 
@@ -74,7 +79,6 @@ from .fixedpoint import check_precision, magnitude_grid, phase_grid
 from .memory import MemoryImage, QueryLedger, cell_width, checked_width, query
 from .weight_tree import WeightTree
 
-_ARRAYS = ("addr", "v", "w_angle", "w_aux", "amp")
 # the index registers are intp, so a gather by address needs no cast copy
 _DTYPES = {"addr": np.intp, "v": np.intp, "w_angle": np.uint64, "w_aux": np.uint64}
 
@@ -161,10 +165,9 @@ class BranchState:
     def _evolve(self, **arrays: np.ndarray) -> "BranchState":
         """A state of the same widths with the named register or ``amp`` arrays replaced."""
         out = object.__new__(BranchState)
-        out.t, out.aux_width, out.k = self.t, self.aux_width, self.k
-        for name in _ARRAYS:
-            setattr(out, name, _frozen(arrays[name]) if name in arrays else getattr(self, name))
-        out._labels = None
+        out.__dict__.update(self.__dict__, _labels=None, **arrays)
+        for array in arrays.values():
+            _frozen(array)
         return out
 
     @property
@@ -180,7 +183,7 @@ class BranchState:
         return self.k + 1 + self.aux_width
 
     def work_clean(self) -> bool:
-        return not (self.w_angle | self.w_aux).any()
+        return not (np.count_nonzero(self.w_angle) or np.count_nonzero(self.w_aux))
 
     def marker_set(self) -> bool:
         """True iff v = 1 on every branch, as after the magnitude loop."""
@@ -193,21 +196,28 @@ class BranchState:
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     # states share arrays and cache their label dict, so nothing may write into one
-    array.flags.writeable = False
+    array.setflags(False)  # write=False, by position: the keyword form costs ~0.3 us more
     return array
 
 
 def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
     """Single branch, all work registers zero, address 0...01, amplitude 1."""
     t = check_precision(t)
-    return BranchState(branches={1: 1.0 + 0.0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
+    state = object.__new__(BranchState)
+    state.t, state.aux_width = t, cell_width(t, mode) - t
+    state.k = checked_width(k, "address width k")
+    zero = np.zeros(1, np.uint64)
+    return state._evolve(addr=np.ones(1, np.intp), v=np.zeros(1, np.intp), w_angle=zero,
+                         w_aux=zero, amp=np.ones(1, np.complex128))
 
 
 def _half_angle_cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exact at full and zero splits so zero-weight branches never materialize:
     # cos(0) = 1, sin(0) = 0 and sin(pi/2) = 1 already are, cos(pi/2) is not
     half = 0.5 * theta
-    return np.where(theta == math.pi, 0.0, np.cos(half)), np.sin(half)
+    cos = np.cos(half)
+    cos[theta == math.pi] = 0.0
+    return cos, np.sin(half, out=half)
 
 
 def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
@@ -221,7 +231,7 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     pair i land at 2i + v of one interleaved output, so a state sorted by
     address stays sorted. Exactly zero results are dropped.
     """
-    if state.v.any():
+    if np.count_nonzero(state.v):
         _, rep, group = np.unique(
             np.stack((state.addr.astype(np.uint64), state.w_angle, state.w_aux), axis=1),
             axis=0, return_index=True, return_inverse=True,
@@ -241,7 +251,7 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     np.multiply(s, a0, out=n1)
     n1 += c * a1
     rotated = rotated.reshape(-1)
-    keep = np.flatnonzero(rotated != 0.0)
+    keep = (rotated != 0.0).nonzero()[0]
     src = keep >> 1 if rep is None else rep[keep >> 1]
     return state._evolve(
         addr=state.addr[src],
@@ -291,16 +301,16 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
         # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
         # 4 * bits fits uint64 for width <= 62
         quarters = state.w_aux << 2
-        off = np.flatnonzero(marked & ((quarters & ((1 << width) - 1)) != 0))
+        off = (marked & ((quarters & ((1 << width) - 1)) != 0)).nonzero()[0]
         quarters >>= width
         phi = state.w_aux[off] * phase_grid(width)
     else:
         phi = exact.phases[state.addr]
         quarters = np.rint(phi / (0.5 * math.pi))
-        off = np.flatnonzero(marked & (quarters * (0.5 * math.pi) != phi))
+        off = (marked & (quarters * (0.5 * math.pi) != phi)).nonzero()[0]
         quarters = quarters.astype(np.intp)  # 0..4: the tree keeps phi in [0, 2*pi)
         phi = phi[off]
-    units = _QUARTER_TURNS[quarters & 3]
+    units = _QUARTER_TURNS.take(quarters & 3)  # take casts a uint64 index ~2x faster than []
     units.real[off] = np.cos(phi)
     units.imag[off] = np.sin(phi)
     np.multiply(state.amp, units, out=units)
@@ -313,11 +323,8 @@ def circular_shift(state: BranchState) -> BranchState:
         raise DirtyWorkRegistersError(
             "shift with nonzero work registers: uncompute did not run or failed"
         )
-    addr = state.addr
-    return state._evolve(
-        addr=((addr << 1) & state.addr_mask) | state.v,
-        v=(addr >> (state.k - 1)) & 1,
-    )
+    word = (state.addr << 1) | state.v  # (v, a) rotated left: bit k is the new v
+    return state._evolve(addr=word & state.addr_mask, v=word >> state.k)
 
 
 def _prepare(
@@ -412,7 +419,7 @@ def dump_state(state: BranchState) -> dict:
     gc.disable()
     try:
         rows = [
-            {"address": a, "v": v, "amp": pair}
+            {"address": a, "amp": pair, "v": v}  # wire order: sort_keys finds it sorted
             for a, v, pair in zip(
                 state.addr[order].tolist(),
                 state.v[order].tolist(),
@@ -422,4 +429,4 @@ def dump_state(state: BranchState) -> dict:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return {"k": state.k, "branches": rows}
+    return {"branches": rows, "k": state.k}

@@ -8,6 +8,7 @@ import pytest
 
 from qramprep.angles import ComplexAngleTree, build_angle_structures
 from qramprep.errors import (
+    IndexOutOfRangeError,
     InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
@@ -398,6 +399,20 @@ class TestLedger:
         ledger = QueryLedger(k=2)
         ledger.record([3, 1, 3])
         assert ledger.access_log == [(1, 3)]
+
+    @pytest.mark.parametrize("addresses", [[-1], [1.5], [4], [True], [2, 2**70],
+                                           np.array([2**64 - 1], dtype=np.uint64)])
+    def test_bad_address_is_refused(self, addresses):
+        # at k = 2, -1 was logged as address 3, 1.5 as 1, and 4 raised a bare IndexError
+        ledger = QueryLedger(k=2)
+        with pytest.raises(IndexOutOfRangeError, match=r"^addresses must be integers in \[0, 4\)$"):
+            ledger.record(addresses)
+        assert (ledger.query_count, ledger.reached) == (0, [])
+
+    def test_no_addresses_is_one_query_that_reached_nothing(self):
+        ledger = QueryLedger(k=2)
+        ledger.record([])
+        assert (ledger.query_count, ledger.access_log) == (1, [()])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 11])
     def test_one_bitmap_of_k_over_eight_bytes_per_query(self, k):

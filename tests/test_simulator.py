@@ -19,7 +19,7 @@ from qramprep.errors import (
 )
 from qramprep.fixedpoint import encode_magnitude_angle, encode_phase
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
-from qramprep.memory import QueryLedger, build_memory_image, layout_complex, query
+from qramprep.memory import QueryLedger, build_memory_image, cell_width, layout_complex, query
 from qramprep.simulator import (
     BranchState,
     circular_shift,
@@ -124,6 +124,30 @@ class TestInitState:
         state = make_state(2, 4, 4, {1: 1.0 + 0j, (3 << 7) | 2: -0.5j})
         assert repr(state.branches) == repr({1: 1.0 + 0j, (3 << 7) | 2: -0.5j})
 
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    @pytest.mark.parametrize("k,t", [(1, 2), (3, 12), (12, 21), (20, 32), (62, 62)])
+    def test_matches_the_state_built_from_its_label(self, mode, k, t):
+        # init_state builds its arrays directly; the label path is the reference
+        got = init_state(k, t, mode)
+        want = BranchState(branches={1: 1 + 0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
+        assert dict(got.branches) == dict(want.branches) == {1: 1 + 0j}
+        assert (got.t, got.aux_width, got.k) == (want.t, want.aux_width, want.k)
+        for name in ("addr", "v", "w_angle", "w_aux", "amp"):
+            mine, ref = getattr(got, name), getattr(want, name)
+            assert mine.tolist() == ref.tolist() and mine.dtype == ref.dtype, name
+            assert not mine.flags.writeable and not ref.flags.writeable, name
+
+    @pytest.mark.parametrize("k,t,mode", [
+        (0, 8, "complex"), (63, 8, "complex"), (True, 8, "complex"), (2.0, 8, "real_signed"),
+        (None, 8, "complex"), (3, 1, "complex"), (3, 63, "real_signed"), (3, 8.0, "complex"),
+        (3, True, "complex"), (3, 8, "qutrit"), (3, 8, None),
+    ])
+    def test_refuses_what_the_label_path_refuses(self, k, t, mode):
+        with pytest.raises(Exception) as want:
+            BranchState(branches={1: 1 + 0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
+        with pytest.raises(want.type):
+            init_state(k, t, mode)
+
 
 class TestPreparationInvariants:
     """The loop keeps the state sorted by address and never sorts it."""
@@ -148,6 +172,29 @@ class TestPreparationInvariants:
         state, _, img = run_preparation(m, 16, mode=mode, sim=sim, on_iteration=check)
         assert seen == list(range(1, img.k + 1))
         assert np.all(state.addr[1:] > state.addr[:-1])
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_each_step_is_called_through_the_module(self, monkeypatch, mode):
+        # the benchmark's tracer times the steps by wrapping these module names
+        calls = dict.fromkeys(["query", "ry_cascade", "circular_shift", "phase_cascade"], 0)
+
+        def counted(name):
+            step = getattr(simulator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulator, name, counted(name))
+        m = random_matrix(8, 4, seed=2, real=mode == "real_signed")
+        img, _ = build_memory_image(m, 12, mode)
+        prepare = prepare_complex if mode == "complex" else prepare_real
+        prepare(img)
+        k = img.k
+        assert calls == {"query": 2 * k + 2, "ry_cascade": k, "circular_shift": k,
+                         "phase_cascade": 1}
 
 
 class TestRyCascade:
@@ -515,6 +562,25 @@ class TestMarkerCheck:
         state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
         with pytest.raises(IndexOutOfRangeError, match=r"^iteration .* outside \[1, 3\]$"):
             marker_check(state, h, build_weight_tree(squared_moduli(example)))
+
+    def test_tolerance_is_k_half_magnitude_steps(self, example):
+        # at t = 8 a half step (2**-7) dwarfs the 1e-10 floor, so this pins k * grid / 2
+        img, gamma = build_memory_image(example, 8, "complex")
+        tree = build_weight_tree(squared_moduli(example))
+        seen = {}
+        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        good = seen[2]
+        assert marker_check(good, 2, tree)
+        half_steps = good.k * 2.0 ** (2 - 8) / 2
+        label = max(good.branches, key=lambda lab: abs(good.branches[lab]))
+        amp = good.branches[label]
+
+        def moved(by):
+            shifted = {**good.branches, label: amp * (1 + by / abs(amp))}
+            return BranchState(shifted, t=good.t, aux_width=good.aux_width, k=good.k)
+
+        assert marker_check(moved(0.9 * half_steps), 2, tree)
+        assert not marker_check(moved(1.1 * (half_steps + 1e-10)), 2, tree)
 
     def test_tree_of_other_depth(self, example):
         state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
