@@ -89,6 +89,10 @@ class DirtyStateError(QramPrepError):
     """State cannot be reduced to an address-register vector (work or marker dirty)."""
 
 
+class InvalidAmplitudeError(QramPrepError):
+    """A branch amplitude is not a finite number."""
+
+
 # --- worked-example replay ---
 
 class ExampleMismatchError(QramPrepError):

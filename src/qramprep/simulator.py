@@ -52,18 +52,20 @@ for equivalence tests.
 label (address in the low bits, a_{k-1} most significant inside its field) to
 the amplitude, built on first use; passing a mapping to the constructor, or
 to ``dataclasses.replace(state, branches=...)``, loads the arrays from the
-labels.
+labels. A load refuses a label that is not an int of k + 1 + aux_width + t
+bits and an amplitude that is not a finite number.
 
 State dump wire format: {"branches": [{"address": a, "amp": [re, im], "v":
 bit}], "k": k}, rows sorted by address; dumping demands clean work registers.
 """
 from __future__ import annotations
 
+import cmath
 import gc
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Number
 from typing import Callable
 
 import numpy as np
@@ -73,10 +75,12 @@ from .errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
     IndexOutOfRangeError,
+    InvalidAmplitudeError,
+    WidthMismatchError,
     WrongModeError,
 )
 from .fixedpoint import check_precision, magnitude_grid, phase_grid
-from .memory import MemoryImage, QueryLedger, cell_width, checked_width, query
+from .memory import MemoryImage, QueryLedger, _frozen, cell_width, checked_width, query
 from .weight_tree import WeightTree
 
 # the index registers are intp, so a gather by address needs no cast copy
@@ -117,9 +121,10 @@ class _Branches:
         return _BranchView(state)
 
     def __set__(self, state, branches) -> None:
-        state._labels = dict(branches)
-        if "k" in vars(state):  # during __init__ the widths are not set yet
-            state._load_labels()
+        if "k" in vars(state):
+            state._load_labels(dict(branches))
+        else:  # during __init__ the widths are not set yet: __post_init__ loads them
+            state._labels = dict(branches)
 
 
 @dataclass
@@ -135,10 +140,23 @@ class BranchState:
         self.k = checked_width(self.k, "address width k")
         self.t = check_precision(self.t)
         self.aux_width = checked_width(self.aux_width, "aux_width")
-        self._load_labels()
+        self._load_labels(self._labels)
 
-    def _load_labels(self) -> None:
-        labels = np.array(list(self._labels), dtype=object)  # Python ints of any width
+    def _load_labels(self, branches: dict) -> None:
+        """Load the arrays from a label -> amplitude dict, each pair checked first.
+
+        A refused dict leaves the state as it was.
+        """
+        width = self.angle_shift + self.t
+        for label, amp in branches.items():
+            if type(label) is not int or not 0 <= label < 1 << width:
+                raise WidthMismatchError(f"label {label!r} is not an int in [0, 2**{width})")
+            if not _finite_number(amp):
+                raise InvalidAmplitudeError(
+                    f"amplitude of label {label} is not a finite number: {amp!r}"
+                )
+        self._labels = branches
+        labels = np.array(list(branches), dtype=object)  # Python ints of any width
         fields = {
             "addr": labels & self.addr_mask,
             "v": (labels >> self.k) & 1,
@@ -148,7 +166,7 @@ class BranchState:
         for name, field in fields.items():
             setattr(self, name, _frozen(field.astype(_DTYPES[name])))
         self.amp = _frozen(
-            np.fromiter(self._labels.values(), dtype=np.complex128, count=len(self._labels))
+            np.fromiter(branches.values(), dtype=np.complex128, count=len(branches))
         )
 
     def _label_dict(self) -> dict[int, complex]:
@@ -194,10 +212,13 @@ class BranchState:
         return math.sqrt(math.fsum((amp.real * amp.real + amp.imag * amp.imag).tolist()))
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    # states share arrays and cache their label dict, so nothing may write into one
-    array.setflags(False)  # write=False, by position: the keyword form costs ~0.3 us more
-    return array
+def _finite_number(amp) -> bool:
+    if type(amp) is bool or not isinstance(amp, Number):  # a str such as "1" would load too
+        return False
+    try:
+        return cmath.isfinite(amp)
+    except (TypeError, ValueError, OverflowError):  # e.g. an int past float range
+        return False
 
 
 def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
@@ -262,15 +283,23 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     )
 
 
+def _check_exact_size(state: BranchState, exact: ComplexAngleTree) -> None:
+    if exact.size != 1 << state.k:
+        raise WrongModeError(f"need an exact angle structure of {1 << state.k} cells, "
+                             f"got one of {exact.size}")
+
+
 def ry_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
     """Rotate the marker qubit of every branch by the angle in its w_angle register.
 
     With ``exact`` given, the decoded register value is replaced by the exact
-    angle stored for the branch address (quantization bypass for ideal runs).
+    angle stored for the branch address (quantization bypass for ideal runs);
+    it must hold 2**k cells.
     """
     if exact is None:
         theta = state.w_angle * magnitude_grid(state.t)
     else:
+        _check_exact_size(state, exact)
         theta = np.concatenate(([0.0], exact.thetas))[state.addr]  # z = 0 is the dummy
     return _rotate_pairs(state, theta)
 
@@ -294,6 +323,7 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
     mode, one bit (phi in {0, pi}) in real_signed mode. One elementwise pass:
     a phase on the quarter-turn grid is an exact unit (so pi is an exact sign
     flip), and only the marked branches off the grid cost a cosine and a sine.
+    With ``exact`` given (2**k cells), phi is the exact leaf phase instead.
     """
     marked = state.v == 1
     if exact is None:
@@ -305,6 +335,7 @@ def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> 
         quarters >>= width
         phi = state.w_aux[off] * phase_grid(width)
     else:
+        _check_exact_size(state, exact)
         phi = exact.phases[state.addr]
         quarters = np.rint(phi / (0.5 * math.pi))
         off = (marked & (quarters * (0.5 * math.pi) != phi)).nonzero()[0]

@@ -8,7 +8,6 @@ import pytest
 
 from qramprep.angles import ComplexAngleTree, build_angle_structures
 from qramprep.errors import (
-    IndexOutOfRangeError,
     InvalidDimensionsError,
     LengthMismatchError,
     NotPowerOfTwoError,
@@ -378,54 +377,57 @@ class TestQuery:
 
 
 class TestLedger:
+    """The ledger as ``query``, its one writer, fills it."""
+
+    @staticmethod
+    def queried(k, *address_lists, t=12):
+        """A k-bit ledger after one query of a zero-cell image per list of branch addresses."""
+        img, ledger = MemoryImage(cells=(0,) * (1 << k), t=t, mode="complex"), QueryLedger(k)
+        for addresses in address_lists:
+            # branch i holds i in w_angle, so an address may repeat
+            branches = {(i << (k + 1 + t)) | a: 1.0 + 0j for i, a in enumerate(addresses)}
+            query(img, BranchState(branches, t=t, aux_width=t, k=k), ledger)
+        return ledger
+
     def test_routing_time(self):
-        ledger = QueryLedger(k=3)
-        for _ in range(8):
-            ledger.record([1])
-        assert ledger.query_count == 8
-        assert ledger.routing_time == 24
+        ledger = self.queried(3, *[[1]] * 8)
+        assert (ledger.query_count, ledger.routing_time) == (8, 24)
 
     def test_zero_queries_zero_time(self):
-        assert QueryLedger(k=10).routing_time == 0
+        assert self.queried(10).routing_time == 0
 
     def test_table_scale_counts(self):
         # 2k + 2 queries at k = 10 gives 22 queries, 220 time units
-        ledger = QueryLedger(k=10)
-        for _ in range(22):
-            ledger.record([0])
-        assert ledger.routing_time == 220
+        img, _ = build_memory_image(random_matrix(32, 32, seed=10), 8, "complex")
+        _, ledger = prepare_complex(img)
+        assert (img.k, ledger.query_count, ledger.routing_time) == (10, 22, 220)
 
     def test_access_log(self):
-        ledger = QueryLedger(k=2)
-        ledger.record([3, 1, 3])
-        assert ledger.access_log == [(1, 3)]
-
-    @pytest.mark.parametrize("addresses", [[-1], [1.5], [4], [True], [2, 2**70],
-                                           np.array([2**64 - 1], dtype=np.uint64)])
-    def test_bad_address_is_refused(self, addresses):
-        # at k = 2, -1 was logged as address 3, 1.5 as 1, and 4 raised a bare IndexError
-        ledger = QueryLedger(k=2)
-        with pytest.raises(IndexOutOfRangeError, match=r"^addresses must be integers in \[0, 4\)$"):
-            ledger.record(addresses)
-        assert (ledger.query_count, ledger.reached) == (0, [])
+        assert self.queried(2, [3, 1, 3]).access_log == [(1, 3)]
 
     def test_no_addresses_is_one_query_that_reached_nothing(self):
-        ledger = QueryLedger(k=2)
-        ledger.record([])
+        ledger = self.queried(2, [])
         assert (ledger.query_count, ledger.access_log) == (1, [()])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 11])
     def test_one_bitmap_of_k_over_eight_bytes_per_query(self, k):
         rng = np.random.default_rng(k)
-        ledger, want = QueryLedger(k=k), []
-        for _ in range(5):
-            addresses = rng.integers(0, 1 << k, size=int(rng.integers(1, 1 << k)))
-            ledger.record(addresses)
-            want.append(tuple(sorted(set(addresses.tolist()))))
-        ledger.record(np.arange(1 << k))
-        want.append(tuple(range(1 << k)))
+        address_lists = [rng.integers(0, 1 << k, size=int(rng.integers(1, 1 << k))).tolist()
+                         for _ in range(5)] + [range(1 << k)]
+        ledger = self.queried(k, *address_lists)
         assert [len(bitmap) for bitmap in ledger.reached] == [max(1, (1 << k) // 8)] * 6
-        assert ledger.access_log == want
+        assert ledger.access_log == [tuple(sorted(set(a))) for a in address_lists]
+
+    @pytest.mark.parametrize("width", [2, 6])
+    def test_ledger_of_another_width_is_refused(self, width):
+        # on a k = 4 image, QueryLedger(2) ended in a bare IndexError and
+        # QueryLedger(6) charged 6 units per query and kept 8-byte bitmaps
+        img = MemoryImage(cells=(0,) * 16, t=4, mode="complex")
+        state = BranchState({a: 0.25 + 0j for a in range(16)}, t=4, aux_width=4, k=4)
+        ledger = QueryLedger(width)
+        with pytest.raises(WidthMismatchError, match=rf"^ledger width {width} != image width 4$"):
+            query(img, state, ledger)
+        assert (ledger.query_count, ledger.reached) == (0, [])
 
     @pytest.mark.parametrize("k", [-1, 0, 63, True, 3.0, None])
     def test_address_width_outside_1_to_62_is_refused(self, k):
@@ -439,8 +441,7 @@ class TestLedger:
         assert type(ledger.k) is int and type(ledger.routing_time) is int
 
     def test_replace_counts(self):
-        ledger = QueryLedger(k=3)
-        ledger.record([1, 2])
+        ledger = self.queried(3, [1, 2])
         more = dataclasses.replace(ledger, query_count=ledger.query_count + 1)
         wider = dataclasses.replace(ledger, k=ledger.k + 1)
         assert (more.query_count, more.routing_time) == (2, 6)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,10 @@ from qramprep.errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
     IndexOutOfRangeError,
+    InvalidAmplitudeError,
     InvalidDimensionsError,
     PrecisionOutOfRangeError,
+    WidthMismatchError,
     WrongModeError,
 )
 from qramprep.fixedpoint import encode_magnitude_angle, encode_phase
@@ -147,6 +150,58 @@ class TestInitState:
             BranchState(branches={1: 1 + 0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
         with pytest.raises(want.type):
             init_state(k, t, mode)
+
+
+def load_by_constructor(branches):
+    return make_state(2, 8, 8, branches)
+
+
+def load_by_setter(branches):
+    state = init_state(2, 8)
+    state.branches = branches
+    return state
+
+
+def load_by_replace(branches):
+    return dataclasses.replace(init_state(2, 8), branches=branches)
+
+
+@pytest.mark.parametrize("load", [load_by_constructor, load_by_setter, load_by_replace])
+class TestBranchLoading:
+    """Every label -> amplitude load checks each pair, at k = 2, t = aux_width = 8."""
+
+    def test_widest_label_loads(self, load):
+        label = (1 << 19) - 1
+        assert dict(load({label: -1.0}).branches) == {label: -1.0 + 0j}
+
+    @pytest.mark.parametrize("label", [1 << 19, 1 << 20, 1 << 200, -1, 1.5, True, np.int64(1)],
+                             ids=["2**19", "2**20", "2**200", "-1", "1.5", "True", "int64"])
+    def test_label_outside_the_registers_is_refused(self, load, label):
+        # 1 << 20 gave a 9-bit w_angle of 512 that ry_cascade read as an 8-rad
+        # rotation; 1 << 200 and -1 ended in a bare OverflowError, 1.5 in a bare
+        # TypeError; bool and numpy ints are refused too, as image cells are
+        want = rf"^label {re.escape(repr(label))} is not an int in \[0, 2\*\*19\)$"
+        with pytest.raises(WidthMismatchError, match=want):
+            load({2: 1.0, label: 1.0})
+
+    @pytest.mark.parametrize("amp", [None, "x", "1", [1], True, math.nan, complex(0, math.inf),
+                                     10**400],
+                             ids=["None", "'x'", "'1'", "[1]", "True", "nan", "infj", "10**400"])
+    def test_amplitude_that_is_no_finite_number_is_refused(self, load, amp):
+        # None loaded as NaN, "1" as 1, and "x" or [1] ended in a bare ValueError or TypeError
+        want = r"^amplitude of label 3 is not a finite number: "
+        with pytest.raises(InvalidAmplitudeError, match=want):
+            load({1: 1.0, 3: amp})
+
+
+@pytest.mark.parametrize("branches,error", [({3: None}, InvalidAmplitudeError),
+                                            ({1 << 20: 1.0}, WidthMismatchError)])
+def test_refused_branches_leave_the_state_as_it_was(branches, error):
+    state = make_state(2, 8, 8, {1: 0.6, 2: 0.8})
+    with pytest.raises(error):
+        state.branches = branches
+    assert dict(state.branches) == {1: 0.6 + 0j, 2: 0.8 + 0j}
+    assert state.addr.tolist() == [1, 2]
 
 
 class TestPreparationInvariants:
@@ -452,6 +507,17 @@ class TestPrepareComplex:
         _, gamma = build_memory_image(random_matrix(2, 2, seed=1), 8, "complex")
         with pytest.raises(WrongModeError):
             prepare_complex(img, exact=gamma)
+
+    @pytest.mark.parametrize("cascade", [ry_cascade, phase_cascade])
+    @pytest.mark.parametrize("k,side", [(2, 4), (4, 2)])
+    def test_cascade_refuses_an_exact_structure_of_other_size(self, cascade, k, side):
+        # a k = 2 state took a K = 16 tree's angles; a k = 4 state ended in a
+        # bare IndexError once its address reached 4 of a K = 4 tree
+        _, gamma = build_memory_image(random_matrix(side, side, seed=3), 8, "complex")
+        state = make_state(k, 8, 8, {(v << k) | a: 0.25 for a in range(1 << k) for v in (0, 1)})
+        want = rf"^need an exact angle structure of {1 << k} cells, got one of {side * side}$"
+        with pytest.raises(WrongModeError, match=want):
+            cascade(state, gamma)
 
     def test_ideal_run_from_a_tree_of_lists(self):
         gamma = ComplexAngleTree(thetas=[1.0], phases=[0.0, 1.0], mode="complex")
