@@ -157,19 +157,15 @@ class ComplexMatrix:
 def load_matrix(source, fmt: str) -> ComplexMatrix:
     """Parse and validate a matrix from JSON or CSV content.
 
-    ``source`` may be str, bytes, or a file-like object. A regular JSON
-    document (see :func:`_regular_matrix`), which every ``json.dumps`` layout
-    of a matrix is, is read flat with no per-entry lists; any other JSON is
-    read by the stdlib (:func:`read_json_stdlib`) and checked by
+    ``source`` is str or bytes. A regular JSON document (see
+    :func:`_regular_matrix`), which every ``json.dumps`` layout of a matrix
+    is, is read flat with no per-entry lists; any other JSON is read by the
+    stdlib (:func:`read_json_stdlib`) and checked by
     :meth:`ComplexMatrix.from_json_dict`. Both readings give the same matrix
     or the same refusal.
     """
     if not isinstance(source, (str, bytes)):
-        if hasattr(source, "read"):
-            return load_matrix(source.read(), fmt)
-        raise ParseError(
-            f"source must be str, bytes or a file-like object, got {type(source).__name__}"
-        )
+        raise ParseError(f"source must be str or bytes, got {type(source).__name__}")
     if fmt == "json":
         doc = _read_matrix_json(source)
         return doc if isinstance(doc, ComplexMatrix) else ComplexMatrix.from_json_dict(doc)

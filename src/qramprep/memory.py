@@ -89,20 +89,27 @@ def cell_width(t: int, mode: str) -> int:
 class _Cells:
     """Descriptor behind the ``cells`` field: Python ints built on each read.
 
-    A write (the constructor, ``dataclasses.replace(image, cells=...)``)
-    holds the cells only until ``__post_init__`` has checked and split them.
+    A write (the constructor, ``dataclasses.replace(image, cells=...)``) is
+    the image's one loader: it checks the cells against the ``t`` and ``mode``
+    already set and keeps only the split ``field_arrays``.
     """
 
     def __get__(self, image, owner=None):
         if image is None:
             raise AttributeError("cells")  # no default for the dataclass field
-        return tuple(image._cell_list())
+        return tuple(image._joined().tolist())
 
     def __set__(self, image, cells) -> None:
-        vars(image)["_cells"] = cells
+        if not isinstance(cells, (list, tuple)):
+            raise WidthMismatchError(f"cells must be a list or tuple, got {type(cells).__name__}")
+        n = len(cells)
+        if n < 2 or n & (n - 1):
+            raise LengthMismatchError(f"need 2**k cells (k >= 1), got {n}")
+        width = image.width  # also refuses an unknown mode
+        object.__setattr__(image, "field_arrays", _split_cells(cells, image.t, width))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MemoryImage:
     """K = 2**k immutable cells of ``cell_width(t, mode)`` bits each.
 
@@ -114,14 +121,10 @@ class MemoryImage:
     t: int
     mode: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", check_precision(self.t))
-        cells = vars(self).pop("_cells")
-        n = len(cells)
-        if n < 2 or n & (n - 1):
-            raise LengthMismatchError(f"need 2**k cells (k >= 1), got {n}")
-        width = self.width  # also refuses an unknown mode
-        object.__setattr__(self, "field_arrays", _split_cells(cells, self.t, width))
+    def __init__(self, cells, t: int, mode: str):
+        object.__setattr__(self, "t", check_precision(t))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def _from_fields(cls, angle: np.ndarray, aux: np.ndarray, t: int, mode: str) -> "MemoryImage":
@@ -159,10 +162,6 @@ class MemoryImage:
         cells |= aux
         return cells
 
-    def _cell_list(self) -> list[int]:
-        """Cells 0..K-1 as Python ints."""
-        return self._joined().tolist()
-
     def to_json(self) -> str:
         """The image document, as ``qramprep preprocess --output`` writes it.
 
@@ -174,7 +173,7 @@ class MemoryImage:
         if self.width <= 64:
             doc = {"cells": self._joined(), "k": self.k, "mode": self.mode, "t": self.t}
             return orjson.dumps(doc, option=_IMAGE_JSON_OPTIONS).decode()
-        doc = {"cells": self._cell_list(), "k": self.k, "mode": self.mode, "t": self.t}
+        doc = {"cells": self._joined().tolist(), "k": self.k, "mode": self.mode, "t": self.t}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod

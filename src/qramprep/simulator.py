@@ -50,10 +50,11 @@ for equivalence tests.
 
 ``state.branches`` presents the arrays as a read-only mapping from the packed
 label (address in the low bits, a_{k-1} most significant inside its field) to
-the amplitude, built on first use; passing a mapping to the constructor, or
-to ``dataclasses.replace(state, branches=...)``, loads the arrays from the
-labels. A load refuses a label that is not an int of k + 1 + aux_width + t
-bits and an amplitude that is not a finite number.
+the amplitude, built on first use. The constructor, ``dataclasses.replace(state,
+branches=...)`` and ``state.branches = ...`` all load the arrays from a
+mapping's labels in one place, once the widths are set. A load refuses a value
+that is not a mapping, a label that is not an int of k + 1 + aux_width + t bits
+and an amplitude that is not a finite number.
 
 State dump wire format: {"branches": [{"address": a, "amp": [re, im], "v":
 bit}], "k": k}, rows sorted by address; dumping demands clean work registers.
@@ -113,7 +114,7 @@ class _BranchView(Mapping):
 
 
 class _Branches:
-    """Descriptor behind the ``branches`` field: a view on read, a load on write."""
+    """Descriptor behind the ``branches`` field: a view on read, the state's one loader on write."""
 
     def __get__(self, state, owner=None):
         if state is None:
@@ -121,13 +122,12 @@ class _Branches:
         return _BranchView(state)
 
     def __set__(self, state, branches) -> None:
-        if "k" in vars(state):
-            state._load_labels(dict(branches))
-        else:  # during __init__ the widths are not set yet: __post_init__ loads them
-            state._labels = dict(branches)
+        if not isinstance(branches, Mapping):
+            raise WidthMismatchError(f"branches must be a mapping, got {type(branches).__name__}")
+        state._load_labels(dict(branches))
 
 
-@dataclass
+@dataclass(init=False)
 class BranchState:
     """Sparse register state: one entry per branch in each register array."""
 
@@ -136,11 +136,11 @@ class BranchState:
     aux_width: int
     k: int
 
-    def __post_init__(self):
-        self.k = checked_width(self.k, "address width k")
-        self.t = check_precision(self.t)
-        self.aux_width = checked_width(self.aux_width, "aux_width")
-        self._load_labels(self._labels)
+    def __init__(self, branches, t: int, aux_width: int, k: int):
+        self.k = checked_width(k, "address width k")
+        self.t = check_precision(t)
+        self.aux_width = checked_width(aux_width, "aux_width")
+        self.branches = branches
 
     def _load_labels(self, branches: dict) -> None:
         """Load the arrays from a label -> amplitude dict, each pair checked first.

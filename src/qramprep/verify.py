@@ -17,6 +17,7 @@ level from the cells alone, and a fixed run must match it to round-off.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -27,6 +28,7 @@ from .errors import (
     DirtyStateError,
     LengthMismatchError,
     NotPowerOfTwoError,
+    PrecisionOutOfRangeError,
     WrongModeError,
 )
 from .fixedpoint import check_precision, magnitude_grid, phase_grid
@@ -177,6 +179,8 @@ def precision_sweep(
 
     The angle structure is built once; only the layout and the run repeat per t.
     """
+    if not isinstance(t_values, Iterable):
+        raise PrecisionOutOfRangeError(f"t_values must be iterable, got {t_values!r}")
     t_values = sorted(set(map(check_precision, t_values)))
     oracle = oracle_state(m)
     gamma = build_angle_structures(m, mode)

@@ -212,6 +212,26 @@ class TestImageTypes:
         with pytest.raises(WrongModeError):
             MemoryImage(cells=(0, 0), t=4, mode="polar")
 
+    @pytest.mark.parametrize("cells", [5, None, "ab", b"ab", {0: 1, 1: 2}, (c for c in (0, 1))],
+                             ids=["5", "None", "'ab'", "b'ab'", "dict", "generator"])
+    def test_cells_that_are_no_list_or_tuple_are_refused(self, cells):
+        # len() ended in a bare TypeError, and b"ab" split into the bytes 97, 98
+        want = r"^cells must be a list or tuple, got "
+        with pytest.raises(WidthMismatchError, match=want):
+            MemoryImage(cells=cells, t=4, mode="complex")
+        with pytest.raises(WidthMismatchError, match=want):
+            dataclasses.replace(MemoryImage(cells=(0, 1), t=4, mode="complex"), cells=cells)
+
+    @pytest.mark.parametrize("cells,t,mode,error", [
+        ("a", 1, "complex", PrecisionOutOfRangeError),
+        ("a", 4, "complex", WidthMismatchError),
+        ((0,) * 3, 4, "polar", LengthMismatchError),
+        ((0, 1.0), 4, "polar", WrongModeError),
+    ], ids=["t-then-container", "container-then-count", "count-then-mode", "mode-then-cells"])
+    def test_refusal_order(self, cells, t, mode, error):
+        with pytest.raises(error):
+            MemoryImage(cells=cells, t=t, mode=mode)
+
 
 # (t, mode) with cell widths below 64, exactly 64 and above 64 bits
 WIDTHS = [(4, "complex"), (62, "real_signed"), (32, "complex"), (33, "complex"), (62, "complex")]
@@ -284,6 +304,16 @@ class TestImageData:
         assert flipped.cells == tuple(cells)
         assert flipped != example_image
         assert dataclasses.replace(flipped, cells=example_image.cells) == example_image
+
+    def test_replace_without_cells_keeps_them(self, example_image):
+        same = dataclasses.replace(example_image)
+        assert same == example_image and same is not example_image
+        assert hash(same) == hash(example_image)
+
+    def test_replace_with_a_mode_too_narrow_for_the_cells_is_refused(self, example_image):
+        # t = 12 complex cells are 24 bits; real_signed cells at t = 12 hold 13
+        with pytest.raises(WidthMismatchError, match=r"^cell \d+ does not fit in 13 bits$"):
+            dataclasses.replace(example_image, mode="real_signed")
 
     def test_equality_and_hash(self, example_image):
         same = MemoryImage(cells=example_image.cells, t=12, mode="complex")

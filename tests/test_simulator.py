@@ -193,15 +193,53 @@ class TestBranchLoading:
         with pytest.raises(InvalidAmplitudeError, match=want):
             load({1: 1.0, 3: amp})
 
+    @pytest.mark.parametrize("branches", [5, None, [1, 2], "ab", [(1, 2, 3)], [(3, 1.0)], {3, 1}],
+                             ids=["5", "None", "[1, 2]", "'ab'", "[(1, 2, 3)]", "pairs", "set"])
+    def test_value_that_is_no_mapping_is_refused(self, load, branches):
+        # dict() of these ended in a bare TypeError or ValueError, or loaded a list of pairs
+        with pytest.raises(WidthMismatchError, match=r"^branches must be a mapping, got "):
+            load(branches)
+
 
 @pytest.mark.parametrize("branches,error", [({3: None}, InvalidAmplitudeError),
-                                            ({1 << 20: 1.0}, WidthMismatchError)])
+                                            ({1 << 20: 1.0}, WidthMismatchError),
+                                            (5, WidthMismatchError),
+                                            (None, WidthMismatchError),
+                                            ([(1, 2, 3)], WidthMismatchError),
+                                            ([(3, 1.0)], WidthMismatchError)])
 def test_refused_branches_leave_the_state_as_it_was(branches, error):
     state = make_state(2, 8, 8, {1: 0.6, 2: 0.8})
     with pytest.raises(error):
         state.branches = branches
     assert dict(state.branches) == {1: 0.6 + 0j, 2: 0.8 + 0j}
     assert state.addr.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("k,t,aux_width,branches,error,message", [
+    (0, 1, 8, 5, InvalidDimensionsError, "address width k"),
+    (2, 1, 0, 5, PrecisionOutOfRangeError, "t must be"),
+    (2, 8, 0, 5, InvalidDimensionsError, "aux_width"),
+    (2, 8, 8, [(1 << 200, 1.0)], WidthMismatchError, "branches must be a mapping"),
+], ids=["k-then-t", "t-then-aux_width", "aux_width-then-container", "container-then-labels"])
+def test_state_refuses_k_t_aux_width_container_then_labels(k, t, aux_width, branches, error,
+                                                          message):
+    with pytest.raises(error, match=f"^{message}"):
+        make_state(k, t, aux_width, branches)
+
+
+class TestReplaceState:
+    def test_without_branches_keeps_them(self):
+        state = make_state(2, 8, 8, {1: 0.6, (5 << 11) | 2: 0.8j})
+        same = dataclasses.replace(state)
+        assert same == state and same is not state
+        for name in ("addr", "v", "w_angle", "w_aux", "amp"):
+            assert getattr(same, name).tolist() == getattr(state, name).tolist(), name
+
+    def test_k_too_small_for_the_labels_is_refused(self):
+        state = make_state(3, 8, 8, {(1 << 19) | 4: 1.0})  # the top bit of w_angle at k = 3
+        want = r"^label \d+ is not an int in \[0, 2\*\*19\)$"
+        with pytest.raises(WidthMismatchError, match=want):
+            dataclasses.replace(state, k=2)
 
 
 class TestPreparationInvariants:

@@ -390,6 +390,12 @@ class TestPrecisionSweep:
         with pytest.raises(PrecisionOutOfRangeError):
             precision_sweep(example, [6, t])
 
+    @pytest.mark.parametrize("t_values", [8, None, 8.0])
+    def test_precisions_that_are_not_iterable_are_refused(self, example, t_values):
+        # map() ended in a bare TypeError
+        with pytest.raises(PrecisionOutOfRangeError, match=r"^t_values must be iterable, got "):
+            precision_sweep(example, t_values)
+
     def test_numpy_integer_precisions(self, example):
         assert precision_sweep(example, np.arange(6, 9)) == precision_sweep(example, [6, 7, 8])
 
