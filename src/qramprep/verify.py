@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Number
 
 import numpy as np
 
 from .angles import build_angle_structures
 from .errors import (
     DirtyStateError,
+    InvalidAmplitudeError,
     LengthMismatchError,
     NotPowerOfTwoError,
     PrecisionOutOfRangeError,
@@ -87,9 +88,34 @@ def state_error(prepared: BranchState, oracle: np.ndarray) -> float:
     absolutely, so the prepared state must match the oracle outright.
     """
     vec = address_amplitudes(prepared)
-    if vec.size != len(oracle):
-        raise LengthMismatchError(f"state has {vec.size} cells, oracle {len(oracle)}")
-    return float(np.linalg.norm(vec - np.asarray(oracle, dtype=np.complex128)))
+    return float(np.linalg.norm(vec - _oracle_vector(oracle, vec.size)))
+
+
+def _oracle_vector(oracle, size: int) -> np.ndarray:
+    """``oracle`` as ``size`` finite complex128 numbers; a complex128 vector is used as is.
+
+    Any other input has each element checked, since numpy reads ``True`` next
+    to a number as 1.
+    """
+    try:
+        arr = np.asarray(oracle)
+    except (TypeError, ValueError) as exc:  # a ragged nesting
+        raise LengthMismatchError(f"oracle must be a 1-d array of {size} numbers") from exc
+    if arr.ndim != 1 or arr.size != size:
+        raise LengthMismatchError(f"state has {size} cells, oracle shape {arr.shape}")
+    if arr.dtype.kind not in "iufcO":
+        raise InvalidAmplitudeError(f"oracle entries must be numbers, got dtype {arr.dtype}")
+    if arr.dtype == object or not isinstance(oracle, np.ndarray):
+        for x in np.asarray(oracle, dtype=object):
+            if type(x) is bool or not isinstance(x, Number):
+                raise InvalidAmplitudeError(f"oracle entry {x!r} is not a number")
+    try:
+        arr = arr.astype(np.complex128, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. an int past the float range
+        raise InvalidAmplitudeError("oracle entries must be finite numbers") from exc
+    if not np.isfinite(arr).all():
+        raise InvalidAmplitudeError("oracle entries must be finite numbers")
+    return arr
 
 
 def error_bound(k: int, t: int) -> float:

@@ -12,6 +12,7 @@ children are the weights consumed by the splitting angle at z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class WeightTree:
 
 def build_weight_tree(moduli_sq) -> WeightTree:
     """Aggregate K = 2**k squared moduli bottom-up into a WeightTree."""
-    leaves = np.ascontiguousarray(moduli_sq, dtype=np.float64).reshape(-1)
+    leaves = _real_leaves(moduli_sq)
     size = leaves.size
     if size < 2 or size & (size - 1):
         raise NotPowerOfTwoError(f"need a power-of-two length >= 2, got {size}")
@@ -61,3 +62,24 @@ def build_weight_tree(moduli_sq) -> WeightTree:
         lvl.setflags(write=False)
     return WeightTree(levels=tuple(reversed(levels)))
 
+
+def _real_leaves(values) -> np.ndarray:
+    """``values`` as a flat float64 array; bools, complex numbers and strings are refused.
+
+    A float64 array is used as is. Any other input has each element checked,
+    since numpy reads ``True`` next to a float as 1.0; ints of any size load.
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # a ragged nesting
+        raise InvalidWeightsError("weights must be a regular array of real numbers") from exc
+    if arr.dtype.kind not in "iufO":
+        raise InvalidWeightsError(f"weights must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype == object or not isinstance(values, np.ndarray):
+        for x in np.asarray(values, dtype=object).reshape(-1):
+            if type(x) is bool or not isinstance(x, Real):
+                raise InvalidWeightsError(f"weights must be real numbers, got {x!r}")
+    try:
+        return np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+    except OverflowError as exc:  # an int past the float range
+        raise InvalidWeightsError("squared moduli must be finite and non-negative") from exc

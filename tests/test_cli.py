@@ -67,11 +67,6 @@ class TestExampleCommand:
         for line, pattern in zip(lines, want):
             assert line == pattern or "\\d" in pattern and re.fullmatch(pattern, line), line
 
-    def test_takes_no_precision(self, capsys):
-        # the replay uses exact angles, so a --t would change nothing
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["example", "--t", "16"])
-
 
 def replay_error(capsys, name: str) -> str:
     """Run a replay that must fail at check ``name``; return the detail of its one error line."""

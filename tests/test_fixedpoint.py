@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qramprep.errors import AngleOutOfRangeError, PrecisionOutOfRangeError
 from qramprep.fixedpoint import (
     check_precision,
     encode_magnitude_angle,
@@ -22,11 +21,6 @@ class TestCheckPrecision:
     def test_returns_a_python_int(self, t):
         assert type(check_precision(t)) is int and check_precision(t) == t
 
-    @pytest.mark.parametrize("t", [1, 63, np.uint8(1), True, 16.0, "16", None])
-    def test_refuses_what_is_no_precision(self, t):
-        with pytest.raises(PrecisionOutOfRangeError):
-            check_precision(t)
-
 
 class TestMagnitudeCodec:
     def test_half_pi_at_3_bits(self):
@@ -35,43 +29,20 @@ class TestMagnitudeCodec:
         assert a * magnitude_grid(3) == 1.5
         assert abs(1.5 - math.pi / 2) < 2 ** -2
 
-    @pytest.mark.parametrize("t", [2, 3, 8, 16, 32, 62])
-    def test_zero(self, t):
-        assert encode_magnitude_angle(0.0, t) == 0
-
     def test_exact_grid_point(self):
         a = encode_magnitude_angle(2.0, 3)
         assert a == 0b100
         assert a * magnitude_grid(3) == 2.0
-
-    def test_decode_by_grid(self):
-        assert 0b100 * magnitude_grid(3) == 2.0
-        assert 1 * magnitude_grid(8) == 2.0 ** -6
 
     def test_tie_rounds_away_from_zero(self):
         # half-grid at t=3: 0.25 sits between bits 0 and 1
         assert encode_magnitude_angle(0.25, 3) == 1
         assert encode_magnitude_angle(0.75, 3) == 2
 
-    def test_round_trip_identity_on_grid(self):
-        t = 6
-        top = math.floor(math.pi / magnitude_grid(t))
-        for bits in range(top + 1):
-            assert encode_magnitude_angle(bits * magnitude_grid(t), t) == bits
-
     @given(st.integers(2, 20), st.integers(min_value=0))
     def test_round_trip_identity_hypothesis(self, t, raw):
         bits = raw % (math.floor(math.pi / magnitude_grid(t)) + 1)
         assert encode_magnitude_angle(bits * magnitude_grid(t), t) == bits
-
-    def test_rounding_bound_random(self):
-        rng = np.random.default_rng(2024)
-        thetas = rng.uniform(0.0, math.pi, 10_000)
-        for t in range(4, 17):
-            bound = 2.0 ** (1 - t)
-            for theta in thetas:
-                err = abs(encode_magnitude_angle(theta, t) * magnitude_grid(t) - theta)
-                assert err <= bound
 
     def test_rounding_bound_random_array(self):
         rng = np.random.default_rng(2024)
@@ -80,16 +51,6 @@ class TestMagnitudeCodec:
             bound = 2.0 ** (1 - t)
             err = np.abs(encode_magnitude_angles(thetas, t) * magnitude_grid(t) - thetas)
             assert err.max() <= bound
-
-    @pytest.mark.parametrize("theta", [-0.1, math.pi + 0.01, math.nan, math.inf])
-    def test_angle_out_of_range(self, theta):
-        with pytest.raises(AngleOutOfRangeError):
-            encode_magnitude_angle(theta, 8)
-
-    @pytest.mark.parametrize("t", [1, 0, -3, 63, 100])
-    def test_precision_out_of_range(self, t):
-        with pytest.raises(PrecisionOutOfRangeError):
-            encode_magnitude_angle(1.0, t)
 
 
 class TestPhaseCodec:
@@ -103,13 +64,6 @@ class TestPhaseCodec:
         assert p == 0b110
         assert p * phase_grid(3) == 3 * math.pi / 2
 
-    @pytest.mark.parametrize("t", [2, 8, 32, 62])
-    def test_zero(self, t):
-        assert encode_phase(0.0, t) == 0
-
-    def test_decode_by_grid(self):
-        assert 0b110 * phase_grid(3) == 6 * (math.tau / 8)
-
     def test_pi_exact_for_every_precision(self):
         # sign flips encoded as phases must survive the codec without error
         for t in range(2, 63):
@@ -119,15 +73,6 @@ class TestPhaseCodec:
         t = 8
         phi = math.tau - phase_grid(t) / 4
         assert encode_phase(phi, t) == 0
-
-    def test_rounding_bound_random(self):
-        rng = np.random.default_rng(55)
-        phis = rng.uniform(-10 * math.pi, 10 * math.pi, 10_000)
-        for t in (4, 8, 12, 16):
-            bound = math.pi * 2.0 ** -t
-            for phi in phis:
-                d = phase_distance(encode_phase(phi, t) * phase_grid(t), phi)
-                assert d <= bound * (1 + 1e-9)
 
     def test_rounding_bound_random_array(self):
         rng = np.random.default_rng(55)
@@ -148,20 +93,6 @@ class TestPhaseCodec:
         for bits in range(0, 1 << t, 37):
             phi = bits * phase_grid(t)
             assert encode_phase(phi + math.tau, t) == encode_phase(phi, t)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(AngleOutOfRangeError):
-            encode_phase(math.inf, 8)
-
-    @pytest.mark.parametrize("phi", ["1.0", None, [1.0]])
-    def test_non_number_rejected(self, phi):
-        # the array encoder would read "1.0" and [1.0] as the number 1
-        with pytest.raises(AngleOutOfRangeError):
-            encode_phase(phi, 8)
-
-    def test_precision_out_of_range(self):
-        with pytest.raises(PrecisionOutOfRangeError):
-            encode_phase(1.0, 63)
 
 
 def scalar_magnitude_bits(theta: float, t: int) -> int:
@@ -249,26 +180,6 @@ class TestArrayEncodersMatchScalarRule:
     def test_phases_reducing_to_tau_wrap_to_zero(self, t):
         # phase_grid(t) is exact, so 2*pi encodes as 2**t and the final mod maps it to 0
         assert encode_phases([-1e-300, -5e-17, -1e-17, math.tau], t).tolist() == [0, 0, 0, 0]
-
-    def test_first_bad_index_named(self):
-        with pytest.raises(AngleOutOfRangeError, match="index 2"):
-            encode_magnitude_angles([0.0, 1.0, math.nan, -1.0], 8)
-        with pytest.raises(AngleOutOfRangeError, match="index 1"):
-            encode_magnitude_angles([0.0, math.pi + 1e-9], 8)
-        with pytest.raises(AngleOutOfRangeError, match="index 3"):
-            encode_phases([0.0, 1.0, -7.0, math.inf], 8)
-
-    def test_non_numeric_rejected(self):
-        with pytest.raises(AngleOutOfRangeError):
-            encode_phases([0.0, object()], 8)
-        with pytest.raises(AngleOutOfRangeError):
-            encode_magnitude_angle("1.0", 8)
-
-    def test_precision_checked(self):
-        with pytest.raises(PrecisionOutOfRangeError):
-            encode_phases([0.0], 63)
-        with pytest.raises(PrecisionOutOfRangeError):
-            encode_magnitude_angles([0.0], True)
 
 
 class TestPhaseDistance:

@@ -7,16 +7,7 @@ import numpy as np
 import pytest
 
 from qramprep.angles import ComplexAngleTree, build_angle_structures
-from qramprep.errors import (
-    InvalidDimensionsError,
-    LengthMismatchError,
-    NotPowerOfTwoError,
-    NotRealMatrixError,
-    ParseError,
-    PrecisionOutOfRangeError,
-    WidthMismatchError,
-    WrongModeError,
-)
+from qramprep.errors import WidthMismatchError
 from qramprep.fixedpoint import magnitude_grid, phase_distance, phase_grid
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.memory import (
@@ -55,19 +46,6 @@ class TestLayoutComplex:
         decoded = phase[0] * phase_grid(example_image.t)
         assert phase_distance(decoded, math.atan2(1, 2)) <= math.pi * 2 ** -12
 
-    def test_footprint(self):
-        m = random_matrix(32, 32, seed=0)
-        img, _ = build_memory_image(m, 32, "complex")
-        assert img.size * img.width == 2 * 32 * 1024 == 65536
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            layout_complex(ComplexAngleTree([1.0, 1.0], [0.0] * 4, "complex"), 8)
-
-    def test_not_power_of_two(self):
-        with pytest.raises(NotPowerOfTwoError):
-            layout_complex(ComplexAngleTree([1.0] * 2, [0.0] * 3, "complex"), 8)
-
     def test_bit_packing(self, example_image):
         img = example_image
         angle, aux = img.field_arrays
@@ -89,25 +67,10 @@ class TestLayoutRealSigned:
         assert angle[0] == 0
         assert sign[0] == 1
 
-    def test_cell_width_is_t_plus_one(self):
-        for t in (4, 8, 16):
-            m = ComplexMatrix.from_array([[1.0, -1.0]])
-            img, _ = build_memory_image(m, t, "real_signed")
-            assert img.width == t + 1
-
-    @pytest.mark.parametrize("phase", [math.pi / 2, 1.0, 2 * math.pi, -math.pi, math.nan])
-    def test_phase_other_than_zero_or_pi_refused(self, phase):
-        with pytest.raises(NotRealMatrixError):
-            layout_real_signed(ComplexAngleTree([1.0], [0.0, phase], "real_signed"), 8)
-
     def test_phase_bit_is_phi_over_pi(self):
         img = layout_real_signed(ComplexAngleTree([0.0], [-0.0, math.pi], "real_signed"), 8)
         assert img.cells == (0, 1)
         assert all(type(c) is int for c in img.cells)
-
-    def test_complex_tree_refused(self, example):
-        with pytest.raises(WrongModeError):
-            layout_real_signed(build_angle_structures(example, "complex"), 8)
 
     def test_complex_layout_of_real_signed_tree(self):
         m = random_matrix(4, 4, seed=2, real=True)
@@ -123,31 +86,12 @@ class TestJsonRoundTrip:
         assert set(doc) == {"mode", "t", "k", "cells"}
         assert MemoryImage.from_json_dict(doc) == example_image
 
-    def test_missing_key(self):
-        with pytest.raises(ParseError):
-            MemoryImage.from_json_dict({"mode": "complex", "t": 8, "k": 1})
-
-    @pytest.mark.parametrize("cells", ["ab", 5, None, {"0": 1, "1": 2}])
-    def test_cells_must_be_a_list(self, cells):
-        with pytest.raises(ParseError, match="cells must be a list"):
-            MemoryImage.from_json_dict({"mode": "complex", "t": 4, "k": 1, "cells": cells})
-
-    def test_oversized_cell_rejected(self):
-        with pytest.raises(WidthMismatchError):
-            MemoryImage.from_json_dict(
-                {"mode": "complex", "t": 4, "k": 1, "cells": [0, 1 << 8]}
-            )
-
 
 class TestCellWidth:
     @pytest.mark.parametrize("t", [2, 8, 32, 62])
     def test_formula(self, t):
         assert cell_width(t, "complex") == 2 * t
         assert cell_width(t, "real_signed") == t + 1
-
-    def test_unknown_mode(self):
-        with pytest.raises(WrongModeError):
-            cell_width(8, "polar")
 
     def test_wide_cells_stay_exact(self):
         m = random_matrix(4, 4, seed=8)
@@ -160,31 +104,6 @@ class TestCellWidth:
 class TestImageTypes:
     DOC = {"mode": "complex", "t": 4, "k": 1, "cells": [0, 3]}
 
-    @pytest.mark.parametrize("cells", [[True, 3], [0, False], [0, 3.0], [0, "3"], [0, None]])
-    def test_non_int_cell_rejected(self, cells):
-        with pytest.raises(WidthMismatchError, match="cell"):
-            MemoryImage.from_json_dict({**self.DOC, "cells": cells})
-
-    def test_numpy_cell_rejected(self):
-        with pytest.raises(WidthMismatchError):
-            MemoryImage(cells=(0, np.int64(3)), t=4, mode="complex")
-
-    @pytest.mark.parametrize("k", [True, 1.0, "1", None])
-    def test_non_int_k_rejected(self, k):
-        with pytest.raises(InvalidDimensionsError):
-            MemoryImage.from_json_dict({**self.DOC, "k": k})
-
-    @pytest.mark.parametrize("k", [0, -1, 2, 20000, 1 << 70])
-    def test_cell_count_must_be_two_to_the_k(self, k):
-        # a huge k must be refused without building the 2**k-bit int 1 << k
-        with pytest.raises(LengthMismatchError):
-            MemoryImage.from_json_dict({**self.DOC, "k": k})
-
-    @pytest.mark.parametrize("t", [True, 4.0, "4", None])
-    def test_non_int_t_rejected(self, t):
-        with pytest.raises(PrecisionOutOfRangeError):
-            MemoryImage.from_json_dict({**self.DOC, "t": t})
-
     def test_numpy_integer_precision(self):
         # 80-bit cells: a uint64 shift by a numpy t would raise TypeError
         cells = (0, (1 << 79) | 5, (3 << 40) | 1, (1 << 80) - 1)
@@ -196,42 +115,6 @@ class TestImageTypes:
     def test_width_and_k_are_derived(self):
         img = MemoryImage(cells=(0,) * 8, t=4, mode="real_signed")
         assert (img.width, img.aux_width, img.k) == (5, 1, 3)
-
-    @pytest.mark.parametrize("n", [0, 1, 3, 6])
-    def test_cell_count_must_be_a_power_of_two(self, n):
-        with pytest.raises(LengthMismatchError):
-            MemoryImage(cells=(0,) * n, t=4, mode="complex")
-
-    def test_smallest_image_two_cells(self):
-        # K = 2 (k = 1) is the smallest image; K = 1 is refused
-        assert MemoryImage(cells=(0, 17), t=4, mode="complex").cells == (0, 17)
-        with pytest.raises(LengthMismatchError):
-            MemoryImage(cells=(17,), t=4, mode="complex")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(WrongModeError):
-            MemoryImage(cells=(0, 0), t=4, mode="polar")
-
-    @pytest.mark.parametrize("cells", [5, None, "ab", b"ab", {0: 1, 1: 2}, (c for c in (0, 1))],
-                             ids=["5", "None", "'ab'", "b'ab'", "dict", "generator"])
-    def test_cells_that_are_no_list_or_tuple_are_refused(self, cells):
-        # len() ended in a bare TypeError, and b"ab" split into the bytes 97, 98
-        want = r"^cells must be a list or tuple, got "
-        with pytest.raises(WidthMismatchError, match=want):
-            MemoryImage(cells=cells, t=4, mode="complex")
-        with pytest.raises(WidthMismatchError, match=want):
-            dataclasses.replace(MemoryImage(cells=(0, 1), t=4, mode="complex"), cells=cells)
-
-    @pytest.mark.parametrize("cells,t,mode,error", [
-        ("a", 1, "complex", PrecisionOutOfRangeError),
-        ("a", 4, "complex", WidthMismatchError),
-        ((0,) * 3, 4, "polar", LengthMismatchError),
-        ((0, 1.0), 4, "polar", WrongModeError),
-    ], ids=["t-then-container", "container-then-count", "count-then-mode", "mode-then-cells"])
-    def test_refusal_order(self, cells, t, mode, error):
-        with pytest.raises(error):
-            MemoryImage(cells=cells, t=t, mode=mode)
-
 
 # (t, mode) with cell widths below 64, exactly 64 and above 64 bits
 WIDTHS = [(4, "complex"), (62, "real_signed"), (32, "complex"), (33, "complex"), (62, "complex")]
@@ -278,24 +161,15 @@ class TestBulkValidation:
         assert [int(b) for b in aux] == [c & ((1 << img.aux_width) - 1) for c in cells]
         assert img.cells == cells and all(type(c) is int for c in img.cells)
 
-    def test_length_checked_before_cells(self):
-        with pytest.raises(LengthMismatchError):
-            MemoryImage(cells=(0, 1.0, 2), t=4, mode="complex")
-
 
 class TestImageData:
-    def test_field_arrays_read_only_and_the_same_objects(self, example_image):
+    def test_field_arrays_are_the_same_objects(self, example_image):
         first = example_image.field_arrays
         assert all(a is b for a, b in zip(first, example_image.field_arrays))
-        for array in first:
-            with pytest.raises(ValueError):
-                array[0] = 1
 
     def test_cells_built_on_read_not_kept(self, example_image):
         assert example_image.cells == example_image.cells
         assert set(vars(example_image)) == {"t", "mode", "field_arrays"}
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            example_image.cells = (0,) * 8
 
     def test_replace_cells(self, example_image):
         cells = list(example_image.cells)
@@ -309,11 +183,6 @@ class TestImageData:
         same = dataclasses.replace(example_image)
         assert same == example_image and same is not example_image
         assert hash(same) == hash(example_image)
-
-    def test_replace_with_a_mode_too_narrow_for_the_cells_is_refused(self, example_image):
-        # t = 12 complex cells are 24 bits; real_signed cells at t = 12 hold 13
-        with pytest.raises(WidthMismatchError, match=r"^cell \d+ does not fit in 13 bits$"):
-            dataclasses.replace(example_image, mode="real_signed")
 
     def test_equality_and_hash(self, example_image):
         same = MemoryImage(cells=example_image.cells, t=12, mode="complex")
@@ -362,25 +231,6 @@ class TestQuery:
         assert label >> 4 == example_image.cells[3]
         assert ledger.query_count == 1
 
-    def test_involution_random_images_and_states(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            k = int(rng.integers(1, 5))
-            t = int(rng.integers(2, 13))
-            img = MemoryImage(
-                cells=tuple(int(c) for c in rng.integers(0, 1 << (2 * t), size=1 << k)),
-                t=t,
-                mode="complex",
-            )
-            n = int(rng.integers(1, 9))
-            labels = rng.integers(0, 1 << (k + 1 + 2 * t), size=n)
-            amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            branches = {int(l): complex(a) for l, a in zip(labels, amps)}
-            state = BranchState(branches=dict(branches), t=t, aux_width=t, k=k)
-            ledger = QueryLedger(k)
-            back = query(img, query(img, state, ledger), ledger)
-            assert back.branches == branches
-
     def test_superposed_addresses(self, example_image):
         a0, a1 = math.sqrt(20 / 33), math.sqrt(13 / 33)
         state = BranchState(branches={2: a0 + 0j, 3: a1 + 0j}, t=12, aux_width=12, k=3)
@@ -396,14 +246,6 @@ class TestQuery:
         before = sorted(state.branches.values(), key=abs)
         out = query(example_image, state, QueryLedger(3))
         assert sorted(out.branches.values(), key=abs) == before
-
-    def test_width_mismatch(self, example_image):
-        with pytest.raises(WidthMismatchError):
-            query(example_image, init_state(3, 10, "complex"), QueryLedger(3))
-        with pytest.raises(WidthMismatchError):
-            query(example_image, init_state(2, 12, "complex"), QueryLedger(3))
-        with pytest.raises(WidthMismatchError):
-            query(example_image, init_state(3, 12, "real_signed"), QueryLedger(3))
 
 
 class TestLedger:
@@ -425,12 +267,6 @@ class TestLedger:
 
     def test_zero_queries_zero_time(self):
         assert self.queried(10).routing_time == 0
-
-    def test_table_scale_counts(self):
-        # 2k + 2 queries at k = 10 gives 22 queries, 220 time units
-        img, _ = build_memory_image(random_matrix(32, 32, seed=10), 8, "complex")
-        _, ledger = prepare_complex(img)
-        assert (img.k, ledger.query_count, ledger.routing_time) == (10, 22, 220)
 
     def test_access_log(self):
         assert self.queried(2, [3, 1, 3]).access_log == [(1, 3)]
@@ -458,13 +294,6 @@ class TestLedger:
         with pytest.raises(WidthMismatchError, match=rf"^ledger width {width} != image width 4$"):
             query(img, state, ledger)
         assert (ledger.query_count, ledger.reached) == (0, [])
-
-    @pytest.mark.parametrize("k", [-1, 0, 63, True, 3.0, None])
-    def test_address_width_outside_1_to_62_is_refused(self, k):
-        # QueryLedger(-1).record([0]) raised a bare ValueError from numpy
-        with pytest.raises(InvalidDimensionsError,
-                           match=r"^address width k must be in \[1, 62\], got "):
-            QueryLedger(k)
 
     def test_address_width_is_a_python_int(self):
         ledger = QueryLedger(np.int8(4))

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,17 +9,8 @@ import pytest
 
 from qramprep import simulator
 from qramprep.angles import ComplexAngleTree
-from qramprep.errors import (
-    DirtyStateError,
-    DirtyWorkRegistersError,
-    IndexOutOfRangeError,
-    InvalidAmplitudeError,
-    InvalidDimensionsError,
-    PrecisionOutOfRangeError,
-    WidthMismatchError,
-    WrongModeError,
-)
-from qramprep.fixedpoint import encode_magnitude_angle, encode_phase
+from qramprep.errors import InvalidAmplitudeError, WidthMismatchError
+from qramprep.fixedpoint import encode_phase
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
 from qramprep.memory import QueryLedger, build_memory_image, cell_width, layout_complex, query
 from qramprep.simulator import (
@@ -43,36 +33,7 @@ def make_state(k, t, aux_width, branches):
     return BranchState(branches=branches, t=t, aux_width=aux_width, k=k)
 
 
-def angle_state(bits, t, k=1, v=0, amp=1.0 + 0j):
-    """Single branch with w_angle = bits, w_aux = 0, given v, address 0."""
-    label = (bits << (k + 1 + t)) | (v << k)
-    return make_state(k, t, t, {label: amp})
-
-
 class TestInitState:
-    def test_complex(self):
-        state = init_state(3, 12, "complex")
-        assert state.branches == {1: 1.0 + 0j}
-        assert (state.t, state.aux_width, state.k) == (12, 12, 3)
-        assert state.norm() == 1.0
-
-    def test_real_smallest(self):
-        state = init_state(1, 4, "real_signed")
-        assert state.aux_width == 1
-        assert state.addr.tolist() == [1]
-
-    def test_bad_k(self):
-        with pytest.raises(InvalidDimensionsError):
-            init_state(0, 8, "complex")
-
-    @pytest.mark.parametrize("k", [63, 65, 1 << 70])
-    def test_k_above_62_is_refused(self, k):
-        # the address register is an intp array: 2a | v must fit 63 bits
-        with pytest.raises(InvalidDimensionsError):
-            init_state(k, 8, "complex")
-        with pytest.raises(InvalidDimensionsError):
-            make_state(k, 8, 8, {1: 1.0 + 0j})
-
     def test_widest_address_shifts(self):
         state = init_state(62, 8, "complex")
         assert state.addr.dtype == state.v.dtype == np.intp
@@ -81,27 +42,11 @@ class TestInitState:
         assert (shifted.addr.tolist(), shifted.v.tolist()) == ([2], [1])
         assert circular_shift(state).addr.tolist() == [2]
 
-    def test_bad_mode(self):
-        with pytest.raises(WrongModeError):
-            init_state(2, 8, "qutrit")
-
-    @pytest.mark.parametrize("aux_width", [-1, 0, 63, 100, True, 8.0, None])
-    def test_aux_width_outside_1_to_62_is_refused(self, aux_width):
-        # 0 and 100 were accepted; 100 then overflowed in phase_cascade
-        with pytest.raises(InvalidDimensionsError,
-                           match=r"^aux_width must be in \[1, 62\], got "):
-            make_state(2, 8, aux_width, {1: 1.0 + 0j})
-
     @pytest.mark.parametrize("aux_width", [1, 62])
     def test_aux_width_bounds_are_accepted(self, aux_width):
         state = make_state(2, 8, np.int8(aux_width), {1: 1.0 + 0j})
         assert type(state.aux_width) is int and state.aux_width == aux_width
         assert phase_cascade(state).amp.tolist() == [1.0 + 0j]
-
-    @pytest.mark.parametrize("t", [0, 1, 63, 8.0, True])
-    def test_state_refuses_a_precision_outside_2_to_62(self, t):
-        with pytest.raises(PrecisionOutOfRangeError):
-            make_state(2, t, 8, {1: 1.0 + 0j})
 
     def test_state_stores_its_precision_as_a_python_int(self):
         state = make_state(2, np.int32(40), 40, {1: 1.0 + 0j})
@@ -117,11 +62,6 @@ class TestInitState:
         registers = [state.addr, state.v, state.w_angle, state.w_aux]
         assert [r.tolist() for r in registers] == [[7], [1], [31], [(1 << aux_width) - 1]]
         assert list(state.branches) == [label]
-
-    @pytest.mark.parametrize("t", [1, 63])
-    def test_precision_outside_2_to_62_is_refused(self, t):
-        with pytest.raises(PrecisionOutOfRangeError):
-            init_state(2, t, "complex")
 
     def test_branches_repr_is_the_label_dict(self):
         state = make_state(2, 4, 4, {1: 1.0 + 0j, (3 << 7) | 2: -0.5j})
@@ -139,17 +79,6 @@ class TestInitState:
             mine, ref = getattr(got, name), getattr(want, name)
             assert mine.tolist() == ref.tolist() and mine.dtype == ref.dtype, name
             assert not mine.flags.writeable and not ref.flags.writeable, name
-
-    @pytest.mark.parametrize("k,t,mode", [
-        (0, 8, "complex"), (63, 8, "complex"), (True, 8, "complex"), (2.0, 8, "real_signed"),
-        (None, 8, "complex"), (3, 1, "complex"), (3, 63, "real_signed"), (3, 8.0, "complex"),
-        (3, True, "complex"), (3, 8, "qutrit"), (3, 8, None),
-    ])
-    def test_refuses_what_the_label_path_refuses(self, k, t, mode):
-        with pytest.raises(Exception) as want:
-            BranchState(branches={1: 1 + 0j}, t=t, aux_width=cell_width(t, mode) - t, k=k)
-        with pytest.raises(want.type):
-            init_state(k, t, mode)
 
 
 def load_by_constructor(branches):
@@ -174,32 +103,6 @@ class TestBranchLoading:
         label = (1 << 19) - 1
         assert dict(load({label: -1.0}).branches) == {label: -1.0 + 0j}
 
-    @pytest.mark.parametrize("label", [1 << 19, 1 << 20, 1 << 200, -1, 1.5, True, np.int64(1)],
-                             ids=["2**19", "2**20", "2**200", "-1", "1.5", "True", "int64"])
-    def test_label_outside_the_registers_is_refused(self, load, label):
-        # 1 << 20 gave a 9-bit w_angle of 512 that ry_cascade read as an 8-rad
-        # rotation; 1 << 200 and -1 ended in a bare OverflowError, 1.5 in a bare
-        # TypeError; bool and numpy ints are refused too, as image cells are
-        want = rf"^label {re.escape(repr(label))} is not an int in \[0, 2\*\*19\)$"
-        with pytest.raises(WidthMismatchError, match=want):
-            load({2: 1.0, label: 1.0})
-
-    @pytest.mark.parametrize("amp", [None, "x", "1", [1], True, math.nan, complex(0, math.inf),
-                                     10**400],
-                             ids=["None", "'x'", "'1'", "[1]", "True", "nan", "infj", "10**400"])
-    def test_amplitude_that_is_no_finite_number_is_refused(self, load, amp):
-        # None loaded as NaN, "1" as 1, and "x" or [1] ended in a bare ValueError or TypeError
-        want = r"^amplitude of label 3 is not a finite number: "
-        with pytest.raises(InvalidAmplitudeError, match=want):
-            load({1: 1.0, 3: amp})
-
-    @pytest.mark.parametrize("branches", [5, None, [1, 2], "ab", [(1, 2, 3)], [(3, 1.0)], {3, 1}],
-                             ids=["5", "None", "[1, 2]", "'ab'", "[(1, 2, 3)]", "pairs", "set"])
-    def test_value_that_is_no_mapping_is_refused(self, load, branches):
-        # dict() of these ended in a bare TypeError or ValueError, or loaded a list of pairs
-        with pytest.raises(WidthMismatchError, match=r"^branches must be a mapping, got "):
-            load(branches)
-
 
 @pytest.mark.parametrize("branches,error", [({3: None}, InvalidAmplitudeError),
                                             ({1 << 20: 1.0}, WidthMismatchError),
@@ -215,18 +118,6 @@ def test_refused_branches_leave_the_state_as_it_was(branches, error):
     assert state.addr.tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("k,t,aux_width,branches,error,message", [
-    (0, 1, 8, 5, InvalidDimensionsError, "address width k"),
-    (2, 1, 0, 5, PrecisionOutOfRangeError, "t must be"),
-    (2, 8, 0, 5, InvalidDimensionsError, "aux_width"),
-    (2, 8, 8, [(1 << 200, 1.0)], WidthMismatchError, "branches must be a mapping"),
-], ids=["k-then-t", "t-then-aux_width", "aux_width-then-container", "container-then-labels"])
-def test_state_refuses_k_t_aux_width_container_then_labels(k, t, aux_width, branches, error,
-                                                          message):
-    with pytest.raises(error, match=f"^{message}"):
-        make_state(k, t, aux_width, branches)
-
-
 class TestReplaceState:
     def test_without_branches_keeps_them(self):
         state = make_state(2, 8, 8, {1: 0.6, (5 << 11) | 2: 0.8j})
@@ -234,12 +125,6 @@ class TestReplaceState:
         assert same == state and same is not state
         for name in ("addr", "v", "w_angle", "w_aux", "amp"):
             assert getattr(same, name).tolist() == getattr(state, name).tolist(), name
-
-    def test_k_too_small_for_the_labels_is_refused(self):
-        state = make_state(3, 8, 8, {(1 << 19) | 4: 1.0})  # the top bit of w_angle at k = 3
-        want = r"^label \d+ is not an int in \[0, 2\*\*19\)$"
-        with pytest.raises(WidthMismatchError, match=want):
-            dataclasses.replace(state, k=2)
 
 
 class TestPreparationInvariants:
@@ -291,27 +176,6 @@ class TestPreparationInvariants:
 
 
 class TestRyCascade:
-    def test_zero_angle_identity(self):
-        state = angle_state(0, 8)
-        out = ry_cascade(state)
-        assert out.branches == state.branches
-
-    def test_grid_point_two(self):
-        # register holds exactly 2.0, so v rotates by cos(1), sin(1)
-        bits = encode_magnitude_angle(2.0, 3)
-        out = ry_cascade(angle_state(bits, 3))
-        amps = dict(zip(out.v.tolist(), out.amp.tolist()))
-        assert amps[0] == pytest.approx(math.cos(1.0), abs=1e-15)
-        assert amps[1] == pytest.approx(math.sin(1.0), abs=1e-15)
-
-    def test_example_root_split(self):
-        t = 24
-        bits = encode_magnitude_angle(2 * math.asin(math.sqrt(13 / 33)), t)
-        out = ry_cascade(angle_state(bits, t))
-        amps = dict(zip(out.v.tolist(), out.amp.tolist()))
-        assert abs(amps[0] - math.sqrt(20 / 33)) <= 2 ** -22
-        assert abs(amps[1] - math.sqrt(13 / 33)) <= 2 ** -22
-
     def test_direct_unitary_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
@@ -331,25 +195,6 @@ class TestRyCascade:
             got0 = out.branches.get(bits << (2 + t), 0j)
             got1 = out.branches.get((bits << (2 + t)) | 2, 0j)
             assert abs(got0 - want0) <= 1e-12 and abs(got1 - want1) <= 1e-12
-
-    def test_cascade_equivalence_gate_by_gate(self):
-        # bit-by-bit product of controlled rotations vs the composed rotation
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            t = int(rng.integers(2, 25))
-            bits = int(rng.integers(0, 1 << t))
-            v = int(rng.integers(0, 2))
-            state = angle_state(bits, t, v=v)
-            composed = ry_cascade(state)
-            gated = ry_cascade_by_gates(state)
-            keys = set(composed.branches) | set(gated.branches)
-            for key in keys:
-                delta = composed.branches.get(key, 0j) - gated.branches.get(key, 0j)
-                assert abs(delta) <= 1e-12
-
-    def test_norm_preserved(self):
-        state = angle_state(5, 4, v=1, amp=0.6 + 0.8j)
-        assert ry_cascade(state).norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPhaseCascade:
@@ -463,19 +308,8 @@ class TestCircularShift:
                 state = circular_shift(state)
             assert state.branches == {raw: 1.0 + 0j}
 
-    def test_dirty_work_registers(self):
-        state = make_state(2, 4, 4, {1 << 3: 1.0 + 0j})  # aux bit set
-        with pytest.raises(DirtyWorkRegistersError):
-            circular_shift(state)
-
 
 class TestPrepareComplex:
-    def test_example_final_state_ideal(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
-        state, ledger = prepare_complex(img, exact=gamma)
-        assert state_error(state, oracle_state(example)) <= 1e-10
-        assert ledger.query_count == 8
-
     def test_example_intermediate_states(self, example):
         img, gamma = build_memory_image(example, 16, "complex")
         seen = {}
@@ -500,15 +334,6 @@ class TestPrepareComplex:
         expected = [math.sqrt(w / 33) for w in [5, 5, 9, 1, 2, 4, 5, 2]]
         assert moduli == pytest.approx(expected, abs=1e-12)
 
-    def test_marker_invariant_every_level(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
-        tree = build_weight_tree(squared_moduli(example))
-        results = []
-        prepare_complex(
-            img, exact=gamma, on_iteration=lambda h, s: results.append(marker_check(s, h, tree))
-        )
-        assert results == [True, True, True]
-
     def test_access_log_walks_levels(self):
         m = random_matrix(4, 4, seed=31)  # dense: every cell weight positive
         img, gamma = build_memory_image(m, 10, "complex")
@@ -519,43 +344,6 @@ class TestPrepareComplex:
             assert ledger.access_log[2 * (h - 1)] == expected
             assert ledger.access_log[2 * (h - 1) + 1] == expected
         assert ledger.access_log[2 * k] == tuple(range(img.size))
-
-    def test_query_count_fixed_mode(self, example):
-        img, _ = build_memory_image(example, 10, "complex")
-        _, ledger = prepare_complex(img)
-        assert ledger.query_count == 2 * img.k + 2
-
-    def test_mode_guard(self, example):
-        m = ComplexMatrix.from_array([[1.0, -1.0]])
-        img, _ = build_memory_image(m, 8, "real_signed")
-        with pytest.raises(WrongModeError):
-            prepare_complex(img)
-
-    @pytest.mark.parametrize("mode,other", [("complex", "real_signed"), ("real_signed", "complex")])
-    def test_exact_structure_of_other_mode_refused(self, mode, other):
-        # a complex structure would turn a real_signed run's amplitudes complex
-        m = random_matrix(2, 2, seed=1, real=True)
-        img, _ = build_memory_image(m, 8, mode)
-        _, gamma = build_memory_image(m, 8, other)
-        with pytest.raises(WrongModeError):
-            (prepare_complex if mode == "complex" else prepare_real)(img, exact=gamma)
-
-    def test_exact_structure_of_other_size_refused(self, example):
-        img, _ = build_memory_image(example, 8, "complex")
-        _, gamma = build_memory_image(random_matrix(2, 2, seed=1), 8, "complex")
-        with pytest.raises(WrongModeError):
-            prepare_complex(img, exact=gamma)
-
-    @pytest.mark.parametrize("cascade", [ry_cascade, phase_cascade])
-    @pytest.mark.parametrize("k,side", [(2, 4), (4, 2)])
-    def test_cascade_refuses_an_exact_structure_of_other_size(self, cascade, k, side):
-        # a k = 2 state took a K = 16 tree's angles; a k = 4 state ended in a
-        # bare IndexError once its address reached 4 of a K = 4 tree
-        _, gamma = build_memory_image(random_matrix(side, side, seed=3), 8, "complex")
-        state = make_state(k, 8, 8, {(v << k) | a: 0.25 for a in range(1 << k) for v in (0, 1)})
-        want = rf"^need an exact angle structure of {1 << k} cells, got one of {side * side}$"
-        with pytest.raises(WrongModeError, match=want):
-            cascade(state, gamma)
 
     def test_ideal_run_from_a_tree_of_lists(self):
         gamma = ComplexAngleTree(thetas=[1.0], phases=[0.0, 1.0], mode="complex")
@@ -591,35 +379,6 @@ class TestPrepareReal:
         vec = address_amplitudes(state)
         assert vec == pytest.approx(np.array([0.6, -0.8]), abs=1e-15)
 
-    def test_quantized_error_within_budget(self):
-        rng = np.random.default_rng(3)
-        for seed in range(5):
-            m = random_matrix(4, 8, seed=seed, real=True, zero_fraction=0.2)
-            img, _ = build_memory_image(m, 20, "real_signed")
-            state, _ = prepare_real(img)
-            err = state_error(state, oracle_state(m))
-            assert err <= 4 * (m.depth + math.pi) * 2.0 ** -20
-
-    @pytest.mark.parametrize("sim_exact", [False, True])
-    def test_matches_complex_pipeline_bit_for_bit(self, sim_exact):
-        for seed in range(6):
-            m = random_matrix(4, 4, seed=seed, real=True, zero_fraction=0.25)
-            img_r, gamma_r = build_memory_image(m, 14, "real_signed")
-            img_c, gamma_c = build_memory_image(m, 14, "complex")
-            state_r, _ = prepare_real(img_r, exact=gamma_r if sim_exact else None)
-            state_c, _ = prepare_complex(img_c, exact=gamma_c if sim_exact else None)
-            vec_r = address_amplitudes(state_r)
-            vec_c = address_amplitudes(state_c)
-            assert np.array_equal(np.abs(vec_r), np.abs(vec_c))
-            assert np.array_equal(np.sign(vec_r.real), np.sign(vec_c.real))
-            assert not vec_c.imag.any()
-
-    def test_query_count(self):
-        m = random_matrix(8, 8, seed=1, real=True)
-        img, _ = build_memory_image(m, 12, "real_signed")
-        _, ledger = prepare_real(img)
-        assert ledger.query_count == 2 * img.k + 2
-
 
 class TestMarkerCheck:
     def test_negative_control_corrupted_amplitude(self, example):
@@ -654,18 +413,15 @@ class TestMarkerCheck:
         bad = BranchState(stripped, t=16, aux_width=16, k=3)
         assert not marker_check(bad, 3, tree)
 
-    @pytest.mark.parametrize("h", [0, 4])
-    def test_iteration_out_of_range(self, example, h):
-        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
-        with pytest.raises(IndexOutOfRangeError):
-            marker_check(state, h, build_weight_tree(squared_moduli(example)))
-
-    @pytest.mark.parametrize("h", [True, 1.0, np.float64(2.0), "1", None])
-    def test_iteration_that_is_no_integer(self, example, h):
-        # a bool passed 1 <= h <= k as iteration 1; a float reached numpy's shift
-        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
-        with pytest.raises(IndexOutOfRangeError, match=r"^iteration .* outside \[1, 3\]$"):
-            marker_check(state, h, build_weight_tree(squared_moduli(example)))
+    def test_floor_carries_the_check_at_high_precision(self, example):
+        # at t = 48 a half step is ~1e-14, so the 1e-10 floor is the tolerance
+        img, gamma = build_memory_image(example, 48, "complex")
+        tree = build_weight_tree(squared_moduli(example))
+        results = []
+        prepare_complex(
+            img, exact=gamma, on_iteration=lambda h, s: results.append(marker_check(s, h, tree))
+        )
+        assert results == [True, True, True]
 
     def test_tolerance_is_k_half_magnitude_steps(self, example):
         # at t = 8 a half step (2**-7) dwarfs the 1e-10 floor, so this pins k * grid / 2
@@ -686,11 +442,6 @@ class TestMarkerCheck:
         assert marker_check(moved(0.9 * half_steps), 2, tree)
         assert not marker_check(moved(1.1 * (half_steps + 1e-10)), 2, tree)
 
-    def test_tree_of_other_depth(self, example):
-        state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
-        with pytest.raises(IndexOutOfRangeError):
-            marker_check(state, 2, build_weight_tree([1.0, 2.0, 3.0, 4.0]))
-
     def test_zero_root_weight(self, example):
         state, _ = prepare_complex(build_memory_image(example, 16, "complex")[0])
         zero_tree = WeightTree(levels=tuple(np.zeros(1 << h) for h in range(4)))
@@ -708,34 +459,6 @@ class TestMarkerCheck:
 
 
 class TestStateHygiene:
-    @pytest.mark.parametrize("shape", [(8, 4), (32, 32)])
-    def test_unit_norm_after_every_operation(self, shape):
-        for t in (8, 16, 24):
-            m = random_matrix(*shape, seed=t, zero_fraction=0.2)
-            img, _ = build_memory_image(m, t, "complex")
-            state = init_state(img.k, t, "complex")
-            ledger = QueryLedger(img.k)
-            checks = []
-            for _ in range(img.k):
-                state = query(img, state, ledger)
-                checks.append(state.norm())
-                state = ry_cascade(state)
-                checks.append(state.norm())
-                state = query(img, state, ledger)
-                checks.append(state.norm())
-                state = circular_shift(state)
-                checks.append(state.norm())
-            state = query(img, state, ledger)
-            state = phase_cascade(state)
-            checks.append(state.norm())
-            state = query(img, state, ledger)
-            checks.append(state.norm())
-            assert all(abs(c - 1.0) <= 1e-12 for c in checks)
-            # the manual loop above is exactly the procedure
-            auto, auto_ledger = prepare_complex(img)
-            assert auto.branches == state.branches
-            assert auto_ledger.query_count == ledger.query_count
-
     @pytest.mark.parametrize("mode", ["complex", "real_signed"])
     def test_arrays_read_only_after_every_operation(self, mode):
         # states share arrays and cache their label dict: no op may leave one writable
@@ -752,30 +475,6 @@ class TestStateHygiene:
         for state in states:
             for name in ("addr", "v", "w_angle", "w_aux", "amp"):
                 assert not getattr(state, name).flags.writeable, name
-
-    def test_work_registers_clean_between_iterations(self):
-        m = random_matrix(8, 8, seed=2)
-        img, gamma = build_memory_image(m, 12, "complex")
-        cleans = []
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: cleans.append(s.work_clean()))
-        assert cleans == [True] * img.k
-
-    def test_branch_count_matches_nonzero_weights_ideal(self):
-        m = random_matrix(8, 8, seed=6, zero_fraction=0.5)
-        img, gamma = build_memory_image(m, 12, "complex")
-        tree = build_weight_tree(squared_moduli(m))
-        counts = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: counts.update({h: len(s.branches)}))
-        for h in range(1, img.k + 1):
-            assert counts[h] == int(np.count_nonzero(tree.levels[h]))
-
-    def test_branch_count_bounded_fixed(self):
-        m = random_matrix(8, 8, seed=6, zero_fraction=0.5)
-        img, _ = build_memory_image(m, 8, "complex")
-        counts = []
-        prepare_complex(img, on_iteration=lambda h, s: counts.append(len(s.branches)))
-        for h, count in enumerate(counts, start=1):
-            assert count <= 1 << h
 
 
 class TestDumpState:
@@ -811,10 +510,3 @@ class TestDumpState:
         ]
         want = json.dumps({"k": state.k, "branches": rows}, sort_keys=True)
         assert json.dumps(dump_state(state), sort_keys=True) == want
-
-    def test_dirty_state_rejected(self, example):
-        img, _ = build_memory_image(example, 12, "complex")
-        state = init_state(3, 12, "complex")
-        mid = query(img, state, QueryLedger(3))
-        with pytest.raises(DirtyStateError):
-            dump_state(mid)
