@@ -83,7 +83,9 @@ def _frozen_floats(x, what: str) -> np.ndarray:
     """``x`` as a read-only 1-d float64 array: ``x`` itself if it is one, else a copy."""
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and not x.flags.writeable:
         return x
-    out = _as_floats(x, what).copy()  # never freeze the caller's array
+    out = _as_floats(x, what)
+    if out.base is not None:  # a view of the caller's array: never freeze it
+        out = out.copy()
     out.flags.writeable = False
     return out
 

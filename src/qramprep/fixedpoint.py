@@ -4,17 +4,17 @@ Two grid conventions, both t bits wide:
 
 * magnitude angles: value = bits * 2**(2 - t), covering [0, 4); bit j is
   worth 2**(j + 2 - t), so the most significant bit contributes 2.0
-* phases: value = bits * 2*pi / 2**t, covering [0, 2*pi); phases are
-  reduced modulo 2*pi before encoding
+* phases: value = bits * 2*pi / 2**t, covering [0, 2*pi); a phase outside
+  [0, 2*pi) is reduced modulo 2*pi before encoding
 
 Encoding is vectorized: :func:`encode_magnitude_angles` and
 :func:`encode_phases` round whole arrays with one rule, ``floor(x / grid +
 0.5)`` into int64, which is exact for every t <= 62. Exact half-grid ties
 therefore round up (away from zero). The scalar :func:`encode_magnitude_angle`
-and :func:`encode_phase` are thin wrappers over the array encoders that
-return one int, so there is one rounding rule. The half-turn pi sits exactly
-on the phase grid for every t, so sign flips encoded as phases survive the
-codec without error.
+and :func:`encode_phase` check one real number, named as passed if refused,
+and call the array encoders, so there is one rounding rule. The half-turn pi
+sits exactly on the phase grid for every t, so sign flips encoded as phases
+survive the codec without error.
 
 Decoding is one multiplication by the grid: ``bits * magnitude_grid(t)`` for
 an array of angle fields and ``bits * phase_grid(t)`` for an array of phase
@@ -23,7 +23,8 @@ fields. The one-bit phase field of real_signed data holds phi / pi.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,17 +53,33 @@ def phase_grid(t: int) -> float:
     return math.tau / (1 << t)
 
 
+def _is_real(x) -> bool:
+    return type(x) is not bool and isinstance(x, Real)
+
+
 def _as_floats(values, what: str) -> np.ndarray:
+    """``values`` as a flat float64 array; bools, complex numbers, strings and None are refused.
+
+    A float64 array is used as is. Any other input has each element checked,
+    since numpy reads ``True``, ``"1.0"`` and ``None`` as numbers.
+    """
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values.reshape(-1)
+    items = np.asarray(values, dtype=object).reshape(-1)
+    for x in items:
+        if not _is_real(x):
+            raise AngleOutOfRangeError(f"{what} must be real numbers, got {x!r}")
     try:
-        return np.asarray(values, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AngleOutOfRangeError(f"{what} must be real numbers: {exc}") from exc
+        return items.astype(np.float64)
+    except OverflowError as exc:  # an int past the float range
+        raise AngleOutOfRangeError(f"{what} must be real numbers within the float range") \
+            from exc
 
 
 def _first_bad(bad: np.ndarray, x: np.ndarray, what: str, allowed: str) -> None:
     if bad.any():
         z = int(np.argmax(bad))
-        raise AngleOutOfRangeError(f"{what} must {allowed}, got {x[z]!r} at index {z}")
+        raise AngleOutOfRangeError(f"{what} must {allowed}, got {float(x[z])!r} at index {z}")
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -83,27 +100,32 @@ def encode_magnitude_angles(thetas, t: int) -> np.ndarray:
 def encode_phases(phis, t: int) -> np.ndarray:
     """Bits of every phi reduced modulo 2*pi and rounded to the phase grid, as int64.
 
-    The circular rounding error is at most pi * 2**(-t).
+    The reduction runs only when some phi lies outside [0, 2*pi): ``np.mod``
+    returns a phi in range unchanged, and -0.0 encodes as 0 either way, so
+    the phases of a :class:`~qramprep.angles.ComplexAngleTree` skip it. The
+    circular rounding error is at most pi * 2**(-t).
     """
     t = check_precision(t)
     x = _as_floats(phis, "phi")
-    _first_bad(~np.isfinite(x), x, "phi", "be finite")
+    if not ((x >= 0.0) & (x < math.tau)).all():
+        _first_bad(~np.isfinite(x), x, "phi", "be finite")
+        x = np.mod(x, math.tau)
     # a tiny negative phi reduces to exactly 2*pi, whose code 2**t wraps to 0
-    return _round_half_up(np.mod(x, math.tau) / phase_grid(t)) % (1 << t)
+    return _round_half_up(x / phase_grid(t)) & ((1 << t) - 1)
 
 
 def encode_magnitude_angle(theta: float, t: int) -> int:
-    """Scalar form of :func:`encode_magnitude_angles`: the bits of one theta."""
-    if not isinstance(theta, (int, float)):
+    """Scalar form of :func:`encode_magnitude_angles`: the bits of one real theta."""
+    if not _is_real(theta) or not 0.0 <= theta <= math.pi:  # NaN fails too
         raise AngleOutOfRangeError(f"theta must lie in [0, pi], got {theta!r}")
-    return int(encode_magnitude_angles([theta], t)[0])
+    return int(encode_magnitude_angles(np.array([theta], dtype=np.float64), t)[0])
 
 
 def encode_phase(phi: float, t: int) -> int:
-    """Scalar form of :func:`encode_phases`: the bits of one phi."""
-    if not isinstance(phi, (int, float)):
+    """Scalar form of :func:`encode_phases`: the bits of one real phi."""
+    if not _is_real(phi) or not abs(phi) <= sys.float_info.max:  # an int past it too
         raise AngleOutOfRangeError(f"phi must be finite, got {phi!r}")
-    return int(encode_phases([phi], t)[0])
+    return int(encode_phases(np.array([phi], dtype=np.float64), t)[0])
 
 
 def phase_distance(x: float, y: float) -> float:

@@ -10,10 +10,11 @@ Accepted input formats:
   A regular document (one array of pairs all parted by one gap of whitespace
   and a comma, no string holding a bracket, comma or backslash; every
   ``json.dumps`` layout) is read flat: orjson reads it with its pair
-  brackets blanked, as one list of parts with no list per entry. Any other
-  document (a row-broken one such as ``data/example_matrix.json`` too) is
-  read by the stdlib's ``json.loads``, the reference reading, and its
-  entries are checked pair by pair.
+  brackets blanked, as one list of parts with no list per entry, and its
+  values are checked by four byte scans of the array, with no pass per
+  value. Any other document (a row-broken one such as
+  ``data/example_matrix.json`` too) is read by the stdlib's ``json.loads``,
+  the reference reading, and its entries are checked pair by pair.
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
   ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
@@ -197,10 +198,14 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     read ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are
     dropped (so no string holds a structural byte, and the object's one
     array is n >= 1 pairs), and in that array one gap of JSON whitespace and
-    a comma parts all pairs (see :func:`_blank_pairs`). orjson then reads the
-    text with the pair brackets blanked, which nests two levels deep,
-    ``entries`` as ``[re0, im0, re1, im1, ...]``. The matrix is built only if
-    that parse succeeds and rows, cols and the 2 rows*cols parts are what
+    a comma parts all pairs (see :func:`_blank_pairs`). A pair can then hold
+    only numbers, strings and the literals ``true``, ``false`` and ``null``,
+    and no JSON number holds any of the bytes ``"tfn``: four ``bytes.find``
+    scans of the array, first ``[`` to last ``]``, find every value that is
+    not a number, with no pass per value. orjson then reads the text with
+    the pair brackets blanked, which nests two levels deep, ``entries`` as
+    ``[re0, im0, re1, im1, ...]``. The matrix is built only if that parse
+    succeeds and rows, cols and the 2 rows*cols parts are what
     :meth:`ComplexMatrix.from_json_dict` accepts; every other document is
     left to the stdlib reading, so each refusal keeps its type and message.
     """
@@ -213,6 +218,9 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
             or marks[first:last + 1] != b"[[,]" + b",[,]" * (n - 1) + b"]" \
             or marks[last + 1:] != b"}".rjust(len(marks) - last - 1, b","):
         return None
+    outer, close = data.find(b"["), data.rfind(b"]")
+    if any(data.find(byte, outer, close) != -1 for byte in b'"tfn'):
+        return None
     flat = _blank_pairs(data, n)
     if flat is None:
         return None
@@ -224,8 +232,7 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     rows, cols, entries = doc.get("rows"), doc.get("cols"), doc.get("entries")
     # the CLI reads a document with cells as a memory image
     if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1 \
-            or "cells" in doc or type(entries) is not list or len(entries) != 2 * rows * cols \
-            or not set(map(type, entries)) <= {int, float}:
+            or "cells" in doc or type(entries) is not list or len(entries) != 2 * rows * cols:
         return None
     # orjson 3.8 reads no integer past 64 bits and no number past the double
     # range; these two guards leave such documents to the stdlib reading

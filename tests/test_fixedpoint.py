@@ -182,6 +182,43 @@ class TestArrayEncodersMatchScalarRule:
         assert encode_phases([-1e-300, -5e-17, -1e-17, math.tau], t).tolist() == [0, 0, 0, 0]
 
 
+def reduced_phase_bits(x: np.ndarray, t: int) -> np.ndarray:
+    """Every phi reduced by ``np.mod`` and wrapped with ``%``: the encoder with no shortcut."""
+    return np.floor(np.mod(x, math.tau) / phase_grid(t) + 0.5).astype(np.int64) % 2 ** t
+
+
+PHASE_EDGES = [-0.0, 0.0, 5e-324, -5e-324, -1e-300, math.nextafter(math.tau, 0.0), math.tau,
+               math.pi, 7.0, -7.0, 1e10]
+
+
+class TestPhaseReductionShortcut:
+    """``encode_phases`` reduces only an array with a phi outside [0, 2*pi): each in-range
+    phi, alone or together, must encode bit for bit as if it were reduced."""
+
+    @staticmethod
+    def assert_same_bits(x: np.ndarray, t: int):
+        got, want = encode_phases(x, t), reduced_phase_bits(x, t)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("t", [2, 8, 32, 62])
+    def test_edges(self, t):
+        x = np.array(PHASE_EDGES)
+        self.assert_same_bits(x, t)
+        self.assert_same_bits(x[(x >= 0.0) & (x < math.tau)], t)
+        for value in PHASE_EDGES:
+            self.assert_same_bits(np.array([value]), t)
+
+    @given(precisions, st.lists(
+        st.one_of(st.floats(0.0, math.tau, exclude_max=True),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=30))
+    def test_mixed_arrays(self, t, values):
+        x = np.array(values)
+        self.assert_same_bits(x, t)
+        self.assert_same_bits(x[(x >= 0.0) & (x < math.tau)], t)
+
+
 class TestPhaseDistance:
     def test_zero(self):
         assert phase_distance(1.25, 1.25) == 0.0

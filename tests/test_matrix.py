@@ -153,6 +153,11 @@ FLAT_READABLE = [
     json.dumps({"rows": 2, "cols": 2, "entries": [[0, 0]] * 4}),  # refused all zero
     json.dumps({"rows": 1, "cols": 1, "entries": [[5, 0]]}),  # refused single cell
     json.dumps({"rows": 1, "cols": 2, "entries": [[1, 0.5], [-2.0, 0]]}),  # ints and floats
+    # literals and strings spelled with t, f or n lie outside the array's value scans
+    '{"flag": false, "rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "note": "tfn"}',
+    '{"t": true, "n": null, "f": "fnt", "rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}',
+    '{"entries": [[1e0, 0], [0, 1E+0]], "rows": 1, "on": true, "cols": 2, "off": false,'
+    ' "none": null, "fn": "nft"}',
 ]
 # documents whose gaps between pairs differ, read by the stdlib
 ROW_BROKEN = [
@@ -245,6 +250,9 @@ READER_CORPUS = [
         "[1[, 0], [0, 1]]", "[[1, 0], [0, ]1]", "[[1, 0]5, [, 1]]", "[[1, 0], 1[, 1]]",
         "[[1, 0], [0, true]]", "[[null, 0], [0, 1]]", '[["1", 0], [0, 1]]', "[[1, 0], [0, -]]",
     ]),
+    # a value that is not a number, found by the byte scans of the array
+    *(_with_entries(text) for value in ['""', '"e"', "false", "null"]
+      for text in [f"[[1, {value}], [0, 1]]", f"[[1, 0], [0, {value}]]"]),
     _with_entries("[[1, 0], [0, 1]1, [, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
     _with_entries("[[1, 0], [0, 1], 1[, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
     # missing and doubled commas

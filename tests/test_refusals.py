@@ -284,16 +284,23 @@ ROWS = [
     *(row(ComplexAngleTree, [1.0], [0.0, phase], "real_signed", error=NotRealMatrixError,
           message="real_signed phases must be 0 or pi")
       for phase in [1.0, math.pi / 2, 2 * math.pi, -math.pi, math.nan]),
+    # numpy reads strings, bools and None as floats: each element is checked
     *(row(ComplexAngleTree, thetas, [0.0, 0.0], "complex", error=AngleOutOfRangeError,
-          message=message) for thetas, message in [
-        (["x"], "theta must be real numbers: .+"),
-        ([[1.0], [2.0, 3.0]], "theta must be real numbers: .+"),
-        ([None], r"theta must lie in \[0, pi\], got np\.float64\(nan\) at index 0")]),
+          message="theta must be real numbers, got " + got) for thetas, got in [
+        (["x"], "'x'"), (["1.0"], r"'1\.0'"), ([[1.0], [2.0, 3.0]], r"\[1\.0\]"),
+        ([None], "None"), ([True], "True"), (np.array([True]), "True"), ([1j], "1j"),
+        (np.array([1 + 0j]), r"\(1\+0j\)"), (np.array(["1.0"]), r"'1\.0'")]),
+    *(row(ComplexAngleTree, [1.0], phases, "complex", error=AngleOutOfRangeError,
+          message="phase must be real numbers, got " + got) for phases, got in [
+        (["0.5", 0.0], r"'0\.5'"), ([0.0, None], "None"), ([False, 0.0], "False"),
+        ([0.0, 2 + 0j], r"\(2\+0j\)")]),
+    row(ComplexAngleTree, [10 ** 400], [0.0, 0.0], "complex", error=AngleOutOfRangeError,
+        message="theta must be real numbers within the float range"),
     # the ideal phase step would read 2**60, 1e300 and inf as whole quarter turns
     *(row(ComplexAngleTree, np.array([theta]), np.array([phase, 0.0]), "complex",
           error=AngleOutOfRangeError,
           message=(r"theta must lie in \[0, pi\]" if theta else r"phase must lie in \[0, 2\*pi\)")
-          + f", got {shown(np.float64(theta or phase))} at index 0")
+          + f", got {shown(float(theta or phase))} at index 0")
       for theta, phase in [
           (-1e-300, 0.0), (np.nextafter(math.pi, 4.0), 0.0), (5.0, 0.0), (math.nan, 0.0),
           (0.0, -1e-300), (0.0, -0.5 * math.pi), (0.0, math.tau), (0.0, 2.5 * math.pi),
@@ -305,30 +312,39 @@ ROWS = [
     # --- fixed-point codecs
     *(row(check_precision, t, error=PrecisionOutOfRangeError, message=PRECISION + shown(t))
       for t in [1, 63, np.uint8(1), True, 16.0, "16", None]),
+    # a scalar is named as passed, with no index
     *(row(encode_magnitude_angle, theta, 8, error=AngleOutOfRangeError,
-          message=rf"theta must lie in \[0, pi\], got {shown(np.float64(theta))} at index 0")
-      for theta in [-0.1, math.pi + 0.01, math.nan, math.inf]),
-    row(encode_magnitude_angle, "1.0", 8, error=AngleOutOfRangeError,
-        message=r"theta must lie in \[0, pi\], got '1\.0'"),
+          message=rf"theta must lie in \[0, pi\], got {shown(theta)}")
+      for theta in [-0.1, math.pi + 0.01, math.nan, math.inf, np.float64(-1.0), 10 ** 400,
+                    "1.0", True, False, None, 1j]),
     *(row(encode_magnitude_angle, 1.0, t, error=PrecisionOutOfRangeError,
           message=PRECISION + str(t))
       for t in [1, 0, -3, 63, 100]),
-    row(encode_phase, math.inf, 8, error=AngleOutOfRangeError,
-        message=r"phi must be finite, got np\.float64\(inf\) at index 0"),
-    # the array encoder would read "1.0" and [1.0] as the number 1
     *(row(encode_phase, phi, 8, error=AngleOutOfRangeError,
-          message="phi must be finite, got " + shown(phi)) for phi in ["1.0", None, [1.0]]),
+          message="phi must be finite, got " + shown(phi))
+      for phi in [math.inf, -math.inf, math.nan, np.float64(math.inf), 10 ** 400, "1.0", None,
+                  [1.0], True, False, 1j]),
     row(encode_phase, 1.0, 63, error=PrecisionOutOfRangeError, message=PRECISION + "63"),
+    # an array element is named by its index and its value as a Python float
     row(encode_magnitude_angles, [0.0, 1.0, math.nan, -1.0], 8, error=AngleOutOfRangeError,
-        message=r"theta must lie in \[0, pi\], got np\.float64\(nan\) at index 2"),
+        message=r"theta must lie in \[0, pi\], got nan at index 2"),
     row(encode_magnitude_angles, [0.0, math.pi + 1e-9], 8, error=AngleOutOfRangeError,
-        message=r"theta must lie in \[0, pi\], got np\.float64\(3\.141592654589793\) at index 1"),
+        message=r"theta must lie in \[0, pi\], got 3\.141592654589793 at index 1"),
+    *(row(encode_magnitude_angles, thetas, 8, error=AngleOutOfRangeError,
+          message="theta must be real numbers, got " + got) for thetas, got in [
+        ([0.0, "1.0"], r"'1\.0'"), ([True], "True"), ([1.0, None], "None"),
+        (np.array([0.5 + 0j]), r"\(0\.5\+0j\)")]),
     row(encode_magnitude_angles, [0.0], True, error=PrecisionOutOfRangeError,
         message=PRECISION + "True"),
-    row(encode_phases, [0.0, 1.0, -7.0, math.inf], 8, error=AngleOutOfRangeError,
-        message=r"phi must be finite, got np\.float64\(inf\) at index 3"),
-    row(encode_phases, [0.0, object()], 8, error=AngleOutOfRangeError,
-        message="phi must be real numbers: .+"),
+    *(row(encode_phases, phis, 8, error=AngleOutOfRangeError,
+          message=f"phi must be finite, got {got} at index {z}") for phis, got, z in [
+        ([0.0, 1.0, -7.0, math.inf], "inf", 3), (np.array([1.0, -math.inf]), "-inf", 1),
+        (np.array([math.nan, 0.5]), "nan", 0)]),
+    *(row(encode_phases, phis, 8, error=AngleOutOfRangeError,
+          message="phi must be real numbers, got " + got) for phis, got in [
+        ([0.0, object()], "<object object at 0x[0-9a-f]+>"), (["1.0"], r"'1\.0'"),
+        ([0.0, True], "True"), (np.array([False]), "False"), ([None], "None"), ([1j], "1j"),
+        (np.array(["0.5"]), r"'0\.5'")]),
     row(encode_phases, [0.0], 63, error=PrecisionOutOfRangeError, message=PRECISION + "63"),
     # --- memory layout and images
     row(layout_real_signed, build_angle_structures(EXAMPLE, "complex"), 8, error=WrongModeError,
