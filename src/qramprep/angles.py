@@ -24,18 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (
+    AngleOutOfRangeError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NotPowerOfTwoError,
     NotRealMatrixError,
     WrongModeError,
+    is_cell_count,
+    is_int,
+    number_array,
 )
-from .fixedpoint import _as_floats, _first_bad
+from .fixedpoint import _first_bad
 from .matrix import ComplexMatrix, scaled_moduli
 from .weight_tree import WeightTree, build_weight_tree
 
@@ -65,7 +68,7 @@ class ComplexAngleTree:
         object.__setattr__(self, "thetas", theta)
         object.__setattr__(self, "phases", phi)
         n = phi.size
-        if n < 2 or n & (n - 1):
+        if not is_cell_count(n):
             raise NotPowerOfTwoError(f"need 2**k phases (k >= 1), got {n}")
         if theta.size != n - 1:
             raise LengthMismatchError(f"need K-1 angles for K phases, got {theta.size} and {n}")
@@ -83,7 +86,7 @@ def _frozen_floats(x, what: str) -> np.ndarray:
     """``x`` as a read-only 1-d float64 array: ``x`` itself if it is one, else a copy."""
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and not x.flags.writeable:
         return x
-    out = _as_floats(x, what)
+    out = number_array(x, np.float64, AngleOutOfRangeError, what).reshape(-1)
     if out.base is not None:  # a view of the caller's array: never freeze it
         out = out.copy()
     out.flags.writeable = False
@@ -110,7 +113,7 @@ def splitting_angle(z: int, tree: WeightTree) -> float:
     Node z >= 1 sits at level l = floor(log2 z) + 1, position z - 2**(l-1);
     its children are entries 2p and 2p + 1 of ``tree.levels[l]``.
     """
-    if isinstance(z, bool) or not isinstance(z, Integral) or not 1 <= z < tree.size:
+    if not is_int(z) or not 1 <= z < tree.size:
         raise IndexOutOfRangeError(f"memory index {z!r} outside [1, {tree.size - 1}]")
     level = int(z).bit_length()
     pos = int(z) - (1 << (level - 1))

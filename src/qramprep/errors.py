@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for what counts as a number.
+
+Every layer reads its inputs by this rule, and each caller refuses what
+fails it with its own error type and its own name for the value:
+
+* an int is an ``Integral`` that is not a bool (numpy ints count);
+* a number is a ``Number``, and a real number a ``Real``, that is not a
+  bool: strings, bytes, bools, ``None`` and containers never are, though
+  numpy reads ``"1"``, ``True`` and ``None`` as numbers;
+* an array of numbers is an ndarray of int or float kind (or complex kind
+  where complex numbers are allowed), converted with no pass per value and
+  no copy where its dtype already fits; anything else is read element by
+  element, and an int past the float range is refused too;
+* a cell count is 2**k with k >= 1.
+"""
+from __future__ import annotations
+
+from numbers import Integral, Number, Real
+
+import numpy as np
 
 
 class QramPrepError(Exception):
@@ -97,3 +116,45 @@ class InvalidAmplitudeError(QramPrepError):
 
 class ExampleMismatchError(QramPrepError):
     """A replayed quantity disagrees with its recorded value."""
+
+
+# --- what counts as an int, a number and a cell count
+
+def is_int(x) -> bool:
+    """True for an integer that is not a bool: a Python or a numpy int."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_number(x, real: bool = False) -> bool:
+    """True for a number, or with ``real`` a real number, that is not a bool."""
+    return isinstance(x, Real if real else Number) and not isinstance(x, bool)
+
+
+def number_array(values, dtype, error: type[QramPrepError], what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float64 or complex128), in its own shape.
+
+    An ndarray of int or float kind, or of complex kind for complex128, is
+    converted with ``astype(copy=False)``. Anything else is read as an object
+    array and checked element by element with :func:`is_number`, real for
+    float64; the first element refused is named in ``error``.
+    """
+    real = np.dtype(dtype).kind == "f"
+    if type(values) is np.ndarray and values.dtype.kind in ("iuf" if real else "iufc"):
+        return values.astype(dtype, copy=False)
+    noun = "real numbers" if real else "numbers"
+    try:
+        items = np.asarray(values, dtype=object)
+    except ValueError as exc:  # a nesting numpy cannot hold even as objects
+        raise error(f"{what} must be {noun} in a regular array") from exc
+    for x in items.flat:
+        if not is_number(x, real):
+            raise error(f"{what} must be {noun}, got {x!r}")
+    try:
+        return items.astype(dtype)
+    except OverflowError as exc:  # an int past the float range
+        raise error(f"{what} must be {noun} within the float range") from exc
+
+
+def is_cell_count(n) -> bool:
+    """True for 2**k with k >= 1: the size of a tree, an image or a leaf layer."""
+    return n >= 2 and not n & (n - 1)

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from numbers import Integral, Real
-
 import numpy as np
 
-from .errors import AngleOutOfRangeError, PrecisionOutOfRangeError
+from .errors import AngleOutOfRangeError, PrecisionOutOfRangeError, is_int, is_number, number_array
 
 MIN_PRECISION = 2
 MAX_PRECISION = 62
@@ -36,7 +34,7 @@ MAX_PRECISION = 62
 
 def check_precision(t: int) -> int:
     """``t`` as a Python int, so no grid or shift wraps a numpy int; any other t is refused."""
-    if not isinstance(t, Integral) or not MIN_PRECISION <= t <= MAX_PRECISION:
+    if not is_int(t) or not MIN_PRECISION <= t <= MAX_PRECISION:
         raise PrecisionOutOfRangeError(
             f"t must be an integer in [{MIN_PRECISION}, {MAX_PRECISION}], got {t!r}"
         )
@@ -51,29 +49,6 @@ def magnitude_grid(t: int) -> float:
 def phase_grid(t: int) -> float:
     """Grid spacing for phases at precision t."""
     return math.tau / (1 << t)
-
-
-def _is_real(x) -> bool:
-    return type(x) is not bool and isinstance(x, Real)
-
-
-def _as_floats(values, what: str) -> np.ndarray:
-    """``values`` as a flat float64 array; bools, complex numbers, strings and None are refused.
-
-    A float64 array is used as is. Any other input has each element checked,
-    since numpy reads ``True``, ``"1.0"`` and ``None`` as numbers.
-    """
-    if type(values) is np.ndarray and values.dtype == np.float64:
-        return values.reshape(-1)
-    items = np.asarray(values, dtype=object).reshape(-1)
-    for x in items:
-        if not _is_real(x):
-            raise AngleOutOfRangeError(f"{what} must be real numbers, got {x!r}")
-    try:
-        return items.astype(np.float64)
-    except OverflowError as exc:  # an int past the float range
-        raise AngleOutOfRangeError(f"{what} must be real numbers within the float range") \
-            from exc
 
 
 def _first_bad(bad: np.ndarray, x: np.ndarray, what: str, allowed: str) -> None:
@@ -92,7 +67,7 @@ def encode_magnitude_angles(thetas, t: int) -> np.ndarray:
     The rounding error is at most half a grid step, 2**(1-t).
     """
     t = check_precision(t)
-    x = _as_floats(thetas, "theta")
+    x = number_array(thetas, np.float64, AngleOutOfRangeError, "theta").reshape(-1)
     _first_bad(~((x >= 0.0) & (x <= math.pi)), x, "theta", "lie in [0, pi]")  # NaN fails too
     return _round_half_up(x / magnitude_grid(t))
 
@@ -106,7 +81,7 @@ def encode_phases(phis, t: int) -> np.ndarray:
     circular rounding error is at most pi * 2**(-t).
     """
     t = check_precision(t)
-    x = _as_floats(phis, "phi")
+    x = number_array(phis, np.float64, AngleOutOfRangeError, "phi").reshape(-1)
     if not ((x >= 0.0) & (x < math.tau)).all():
         _first_bad(~np.isfinite(x), x, "phi", "be finite")
         x = np.mod(x, math.tau)
@@ -116,14 +91,14 @@ def encode_phases(phis, t: int) -> np.ndarray:
 
 def encode_magnitude_angle(theta: float, t: int) -> int:
     """Scalar form of :func:`encode_magnitude_angles`: the bits of one real theta."""
-    if not _is_real(theta) or not 0.0 <= theta <= math.pi:  # NaN fails too
+    if not is_number(theta, real=True) or not 0.0 <= theta <= math.pi:  # NaN fails too
         raise AngleOutOfRangeError(f"theta must lie in [0, pi], got {theta!r}")
     return int(encode_magnitude_angles(np.array([theta], dtype=np.float64), t)[0])
 
 
 def encode_phase(phi: float, t: int) -> int:
     """Scalar form of :func:`encode_phases`: the bits of one real phi."""
-    if not _is_real(phi) or not abs(phi) <= sys.float_info.max:  # an int past it too
+    if not is_number(phi, real=True) or not abs(phi) <= sys.float_info.max:  # an int past it too
         raise AngleOutOfRangeError(f"phi must be finite, got {phi!r}")
     return int(encode_phases(np.array([phi], dtype=np.float64), t)[0])
 

@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 import orjson
@@ -39,6 +38,9 @@ from .errors import (
     InvalidSeedError,
     InvalidZeroFractionError,
     ParseError,
+    is_int,
+    is_number,
+    number_array,
 )
 
 
@@ -48,10 +50,6 @@ def _next_pow2(n: int) -> int:
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)  # it holds arrays: equal and hashed by identity
@@ -106,15 +104,7 @@ class ComplexMatrix:
     @classmethod
     def from_array(cls, arr) -> "ComplexMatrix":
         """Build from a 2-d array-like, padding each dimension to a power of two."""
-        try:
-            a = np.asarray(arr, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"matrix must be a rectangular array of numbers: {exc}") from exc
-        # numpy reads None as NaN: name it here, and leave a real NaN to
-        # __post_init__; a numeric ndarray cannot hold None and is not scanned
-        if (not isinstance(arr, np.ndarray) or arr.dtype == object) and np.isnan(a).any():
-            if any(x is None for x in np.asarray(arr, dtype=object).reshape(-1)):
-                raise ParseError("matrix contains an entry that is not a number: None")
+        a = number_array(arr, np.complex128, ParseError, "matrix entries")
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2:
@@ -142,9 +132,9 @@ class ComplexMatrix:
             if key not in doc:
                 raise ParseError(f"missing key {key!r}")
         rows, cols = doc["rows"], doc["cols"]
-        if isinstance(rows, bool) or isinstance(cols, bool) \
-                or not isinstance(rows, int) or not isinstance(cols, int):
+        if not (is_int(rows) and is_int(cols)):
             raise ParseError("rows and cols must be integers")
+        rows, cols = int(rows), int(cols)
         if rows <= 0 or cols <= 0:
             raise EmptyMatrixError(f"rows={rows}, cols={cols}")
         entries = doc["entries"]
@@ -372,14 +362,13 @@ def random_matrix(
     zero_fraction: float = 0.0,
 ) -> ComplexMatrix:
     """Deterministic random matrix for demos and tests (standard normal entries)."""
-    if not (_is_int(rows) and _is_int(cols)):
+    if not (is_int(rows) and is_int(cols)):
         raise InvalidDimensionsError(f"rows and cols must be integers, got {rows!r}, {cols!r}")
     if rows < 1 or cols < 1:
         raise EmptyMatrixError(f"rows={rows}, cols={cols}")
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise InvalidSeedError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(zero_fraction, bool) or not isinstance(zero_fraction, Real) \
-            or not 0.0 <= zero_fraction <= 1.0:  # NaN fails too
+    if not is_number(zero_fraction, real=True) or not 0.0 <= zero_fraction <= 1.0:  # NaN fails too
         raise InvalidZeroFractionError(f"zero_fraction must lie in [0, 1], got {zero_fraction!r}")
     rng = np.random.default_rng(int(seed))
     try:

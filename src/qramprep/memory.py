@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,6 +55,8 @@ from .errors import (
     ParseError,
     WidthMismatchError,
     WrongModeError,
+    is_cell_count,
+    is_int,
 )
 from .fixedpoint import check_precision, encode_magnitude_angles, encode_phases
 from .matrix import ComplexMatrix
@@ -72,7 +73,7 @@ _IMAGE_JSON_OPTIONS = (
 
 def checked_width(value, what: str) -> int:
     """An address or register width as a Python int; refused unless in [1, 62], room to shift."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= 62:
+    if not is_int(value) or not 1 <= value <= 62:
         raise InvalidDimensionsError(f"{what} must be in [1, 62], got {value!r}")
     return int(value)
 
@@ -103,7 +104,7 @@ class _Cells:
         if not isinstance(cells, (list, tuple)):
             raise WidthMismatchError(f"cells must be a list or tuple, got {type(cells).__name__}")
         n = len(cells)
-        if n < 2 or n & (n - 1):
+        if not is_cell_count(n):
             raise LengthMismatchError(f"need 2**k cells (k >= 1), got {n}")
         width = image.width  # also refuses an unknown mode
         object.__setattr__(image, "field_arrays", _split_cells(cells, image.t, width))
@@ -185,7 +186,7 @@ class MemoryImage:
         if not isinstance(cells, list):
             raise ParseError("cells must be a list of unsigned integers")
         image = cls(cells=cells, t=t, mode=mode)
-        if isinstance(k, bool) or not isinstance(k, Integral):
+        if not is_int(k):
             raise InvalidDimensionsError(f"k must be an integer, got {k!r}")
         if k != image.k:
             raise LengthMismatchError(f"k = {k} needs 2**k cells, got {image.size}")

@@ -66,7 +66,6 @@ import gc
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Integral, Number
 from typing import Callable
 
 import numpy as np
@@ -79,6 +78,8 @@ from .errors import (
     InvalidAmplitudeError,
     WidthMismatchError,
     WrongModeError,
+    is_int,
+    is_number,
 )
 from .fixedpoint import check_precision, magnitude_grid, phase_grid
 from .memory import MemoryImage, QueryLedger, _frozen, cell_width, checked_width, query
@@ -213,7 +214,7 @@ class BranchState:
 
 
 def _finite_number(amp) -> bool:
-    if type(amp) is bool or not isinstance(amp, Number):  # a str such as "1" would load too
+    if not is_number(amp):
         return False
     try:
         return cmath.isfinite(amp)
@@ -418,7 +419,7 @@ def marker_check(state: BranchState, h: int, wt: WeightTree) -> bool:
     marker sits in v = 1 and the address is bin_k(p).
     """
     k = state.k
-    if isinstance(h, bool) or not isinstance(h, Integral) or not 1 <= h <= k:
+    if not is_int(h) or not 1 <= h <= k:
         raise IndexOutOfRangeError(f"iteration {h!r} outside [1, {k}]")
     if wt.depth != k:
         raise IndexOutOfRangeError(f"tree depth {wt.depth} != address width {k}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral, Number
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from .errors import (
     NotPowerOfTwoError,
     PrecisionOutOfRangeError,
     WrongModeError,
+    is_cell_count,
+    is_int,
+    number_array,
 )
 from .fixedpoint import check_precision, magnitude_grid, phase_grid
 from .matrix import ComplexMatrix, scaled_entries
@@ -92,27 +94,10 @@ def state_error(prepared: BranchState, oracle: np.ndarray) -> float:
 
 
 def _oracle_vector(oracle, size: int) -> np.ndarray:
-    """``oracle`` as ``size`` finite complex128 numbers; a complex128 vector is used as is.
-
-    Any other input has each element checked, since numpy reads ``True`` next
-    to a number as 1.
-    """
-    try:
-        arr = np.asarray(oracle)
-    except (TypeError, ValueError) as exc:  # a ragged nesting
-        raise LengthMismatchError(f"oracle must be a 1-d array of {size} numbers") from exc
+    """``oracle`` as ``size`` finite complex128 numbers; a complex128 vector is used as is."""
+    arr = number_array(oracle, np.complex128, InvalidAmplitudeError, "oracle entries")
     if arr.ndim != 1 or arr.size != size:
         raise LengthMismatchError(f"state has {size} cells, oracle shape {arr.shape}")
-    if arr.dtype.kind not in "iufcO":
-        raise InvalidAmplitudeError(f"oracle entries must be numbers, got dtype {arr.dtype}")
-    if arr.dtype == object or not isinstance(oracle, np.ndarray):
-        for x in np.asarray(oracle, dtype=object):
-            if type(x) is bool or not isinstance(x, Number):
-                raise InvalidAmplitudeError(f"oracle entry {x!r} is not a number")
-    try:
-        arr = arr.astype(np.complex128, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. an int past the float range
-        raise InvalidAmplitudeError("oracle entries must be finite numbers") from exc
     if not np.isfinite(arr).all():
         raise InvalidAmplitudeError("oracle entries must be finite numbers")
     return arr
@@ -120,7 +105,7 @@ def _oracle_vector(oracle, size: int) -> np.ndarray:
 
 def error_bound(k: int, t: int) -> float:
     """Worst-case quantization error (k + pi) * 2**(-t) for exact cascades."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+    if not is_int(k) or k < 1:
         raise NotPowerOfTwoError(f"k must be a positive integer, got {k!r}")
     return (k + math.pi) * 2.0 ** -check_precision(t)
 
@@ -148,7 +133,7 @@ class ResourceReport:
 
 def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
     """Resource counts for preparing K = 2**k amplitudes at precision t."""
-    if not isinstance(K, Integral) or K < 2 or K & (K - 1):
+    if not is_int(K) or not is_cell_count(K):
         raise NotPowerOfTwoError(f"K must be a power of two >= 2, got {K!r}")
     K, t = int(K), check_precision(t)  # numpy ints in the fields would not serialize to JSON
     k = K.bit_length() - 1

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ class TestArrayEncodersMatchScalarRule:
             for theta, phi in zip(rng.uniform(0, math.pi, 50), rng.uniform(-9, 9, 50)):
                 assert encode_magnitude_angle(float(theta), t) == scalar_magnitude_bits(theta, t)
                 assert encode_phase(float(phi), t) == scalar_phase_bits(phi, t)
+
+    @pytest.mark.parametrize("t", [2, 32, 62])
+    def test_scalar_checks_keep_their_closed_ends(self, t):
+        # theta = 0 and pi, and phi = +-the float maximum, are encoded, not refused
+        thetas, phis = [0.0, math.pi], [sys.float_info.max, -sys.float_info.max]
+        assert [encode_magnitude_angle(x, t) for x in thetas] == \
+            encode_magnitude_angles(thetas, t).tolist()
+        assert [encode_phase(x, t) for x in phis] == encode_phases(phis, t).tolist()
 
     @pytest.mark.parametrize("t", [16, 62])
     def test_phases_reducing_to_tau_wrap_to_zero(self, t):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qramprep import matrix
-from qramprep.errors import QramPrepError
+from qramprep import errors, matrix
+from qramprep.errors import ParseError, QramPrepError
 from qramprep.matrix import (
     ComplexMatrix,
     load_matrix,
@@ -23,6 +23,7 @@ from qramprep.matrix import (
     squared_moduli,
 )
 from qramprep.memory import build_memory_image
+from qramprep.verify import error_bound, oracle_state, run_preparation, state_error
 
 EXAMPLE_JSON = json.dumps(
     {
@@ -492,6 +493,33 @@ class TestPadding:
     def test_one_dimensional_input_is_one_row(self):
         m = ComplexMatrix.from_array([1, 2, 3])
         assert (m.rows, m.cols, m.original_rows, m.original_cols) == (1, 4, 1, 3)
+
+
+def _no_scan(x, real=False):
+    raise AssertionError(f"a numeric ndarray was checked element by element at {x!r}")
+
+
+class TestNumericArraysUnscanned:
+    """A numeric ndarray is read with no check per element, and no copy where its dtype fits."""
+
+    @pytest.mark.parametrize("make", [
+        *(lambda dtype=dtype: ComplexMatrix.from_array(np.arange(1, 9, dtype=dtype).reshape(2, 4))
+          for dtype in [np.complex128, np.complex64, np.float64, np.float32, np.int64, np.uint8]),
+        lambda: load_matrix(EXAMPLE_JSON, "json"),  # the flat reading
+        lambda: load_matrix(EXAMPLE_CSV, "csv"),
+        lambda: random_matrix(4, 4, seed=1),
+    ])
+    def test_pipeline(self, monkeypatch, make):
+        monkeypatch.setattr(errors, "is_number", _no_scan)
+        m = make()
+        for sim in ("fixed", "ideal"):
+            state, _, _ = run_preparation(m, 8, sim=sim)
+            assert state_error(state, oracle_state(m)) <= 4 * error_bound(m.depth, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_fitting_dtype_is_not_copied(self, dtype):
+        values = np.arange(4, dtype=dtype)
+        assert errors.number_array(values, dtype, ParseError, "values") is values
 
 
 class TestRandomMatrix:

@@ -7,6 +7,9 @@ import alias or a string that spells a name or a dotted name
 in ``src/qramprep`` outside its own definition or anywhere in
 ``perfbench``. Names match bare, so a name that shares its spelling with a
 reached one counts as reached too.
+
+Only ``errors.py`` may import from ``numbers``: the rule for what counts as
+an int or a number is kept there alone.
 """
 import ast
 import re
@@ -70,3 +73,13 @@ def test_only_pinned_names_are_unreached():
     found = unreached()
     assert [name for name in found if name not in PINNED] == [], "reached by tests alone"
     assert [name for name in found if name in PINNED] == sorted(PINNED), "pinned but reached"
+
+
+def test_only_errors_imports_numbers():
+    importers = [
+        path.name for path in sorted((ROOT / "src" / "qramprep").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        or isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+    ]
+    assert importers == ["errors.py"]

@@ -97,6 +97,35 @@ ADDRESS_WIDTH = r"address width k must be in \[1, 62\], got "
 MODE = r"mode must be one of \('complex', 'real_signed'\), got "
 READ_ONLY = "assignment destination is read-only"
 
+# Values that are not numbers. numpy reads the first five as numbers; every
+# entry point that reads a number refuses each one, with its own error type
+# and its own name for the value.
+NOT_NUMBERS = ["1", b"1", True, np.bool_(True), np.array([True]), None, object(), [1.0]]
+NOT_REAL = [*NOT_NUMBERS, 1j]
+NOT_INTS = [*NOT_REAL, 2.0]
+
+
+def not_number_array_rows(call, args, values, error, must):
+    """Rows for an entry point that reads an array: ``call(*args(array))`` raises ``error``.
+
+    One row per value as the first element of a list, and one per whole
+    ndarray of it: numpy gives bools, strings, bytes and complex numbers
+    dtypes of their own, and an ndarray of one must not pass unchecked
+    either. The message is ``must`` and the value. Two more rows: a nesting
+    numpy cannot hold even as objects, and an int past the float range.
+    """
+    rows = [row(call, *args([v, 1.0]), error=error, message=f"{must}, got {shown(v)}")
+            for v in values]
+    for v in values:
+        array = np.array([v, v])
+        if array.dtype.kind not in "fO":
+            rows.append(row(call, *args(array), error=error,
+                            message=f"{must}, got {shown(array.item(0))}"))
+    return [*rows,
+            row(call, *args([np.zeros((2, 2)), np.zeros(2)]), error=error,
+                message=f"{must} in a regular array"),
+            row(call, *args([10 ** 400, 1]), error=error, message=f"{must} within the float range")]
+
 
 def entries_doc(numbers: list[str]) -> str:
     """A 1 x n matrix whose real parts are the given number literals, written verbatim."""
@@ -185,6 +214,10 @@ ROWS = [
           message=f"expected {rows} entries, got 1") for rows in [2 ** 64, 2 ** 64 + 1, 10 ** 30]),
     row(load_matrix, matrix_doc(2, 2, [[1, 0]] * 3), "json", error=ParseError,
         message="expected 4 entries, got 3"),
+    # numpy ints count as ints, and must not wrap: 2**32 * 2**32 is 0 in int64
+    row(ComplexMatrix.from_json_dict, {"rows": np.int64(1 << 32), "cols": np.int64(1 << 32),
+                                       "entries": []},
+        error=ParseError, message=f"expected {1 << 64} entries, got 0"),
     *(row(load_matrix, matrix_doc(rows, 1, [[1, 0]]), "json", error=EmptyMatrixError,
           message=f"rows={rows}, cols=1") for rows in [-(2 ** 63) - 1, -(10 ** 30)]),
     row(load_matrix, "1,2\n3\n", "csv", error=ParseError,
@@ -205,13 +238,15 @@ ROWS = [
           message=f"non-finite complex literal {shown(text)}") for text in ["1e999", "-1e999i"]),
     # --- matrix arrays
     row(operator.setitem, EXAMPLE.entries, 0, 0, error=ValueError, message=READ_ONLY),
+    *not_number_array_rows(ComplexMatrix.from_array, lambda xs: (xs,), NOT_NUMBERS, ParseError,
+                           "matrix entries must be numbers"),
+    # numpy read each of these as numbers; None, a dict and a ragged row are named too
     *(row(ComplexMatrix.from_array, arr, error=ParseError,
-          message="matrix must be a rectangular array of numbers: .+")
-      for arr in [[["a"]], [[1, "a"]], [[object()]], [[1 + 2j, {}]], [[1, 2], [3]]]),
-    # numpy turns None into NaN: the refusal must not call it non-finite
-    *(row(ComplexMatrix.from_array, arr, error=ParseError,
-          message="matrix contains an entry that is not a number: None")
-      for arr in [[[None, 1]], [[1, 2], [3, None]], [None, 1.0], np.array([[1, None]], object)]),
+          message="matrix entries must be numbers, got " + got) for arr, got in [
+        ([["1", "2"]], "'1'"), ([[1, "2j"]], "'2j'"), ([[b"1", 2]], "b'1'"),
+        ([[True, False]], "True"), (np.array([[True, False]]), "True"),
+        ([[1, 2], [3, None]], "None"), (np.array([[1, None]], object), "None"),
+        ([[1 + 2j, {}]], "{}"), ([[1, 2], [3]], r"\[1, 2\]")]),
     # the finite and all-zero checks run before the two-cell check
     *(row(ComplexMatrix.from_array, arr, error=ParseError,
           message="matrix contains a non-finite entry")
@@ -240,13 +275,13 @@ ROWS = [
       for rows, cols in [(0, 4), (4, 0), (-2, 4), (0, 0)]),
     *(row(random_matrix, 2, 2, seed=seed, error=InvalidSeedError,
           message="seed must be a non-negative integer, got " + shown(seed))
-      for seed in [-1, -(1 << 70), 1.5, None, True]),
+      for seed in [-1, -(1 << 70), *NOT_INTS]),
     *(row(random_matrix, rows, cols, error=InvalidDimensionsError,
           message=f"rows and cols must be integers, got {shown(rows)}, {shown(cols)}")
-      for rows, cols in [(2.5, 2), (True, 2), (2, 2.0), ("2", 2), (None, 2)]),
+      for rows, cols in [(2.5, 2), (2, 2.0), *((v, 2) for v in NOT_INTS)]),
     *(row(random_matrix, 2, 2, zero_fraction=fraction, error=InvalidZeroFractionError,
           message=r"zero_fraction must lie in \[0, 1\], got " + shown(fraction))
-      for fraction in [math.nan, 2.0, -0.1, math.inf, True, "0.5", None]),
+      for fraction in [math.nan, 2.0, -0.1, math.inf, *NOT_REAL]),
     # --- weight tree
     *(row(build_weight_tree, weights, error=NotPowerOfTwoError,
           message=f"need a power-of-two length >= 2, got {len(weights)}")
@@ -254,25 +289,23 @@ ROWS = [
     row(build_weight_tree, [0.0] * 4, error=AllZeroWeightsError, message="all weights are zero"),
     *(row(build_weight_tree, weights, error=InvalidWeightsError,
           message="squared moduli must be finite and non-negative")
-      for weights in [[1.0, -1.0], [1.0, math.nan], [1.0, math.inf], [10 ** 400, 1]]),
+      for weights in [[1.0, -1.0], [1.0, math.nan], [1.0, math.inf]]),
     # every leaf is finite, but the root is not
     *(row(build_weight_tree, weights, error=InvalidWeightsError,
           message="the sum of the squared moduli overflows a float")
       for weights in [[1e308, 1e308], [1e308, 0.0, 0.0, 1e308]]),
     # values that are not real numbers
+    *not_number_array_rows(build_weight_tree, lambda xs: (xs,), NOT_REAL, InvalidWeightsError,
+                           "weights must be real numbers"),
     *(row(build_weight_tree, weights, error=InvalidWeightsError,
           message="weights must be real numbers, got " + got) for weights, got in [
-        ([1 + 2j, 1.0], "dtype complex128"), (["1", "3"], "dtype <U1"),
-        ([True, False], "dtype bool"), ([True, 1.0], "True"), ([1.0, None], "None"),
-        (np.array([1.0, None], object), "None"),
-        ({0: 1.0, 1: 2.0}, r"\{0: 1\.0, 1: 2\.0\}")]),
-    row(build_weight_tree, [[1.0, 2.0], [3.0]], error=InvalidWeightsError,
-        message="weights must be a regular array of real numbers"),
+        (np.array([1.0, None], object), "None"), ({0: 1.0, 1: 2.0}, r"\{0: 1\.0, 1: 2\.0\}"),
+        ([[1.0, 2.0], [3.0]], r"\[1\.0, 2\.0\]")]),
     row(operator.setitem, EXAMPLE_TREE.levels[0], 0, 0, error=ValueError, message=READ_ONLY),
     # --- angles and phases
     *(row(splitting_angle, z, EXAMPLE_TREE, error=IndexOutOfRangeError,
           message=rf"memory index {shown(z)} outside \[1, 7\]")
-      for z in [0, 8, -1, 1.0, 2.5, "1", True, np.bool_(True)]),
+      for z in [0, 8, -1, 2.5, *NOT_INTS]),
     *(row(ComplexAngleTree, *args, error=LengthMismatchError,
           message="need K-1 angles for K phases, got 2 and 4")
       for args in [(np.zeros(2), np.zeros(4), "real_signed"), ([1.0, 1.0], [0.0] * 4, "complex")]),
@@ -284,18 +317,12 @@ ROWS = [
     *(row(ComplexAngleTree, [1.0], [0.0, phase], "real_signed", error=NotRealMatrixError,
           message="real_signed phases must be 0 or pi")
       for phase in [1.0, math.pi / 2, 2 * math.pi, -math.pi, math.nan]),
-    # numpy reads strings, bools and None as floats: each element is checked
-    *(row(ComplexAngleTree, thetas, [0.0, 0.0], "complex", error=AngleOutOfRangeError,
-          message="theta must be real numbers, got " + got) for thetas, got in [
-        (["x"], "'x'"), (["1.0"], r"'1\.0'"), ([[1.0], [2.0, 3.0]], r"\[1\.0\]"),
-        ([None], "None"), ([True], "True"), (np.array([True]), "True"), ([1j], "1j"),
-        (np.array([1 + 0j]), r"\(1\+0j\)"), (np.array(["1.0"]), r"'1\.0'")]),
-    *(row(ComplexAngleTree, [1.0], phases, "complex", error=AngleOutOfRangeError,
-          message="phase must be real numbers, got " + got) for phases, got in [
-        (["0.5", 0.0], r"'0\.5'"), ([0.0, None], "None"), ([False, 0.0], "False"),
-        ([0.0, 2 + 0j], r"\(2\+0j\)")]),
-    row(ComplexAngleTree, [10 ** 400], [0.0, 0.0], "complex", error=AngleOutOfRangeError,
-        message="theta must be real numbers within the float range"),
+    *not_number_array_rows(ComplexAngleTree, lambda xs: (xs, [0.0, 0.0], "complex"), NOT_REAL,
+                           AngleOutOfRangeError, "theta must be real numbers"),
+    *not_number_array_rows(ComplexAngleTree, lambda xs: ([1.0], xs, "complex"), NOT_REAL,
+                           AngleOutOfRangeError, "phase must be real numbers"),
+    row(ComplexAngleTree, [1.0], [0.0, None], "complex", error=AngleOutOfRangeError,
+        message="phase must be real numbers, got None"),
     # the ideal phase step would read 2**60, 1e300 and inf as whole quarter turns
     *(row(ComplexAngleTree, np.array([theta]), np.array([phase, 0.0]), "complex",
           error=AngleOutOfRangeError,
@@ -311,40 +338,34 @@ ROWS = [
         message=MODE + "'octonion'"),
     # --- fixed-point codecs
     *(row(check_precision, t, error=PrecisionOutOfRangeError, message=PRECISION + shown(t))
-      for t in [1, 63, np.uint8(1), True, 16.0, "16", None]),
+      for t in [1, 63, np.uint8(1), 16.0, *NOT_INTS]),
     # a scalar is named as passed, with no index
     *(row(encode_magnitude_angle, theta, 8, error=AngleOutOfRangeError,
           message=rf"theta must lie in \[0, pi\], got {shown(theta)}")
       for theta in [-0.1, math.pi + 0.01, math.nan, math.inf, np.float64(-1.0), 10 ** 400,
-                    "1.0", True, False, None, 1j]),
+                    *NOT_REAL]),
     *(row(encode_magnitude_angle, 1.0, t, error=PrecisionOutOfRangeError,
           message=PRECISION + str(t))
       for t in [1, 0, -3, 63, 100]),
     *(row(encode_phase, phi, 8, error=AngleOutOfRangeError,
           message="phi must be finite, got " + shown(phi))
-      for phi in [math.inf, -math.inf, math.nan, np.float64(math.inf), 10 ** 400, "1.0", None,
-                  [1.0], True, False, 1j]),
+      for phi in [math.inf, -math.inf, math.nan, np.float64(math.inf), 10 ** 400, *NOT_REAL]),
     row(encode_phase, 1.0, 63, error=PrecisionOutOfRangeError, message=PRECISION + "63"),
     # an array element is named by its index and its value as a Python float
     row(encode_magnitude_angles, [0.0, 1.0, math.nan, -1.0], 8, error=AngleOutOfRangeError,
         message=r"theta must lie in \[0, pi\], got nan at index 2"),
     row(encode_magnitude_angles, [0.0, math.pi + 1e-9], 8, error=AngleOutOfRangeError,
         message=r"theta must lie in \[0, pi\], got 3\.141592654589793 at index 1"),
-    *(row(encode_magnitude_angles, thetas, 8, error=AngleOutOfRangeError,
-          message="theta must be real numbers, got " + got) for thetas, got in [
-        ([0.0, "1.0"], r"'1\.0'"), ([True], "True"), ([1.0, None], "None"),
-        (np.array([0.5 + 0j]), r"\(0\.5\+0j\)")]),
+    *not_number_array_rows(encode_magnitude_angles, lambda xs: (xs, 8), NOT_REAL,
+                           AngleOutOfRangeError, "theta must be real numbers"),
     row(encode_magnitude_angles, [0.0], True, error=PrecisionOutOfRangeError,
         message=PRECISION + "True"),
     *(row(encode_phases, phis, 8, error=AngleOutOfRangeError,
           message=f"phi must be finite, got {got} at index {z}") for phis, got, z in [
         ([0.0, 1.0, -7.0, math.inf], "inf", 3), (np.array([1.0, -math.inf]), "-inf", 1),
         (np.array([math.nan, 0.5]), "nan", 0)]),
-    *(row(encode_phases, phis, 8, error=AngleOutOfRangeError,
-          message="phi must be real numbers, got " + got) for phis, got in [
-        ([0.0, object()], "<object object at 0x[0-9a-f]+>"), (["1.0"], r"'1\.0'"),
-        ([0.0, True], "True"), (np.array([False]), "False"), ([None], "None"), ([1j], "1j"),
-        (np.array(["0.5"]), r"'0\.5'")]),
+    *not_number_array_rows(encode_phases, lambda xs: (xs, 8), NOT_REAL, AngleOutOfRangeError,
+                           "phi must be real numbers"),
     row(encode_phases, [0.0], 63, error=PrecisionOutOfRangeError, message=PRECISION + "63"),
     # --- memory layout and images
     row(layout_real_signed, build_angle_structures(EXAMPLE, "complex"), 8, error=WrongModeError,
@@ -363,7 +384,7 @@ ROWS = [
         *(([0, cell], "cell 1 is not an unsigned integer: " + shown(cell))
           for cell in [False, 3.0, "3", None])]),
     *(row(MemoryImage.from_json_dict, image_doc(k=k), error=InvalidDimensionsError,
-          message="k must be an integer, got " + shown(k)) for k in [True, 1.0, "1", None]),
+          message="k must be an integer, got " + shown(k)) for k in NOT_INTS),
     # a huge k must be refused without building the 2**k-bit int 1 << k
     *(row(MemoryImage.from_json_dict, image_doc(k=k), error=LengthMismatchError,
           message=rf"k = {k} needs 2\*\*k cells, got 2") for k in [0, -1, 2, 20000, 1 << 70]),
@@ -419,6 +440,8 @@ ROWS = [
     *(row(make, k, error=InvalidDimensionsError, message=ADDRESS_WIDTH + str(k))
       for k in [63, 65, 1 << 70]
       for make in [lambda k: init_state(k, 8, "complex"), lambda k: state(k, 8, 8, {1: 1 + 0j})]),
+    *(row(state, k, 8, 8, {1: 1 + 0j}, error=InvalidDimensionsError,
+          message=ADDRESS_WIDTH + shown(k)) for k in NOT_INTS),
     row(init_state, 2, 8, "qutrit", error=WrongModeError, message=MODE + "'qutrit'"),
     *(row(state, 2, 8, aux_width, {1: 1 + 0j}, error=InvalidDimensionsError,
           message=r"aux_width must be in \[1, 62\], got " + shown(aux_width))
@@ -457,8 +480,7 @@ ROWS = [
       for label in [1 << 19, 1 << 20, 1 << 200, -1, 1.5, True, np.int64(1)] for load in LOADS),
     *(row(load, {1: 1.0, 3: amp}, error=InvalidAmplitudeError,
           message="amplitude of label 3 is not a finite number: " + shown(amp))
-      for amp in [None, "x", "1", [1], True, math.nan, complex(0, math.inf), 10 ** 400]
-      for load in LOADS),
+      for amp in [math.nan, complex(0, math.inf), 10 ** 400, *NOT_NUMBERS] for load in LOADS),
     *(row(load, branches, error=WidthMismatchError,
           message=f"branches must be a mapping, got {type(branches).__name__}")
       for branches in [5, None, [1, 2], "ab", [(1, 2, 3)], [(3, 1.0)], {3, 1}] for load in LOADS),
@@ -489,7 +511,7 @@ ROWS = [
     # a bool passed 1 <= h <= k as iteration 1; a float reached numpy's shift
     *(row(marker_check, PREPARED, h, EXAMPLE_TREE, error=IndexOutOfRangeError,
           message=rf"iteration {shown(h)} outside \[1, 3\]")
-      for h in [0, 4, True, 1.0, np.float64(2.0), "1", None]),
+      for h in [0, 4, np.float64(2.0), *NOT_INTS]),
     row(marker_check, PREPARED, 2, build_weight_tree([1.0, 2.0, 3.0, 4.0]),
         error=IndexOutOfRangeError, message="tree depth 2 != address width 3"),
     row(dump_state, query(EXAMPLE_IMAGE, init_state(3, 12, "complex"), QueryLedger(3)),
@@ -501,23 +523,23 @@ ROWS = [
         error=DirtyStateError, message="work registers are not zero"),  # w_angle = 1
     *(row(state_error, CLEAN, oracle, error=LengthMismatchError,
           message=f"state has 8 cells, oracle shape {shown(np.shape(oracle))}")
-      for oracle in [ORACLE[:4], ORACLE.reshape(2, 4), None, 5]),
-    row(state_error, CLEAN, [[1, 2, 3, 4], [5, 6, 7]], error=LengthMismatchError,
-        message="oracle must be a 1-d array of 8 numbers"),
+      for oracle in [ORACLE[:4], ORACLE.reshape(2, 4), 5]),
+    *not_number_array_rows(state_error, lambda xs: (CLEAN, xs), NOT_NUMBERS, InvalidAmplitudeError,
+                           "oracle entries must be numbers"),
     *(row(state_error, CLEAN, oracle, error=InvalidAmplitudeError, message=message)
       for oracle, message in [
-          (["1"] + ["0"] * 7, "oracle entries must be numbers, got dtype <U1"),
-          ([True] + [0] * 7, "oracle entry True is not a number"),
-          ([0.5] * 7 + [None], "oracle entry None is not a number"),
-          (np.array([None] * 8, object), "oracle entry None is not a number"),
+          (None, "oracle entries must be numbers, got None"),
+          ([[1, 2, 3, 4], [5, 6, 7]], r"oracle entries must be numbers, got \[1, 2, 3, 4\]"),
+          ([0.5] * 7 + [None], "oracle entries must be numbers, got None"),
+          (np.array([None] * 8, object), "oracle entries must be numbers, got None"),
           (np.r_[math.nan, ORACLE[1:]], "oracle entries must be finite numbers"),
-          ([complex(0, math.inf)] + [0] * 7, "oracle entries must be finite numbers"),
-          ([10 ** 400] + [0] * 7, "oracle entries must be finite numbers")]),
-    *(row(error_bound, k, t, error=NotPowerOfTwoError,
-          message=f"k must be a positive integer, got {k}") for k, t in [(0, 10), (True, 8)]),
+          ([complex(0, math.inf)] + [0] * 7, "oracle entries must be finite numbers")]),
+    *(row(error_bound, k, 8, error=NotPowerOfTwoError,
+          message="k must be a positive integer, got " + shown(k)) for k in [0, *NOT_INTS]),
     row(error_bound, 3, 1, error=PrecisionOutOfRangeError, message=PRECISION + "1"),
     *(row(resource_report, K, t, error=NotPowerOfTwoError,
-          message=f"K must be a power of two >= 2, got {K}") for K, t in [(1000, 32), (1, 8)]),
+          message=f"K must be a power of two >= 2, got {shown(K)}")
+      for K, t in [(1000, 32), (1, 8), *((K, 8) for K in NOT_INTS)]),
     row(resource_report, 8, 8, "dense", error=WrongModeError, message=MODE + "'dense'"),
     *(row(resource_report, 8, t, error=PrecisionOutOfRangeError, message=PRECISION + str(t))
       for t in [1, 63]),
