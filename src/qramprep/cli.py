@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .angles import MODES
 from .errors import ExampleMismatchError, ParseError, QramPrepError
-from .fixedpoint import phase_distance
+from .fixedpoint import MAX_PRECISION, phase_distance
 from .matrix import (
     ComplexMatrix,
     _read_matrix_json,
@@ -46,7 +46,6 @@ EXAMPLE_ENTRIES = [
     [2 + 1j, -1 + 2j, 3 + 0j, 0 - 1j],
     [1 - 1j, 0 + 2j, -2 + 1j, 1 + 1j],
 ]
-EXAMPLE_T = 16  # the run uses exact angles and only queries its image: any t replays alike
 EXAMPLE_SQUARED_MODULI = [5.0, 5.0, 9.0, 1.0, 2.0, 4.0, 5.0, 2.0]
 EXAMPLE_TREE_LEVELS = [[33.0], [20.0, 13.0], [10.0, 10.0, 6.0, 7.0]]
 EXAMPLE_ANGLES = [1.357, math.pi / 2, 1.648, math.pi / 2, 0.644, 1.911, 1.128]
@@ -124,7 +123,8 @@ def cmd_prepare(args) -> int:
     m, img = _read_input(args)
     if img is not None:
         if args.sim == "ideal":
-            raise ParseError("ideal mode needs a matrix input (exact angles are not in the image)")
+            raise ParseError("ideal mode needs a matrix input, not a memory image: "
+                             "it runs on the matrix's t = 62 image")
         state, ledger = _prepare(img)
         norm_error = abs(state.norm() - 1.0)
         clean = state.work_clean()
@@ -174,7 +174,7 @@ def cmd_example(args) -> int:
         got = tree.levels[h].tolist()
         _check(f"tree level {h}", got == expected, f"{got}")
 
-    image, gamma = build_memory_image(m, EXAMPLE_T, "complex")
+    image, gamma = build_memory_image(m, MAX_PRECISION, "complex")
     worst = max(abs(float(g) - e) for g, e in zip(gamma.thetas, EXAMPLE_ANGLES))
     _check(
         "splitting angles z=1..7",
@@ -187,9 +187,7 @@ def cmd_example(args) -> int:
     _check("leaf phases z=0..7", worst <= ANGLE_TOL, f"max deviation {worst:.2e} <= {ANGLE_TOL}")
 
     captured = {}
-    state, ledger = prepare_complex(
-        image, exact=gamma, on_iteration=lambda h, s: captured.update({h: s})
-    )
+    state, ledger = prepare_complex(image, on_iteration=lambda h, s: captured.update({h: s}))
     # iteration h leaves sqrt(T_{h,p} / T_{0,0}) on node (h, p), marked by label
     # bit h: an address bit while h < k, and v at h = k
     for h, weights in enumerate([*EXAMPLE_TREE_LEVELS, EXAMPLE_SQUARED_MODULI][1:], 1):
@@ -265,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=16)
     p.add_argument("--mode", choices=MODES, default="complex")
     p.add_argument("--sim", choices=SIM_MODES, default="fixed",
-                   help="fixed: quantized angles from the image; ideal: exact angles")
+                   help="fixed: the t-bit image; ideal: the same run on the t = 62 image, "
+                   "with --t checked but unused")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("example", help="replay the recorded 2x4 worked example")

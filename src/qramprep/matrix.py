@@ -281,7 +281,7 @@ def _decode_utf8(source: str | bytes) -> str:
 
 
 def _require_number(x, what: str) -> None:
-    if type(x) not in (int, float):
+    if not is_number(x, real=True):
         raise ParseError(f"{what} must be a number, got {x!r}")
     try:
         value = float(x)

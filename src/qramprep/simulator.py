@@ -42,6 +42,11 @@ one-bit phase case, not a separate path. Total queries: 2k + 2. No branch is
 dropped for being small; only amplitudes that a rotation makes exactly zero
 are left out.
 
+Every angle and phase comes from the image's cells; nothing here reads an
+angle structure. An ideal run (``verify.run_preparation(..., sim="ideal")``)
+is this same loop on the matrix's t = 62 image, whose quantization budget
+(k + pi) * 2**-62 lies below float64 round-off.
+
 Cascades are applied as the composed single-qubit unitary per branch pair,
 which is mathematically identical to the bit-by-bit product of controlled
 rotations (the rotations commute and their angles sum to the decoded register
@@ -70,7 +75,6 @@ from typing import Callable
 
 import numpy as np
 
-from .angles import ComplexAngleTree
 from .errors import (
     DirtyStateError,
     DirtyWorkRegistersError,
@@ -284,25 +288,9 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     )
 
 
-def _check_exact_size(state: BranchState, exact: ComplexAngleTree) -> None:
-    if exact.size != 1 << state.k:
-        raise WrongModeError(f"need an exact angle structure of {1 << state.k} cells, "
-                             f"got one of {exact.size}")
-
-
-def ry_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
-    """Rotate the marker qubit of every branch by the angle in its w_angle register.
-
-    With ``exact`` given, the decoded register value is replaced by the exact
-    angle stored for the branch address (quantization bypass for ideal runs);
-    it must hold 2**k cells.
-    """
-    if exact is None:
-        theta = state.w_angle * magnitude_grid(state.t)
-    else:
-        _check_exact_size(state, exact)
-        theta = np.concatenate(([0.0], exact.thetas))[state.addr]  # z = 0 is the dummy
-    return _rotate_pairs(state, theta)
+def ry_cascade(state: BranchState) -> BranchState:
+    """Rotate the marker qubit of every branch by the angle in its w_angle register."""
+    return _rotate_pairs(state, state.w_angle * magnitude_grid(state.t))
 
 
 def ry_cascade_by_gates(state: BranchState) -> BranchState:
@@ -317,31 +305,22 @@ def ry_cascade_by_gates(state: BranchState) -> BranchState:
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def phase_cascade(state: BranchState, exact: ComplexAngleTree | None = None) -> BranchState:
+def phase_cascade(state: BranchState) -> BranchState:
     """Multiply every marked branch (v = 1) by e^{i phi}, phi from its w_aux register.
 
     The register holds phi / (2*pi) in ``aux_width`` bits: t bits in complex
     mode, one bit (phi in {0, pi}) in real_signed mode. One elementwise pass:
     a phase on the quarter-turn grid is an exact unit (so pi is an exact sign
     flip), and only the marked branches off the grid cost a cosine and a sine.
-    With ``exact`` given (2**k cells), phi is the exact leaf phase instead.
     """
     marked = state.v == 1
-    if exact is None:
-        width = state.aux_width
-        # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
-        # 4 * bits fits uint64 for width <= 62
-        quarters = state.w_aux << 2
-        off = (marked & ((quarters & ((1 << width) - 1)) != 0)).nonzero()[0]
-        quarters >>= width
-        phi = state.w_aux[off] * phase_grid(width)
-    else:
-        _check_exact_size(state, exact)
-        phi = exact.phases[state.addr]
-        quarters = np.rint(phi / (0.5 * math.pi))
-        off = (marked & (quarters * (0.5 * math.pi) != phi)).nonzero()[0]
-        quarters = quarters.astype(np.intp)  # 0..4: the tree keeps phi in [0, 2*pi)
-        phi = phi[off]
+    width = state.aux_width
+    # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
+    # 4 * bits fits uint64 for width <= 62
+    quarters = state.w_aux << 2
+    off = (marked & ((quarters & ((1 << width) - 1)) != 0)).nonzero()[0]
+    quarters >>= width
+    phi = state.w_aux[off] * phase_grid(width)
     units = _QUARTER_TURNS.take(quarters & 3)  # take casts a uint64 index ~2x faster than []
     units.real[off] = np.cos(phi)
     units.imag[off] = np.sin(phi)
@@ -362,25 +341,21 @@ def circular_shift(state: BranchState) -> BranchState:
 def _prepare(
     img: MemoryImage,
     mode: str,
-    exact: ComplexAngleTree | None,
     on_iteration: Callable[[int, BranchState], None] | None,
 ) -> tuple[BranchState, QueryLedger]:
     if img.mode != mode:
         raise WrongModeError(f"need a {mode} image, got {img.mode}")
-    if exact is not None and (exact.mode, exact.size) != (mode, img.size):
-        raise WrongModeError(f"need a {mode} exact angle structure of {img.size} cells, "
-                             f"got a {exact.mode} one of {exact.size}")
     state = init_state(img.k, img.t, mode)
     ledger = QueryLedger(img.k)
     for h in range(1, img.k + 1):
         state = query(img, state, ledger)
-        state = ry_cascade(state, exact)
+        state = ry_cascade(state)
         state = query(img, state, ledger)
         state = circular_shift(state)
         if on_iteration is not None:
             on_iteration(h, state)
     state = query(img, state, ledger)
-    state = phase_cascade(state, exact)
+    state = phase_cascade(state)
     state = query(img, state, ledger)
     return state, ledger
 
@@ -388,7 +363,6 @@ def _prepare(
 def prepare_complex(
     img: MemoryImage,
     *,
-    exact: ComplexAngleTree | None = None,
     on_iteration: Callable[[int, BranchState], None] | None = None,
 ) -> tuple[BranchState, QueryLedger]:
     """Run the full magnitude-then-phase procedure against a complex image.
@@ -397,17 +371,16 @@ def prepare_complex(
     Returns the final state (work clean, v = 1 everywhere, address register
     holding the normalized entries) and the query ledger (2k + 2 queries).
     """
-    return _prepare(img, "complex", exact, on_iteration)
+    return _prepare(img, "complex", on_iteration)
 
 
 def prepare_real(
     img: MemoryImage,
     *,
-    exact: ComplexAngleTree | None = None,
     on_iteration: Callable[[int, BranchState], None] | None = None,
 ) -> tuple[BranchState, QueryLedger]:
     """Same loop against a real_signed image, whose phase register is one bit (0 or pi)."""
-    return _prepare(img, "real_signed", exact, on_iteration)
+    return _prepare(img, "real_signed", on_iteration)
 
 
 def marker_check(state: BranchState, h: int, wt: WeightTree) -> bool:

@@ -34,7 +34,7 @@ from .errors import (
     is_int,
     number_array,
 )
-from .fixedpoint import check_precision, magnitude_grid, phase_grid
+from .fixedpoint import MAX_PRECISION, check_precision, magnitude_grid, phase_grid
 from .matrix import ComplexMatrix, scaled_entries
 from .memory import MemoryImage, QueryLedger, build_memory_image, cell_width, layout_image
 from .simulator import BranchState, prepare_complex, prepare_real
@@ -153,10 +153,10 @@ def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
     )
 
 
-def _prepare(img: MemoryImage, **kwargs) -> tuple[BranchState, QueryLedger]:
+def _prepare(img: MemoryImage, on_iteration=None) -> tuple[BranchState, QueryLedger]:
     """Run the preparation procedure that matches the image's mode."""
     prepare = prepare_complex if img.mode == "complex" else prepare_real
-    return prepare(img, **kwargs)
+    return prepare(img, on_iteration=on_iteration)
 
 
 def run_preparation(
@@ -166,13 +166,18 @@ def run_preparation(
     sim: str = "fixed",
     on_iteration=None,
 ) -> tuple[BranchState, QueryLedger, MemoryImage]:
-    """Preprocess a matrix and run the full procedure in one call."""
+    """Preprocess a matrix and run the full procedure in one call; return the image it ran.
+
+    A fixed run reads the t-bit image. An ideal run checks ``t`` and reads the
+    t = 62 image instead, whose angles and phases are float64 values to
+    within 2**-60: its error is round-off, not quantization.
+    """
     if sim not in SIM_MODES:
         raise WrongModeError(f"sim must be one of {SIM_MODES}, got {sim!r}")
-    img, gamma = build_memory_image(m, t, mode)
-    exact = gamma if sim == "ideal" else None
-    del gamma  # a fixed run reads only the image: free the angles before simulating
-    state, ledger = _prepare(img, exact=exact, on_iteration=on_iteration)
+    t = check_precision(t)
+    # the run reads only the image: the angle structure is freed before it
+    img = build_memory_image(m, MAX_PRECISION if sim == "ideal" else t, mode)[0]
+    state, ledger = _prepare(img, on_iteration)
     return state, ledger, img
 
 

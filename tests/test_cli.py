@@ -107,11 +107,11 @@ class TestExampleChecksFail:
         """Make the replay's run pass its states and result through the given edits."""
         prepare = cli.prepare_complex
 
-        def edited(image, *, exact, on_iteration):
+        def edited(image, *, on_iteration):
             def hook(h, state):
                 on_iteration(h, at_iteration(h, state) if at_iteration else state)
 
-            state, ledger = prepare(image, exact=exact, on_iteration=hook)
+            state, ledger = prepare(image, on_iteration=hook)
             return at_end(state, ledger) if at_end else (state, ledger)
 
         monkeypatch.setattr(cli, "prepare_complex", edited)

@@ -106,6 +106,13 @@ class TestLoadMatrix:
         assert m.entries.tolist() == [complex(float(b), 1.0) for b in big] + [0.5 + 0j]
         assert math.copysign(1.0, m.entries[3].imag) == -1.0
 
+    def test_document_built_with_numpy_numbers(self):
+        # a document built in Python may hold numpy numbers, which from_array takes too
+        parts = [[np.float64(0.5), np.float32(-2.0)], [np.int64(3), 0.0]]
+        m = ComplexMatrix.from_json_dict({"rows": 1, "cols": 2, "entries": parts})
+        want = ComplexMatrix.from_array([[0.5 - 2j, 3]])
+        assert m.entries.tolist() == want.entries.tolist() == [0.5 - 2j, 3 + 0j]
+
 
 def _entries_doc(numbers: list[str]) -> str:
     """A 1 x n matrix whose real parts are the given number literals, written verbatim."""

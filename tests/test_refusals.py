@@ -66,10 +66,7 @@ from qramprep.simulator import (
     dump_state,
     init_state,
     marker_check,
-    phase_cascade,
     prepare_complex,
-    prepare_real,
-    ry_cascade,
 )
 from qramprep.verify import (
     error_bound,
@@ -111,8 +108,10 @@ def not_number_array_rows(call, args, values, error, must):
     One row per value as the first element of a list, and one per whole
     ndarray of it: numpy gives bools, strings, bytes and complex numbers
     dtypes of their own, and an ndarray of one must not pass unchecked
-    either. The message is ``must`` and the value. Two more rows: a nesting
-    numpy cannot hold even as objects, and an int past the float range.
+    either. The message is ``must`` and the value. Three more rows: a nesting
+    numpy cannot hold even as objects, an int past the float range, and a
+    masked array that masks an element (``np.asarray`` would read the value
+    under the mask).
     """
     rows = [row(call, *args([v, 1.0]), error=error, message=f"{must}, got {shown(v)}")
             for v in values]
@@ -124,7 +123,9 @@ def not_number_array_rows(call, args, values, error, must):
     return [*rows,
             row(call, *args([np.zeros((2, 2)), np.zeros(2)]), error=error,
                 message=f"{must} in a regular array"),
-            row(call, *args([10 ** 400, 1]), error=error, message=f"{must} within the float range")]
+            row(call, *args([10 ** 400, 1]), error=error, message=f"{must} within the float range"),
+            row(call, *args(np.ma.masked_array([1.0, 1.0], mask=[0, 1])), error=error,
+                message=f"{must}, got a masked element")]
 
 
 def entries_doc(numbers: list[str]) -> str:
@@ -145,12 +146,6 @@ def state(k, t, aux_width, branches) -> BranchState:
     return BranchState(branches=branches, t=t, aux_width=aux_width, k=k)
 
 
-def exact_of_size(k, side):
-    """A k-bit state with every address in both marker values, and a side x side exact tree."""
-    gamma = build_memory_image(random_matrix(side, side, seed=3), 8, "complex")[1]
-    return state(k, 8, 8, {(v << k) | a: 0.25 for a in range(1 << k) for v in (0, 1)}), gamma
-
-
 EXAMPLE = example_matrix()
 EXAMPLE_TREE = build_weight_tree(squared_moduli(EXAMPLE))
 EXAMPLE_IMAGE = build_memory_image(EXAMPLE, 12, "complex")[0]  # 24-bit cells
@@ -160,7 +155,6 @@ CLEAN = state(3, 8, 8, {(1 << 3) | z: complex(a) for z, a in enumerate(ORACLE)})
 TWO_CELLS = MemoryImage(cells=(0, 1), t=4, mode="complex")
 LOADED = state(2, 8, 8, {1: 0.6, 2: 0.8})  # refused loads must leave it as it is
 K4_STATE = state(4, 4, 4, {a: 0.25 + 0j for a in range(16)})
-REAL_PAIR = random_matrix(2, 2, seed=1, real=True)
 # each way of loading branches at k = 2, t = aux_width = 8
 LOADS = [
     lambda branches: state(2, 8, 8, branches),
@@ -323,7 +317,7 @@ ROWS = [
                            AngleOutOfRangeError, "phase must be real numbers"),
     row(ComplexAngleTree, [1.0], [0.0, None], "complex", error=AngleOutOfRangeError,
         message="phase must be real numbers, got None"),
-    # the ideal phase step would read 2**60, 1e300 and inf as whole quarter turns
+    # the tree is the checked hand-off: every theta in [0, pi], every phase in [0, 2*pi)
     *(row(ComplexAngleTree, np.array([theta]), np.array([phase, 0.0]), "complex",
           error=AngleOutOfRangeError,
           message=(r"theta must lie in \[0, pi\]" if theta else r"phase must lie in \[0, 2\*pi\)")
@@ -494,20 +488,6 @@ ROWS = [
     row(prepare_complex, build_memory_image(ComplexMatrix.from_array([[1.0, -1.0]]), 8,
                                             "real_signed")[0],
         error=WrongModeError, message="need a complex image, got real_signed"),
-    # a complex structure would turn a real_signed run's amplitudes complex
-    *(row(prepare, build_memory_image(REAL_PAIR, 8, mode)[0],
-          exact=build_memory_image(REAL_PAIR, 8, other)[1], error=WrongModeError,
-          message=f"need a {mode} exact angle structure of 4 cells, got a {other} one of 4")
-      for prepare, mode, other in [(prepare_complex, "complex", "real_signed"),
-                                   (prepare_real, "real_signed", "complex")]),
-    row(prepare_complex, build_memory_image(EXAMPLE, 8, "complex")[0],
-        exact=build_memory_image(random_matrix(2, 2, seed=1), 8, "complex")[1],
-        error=WrongModeError,
-        message="need a complex exact angle structure of 8 cells, got a complex one of 4"),
-    # a k = 2 state took a K = 16 tree's angles; a k = 4 state ended in a bare IndexError
-    *(row(cascade, *exact_of_size(k, side), error=WrongModeError,
-          message=f"need an exact angle structure of {1 << k} cells, got one of {side * side}")
-      for cascade in [ry_cascade, phase_cascade] for k, side in [(2, 4), (4, 2)]),
     # a bool passed 1 <= h <= k as iteration 1; a float reached numpy's shift
     *(row(marker_check, PREPARED, h, EXAMPLE_TREE, error=IndexOutOfRangeError,
           message=rf"iteration {shown(h)} outside \[1, 3\]")
@@ -550,7 +530,10 @@ ROWS = [
           message=f"t_values must be iterable, got {t_values!r}") for t_values in [8, None, 8.0]),
     row(run_preparation, EXAMPLE, 8, sim="approximate", error=WrongModeError,
         message=r"sim must be one of \('fixed', 'ideal'\), got 'approximate'"),
-    # --- command line: the replay uses exact angles, so a --t would change nothing
+    # an ideal run reads the t = 62 image, but checks its t as a fixed run does
+    *(row(run_preparation, EXAMPLE, t, sim=sim, error=PrecisionOutOfRangeError,
+          message=PRECISION + shown(t)) for sim in ["fixed", "ideal"] for t in [1, 63, 8.0]),
+    # --- command line: the replay runs at t = 62, so a --t would change nothing
     row(build_parser().parse_args, ["example", "--t", "16"], error=SystemExit, message="2"),
     *(row(_parse_t_range, spec, error=ParseError, message=f"--t expects N or LO:HI, got '{spec}'")
       for spec in ["16:6", "6:x", "x"]),

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from qramprep import simulator
-from qramprep.angles import ComplexAngleTree
 from qramprep.errors import InvalidAmplitudeError, WidthMismatchError
-from qramprep.fixedpoint import encode_phase
+from qramprep.fixedpoint import MAX_PRECISION, encode_phase
 from qramprep.matrix import ComplexMatrix, random_matrix, squared_moduli
-from qramprep.memory import QueryLedger, build_memory_image, cell_width, layout_complex, query
+from qramprep.memory import QueryLedger, build_memory_image, cell_width, query
 from qramprep.simulator import (
     BranchState,
     circular_shift,
@@ -227,12 +226,10 @@ class TestPhaseCascade:
 
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
     def test_whole_quarter_turns_are_exact_units(self, turns):
-        # ideal runs take phi from the angle tree, which refuses any outside [0, 2*pi)
-        k, t = 1, 8
-        phases = np.array([turns * 0.5 * math.pi, 0.0])
-        exact = ComplexAngleTree(thetas=np.zeros(1), phases=phases, mode="complex")
-        label = 1 << k  # v = 1, address 0
-        out = phase_cascade(make_state(k, t, t, {label: 1.0 + 0j}), exact)
+        # the widest register too: a t = 62 image holds pi / 2 as 2**60
+        k, t = 1, MAX_PRECISION
+        label = (turns << (t - 2) << (k + 1)) | (1 << k)  # v = 1, address 0
+        out = phase_cascade(make_state(k, t, t, {label: 1.0 + 0j}))
         assert out.branches[label] == [1, 1j, -1, -1j][turns]
 
 
@@ -264,24 +261,22 @@ class TestPhaseCascadeFootprint:
     @pytest.mark.parametrize("mode", ["complex", "real_signed"])
     def test_peak_per_branch(self, monkeypatch, mode, sim):
         m = random_matrix(128, 128, seed=14, real=mode == "real_signed")
-        img, gamma = build_memory_image(m, 32, mode)
-        exact = gamma if sim == "ideal" else None
         seen = []
 
-        def capture(state, exact):
+        def capture(state):
             seen.append(state)
             return state
 
         monkeypatch.setattr(simulator, "phase_cascade", capture)
-        (prepare_complex if mode == "complex" else prepare_real)(img, exact=exact)
+        run_preparation(m, 32, mode, sim)
         monkeypatch.undo()
         [state] = seen
         assert state.amp.size == 1 << 14
-        phase_cascade(state, exact)  # let lazy set-up happen untraced
+        phase_cascade(state)  # let lazy set-up happen untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = phase_cascade(state, exact)
+            out = phase_cascade(state)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -311,9 +306,8 @@ class TestCircularShift:
 
 class TestPrepareComplex:
     def test_example_intermediate_states(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        run_preparation(example, 16, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
         h1 = {l & 7: abs(a) for l, a in seen[1].branches.items()}
         assert h1 == pytest.approx(
             {0b010: math.sqrt(20 / 33), 0b011: math.sqrt(13 / 33)}, abs=1e-12
@@ -336,8 +330,7 @@ class TestPrepareComplex:
 
     def test_access_log_walks_levels(self):
         m = random_matrix(4, 4, seed=31)  # dense: every cell weight positive
-        img, gamma = build_memory_image(m, 10, "complex")
-        _, ledger = prepare_complex(img, exact=gamma)
+        _, ledger, img = run_preparation(m, 10)
         k = img.k
         for h in range(1, k + 1):
             expected = tuple(range(1 << (h - 1), 1 << h))
@@ -345,19 +338,12 @@ class TestPrepareComplex:
             assert ledger.access_log[2 * (h - 1) + 1] == expected
         assert ledger.access_log[2 * k] == tuple(range(img.size))
 
-    def test_ideal_run_from_a_tree_of_lists(self):
-        gamma = ComplexAngleTree(thetas=[1.0], phases=[0.0, 1.0], mode="complex")
-        state, _ = prepare_complex(layout_complex(gamma, 16), exact=gamma)
-        want = [math.cos(0.5), math.sin(0.5) * complex(math.cos(1.0), math.sin(1.0))]
-        assert address_amplitudes(state) == pytest.approx(want, abs=1e-15)
-
     def test_padding_never_reaches_the_state(self):
         # 2x3 input pads to 2x4; column 3 must end with exactly zero amplitude
         m = ComplexMatrix.from_array([[1 + 1j, 2, 3j], [4, 5 - 2j, 6]])
         assert (m.rows, m.cols) == (2, 4)
-        for sim_exact in (False, True):
-            img, gamma = build_memory_image(m, 14, "complex")
-            state, _ = prepare_complex(img, exact=gamma if sim_exact else None)
+        for sim in ("fixed", "ideal"):
+            state, _, _ = run_preparation(m, 14, sim=sim)
             vec = address_amplitudes(state)
             assert vec[3] == 0 and vec[7] == 0
         assert state_error(state, oracle_state(m)) <= 1e-10
@@ -366,26 +352,23 @@ class TestPrepareComplex:
 class TestPrepareReal:
     def test_plus_minus_one(self):
         m = ComplexMatrix.from_array([[1.0, -1.0]])
-        img, gamma = build_memory_image(m, 16, "real_signed")
-        state, ledger = prepare_real(img, exact=gamma)
+        state, ledger, _ = run_preparation(m, 16, "real_signed", "ideal")
         vec = address_amplitudes(state)
         assert vec == pytest.approx(np.array([1, -1]) / math.sqrt(2), abs=1e-15)
         assert ledger.query_count == 4
 
     def test_three_minus_four(self):
         m = ComplexMatrix.from_array([[3.0, -4.0]])
-        img, gamma = build_memory_image(m, 16, "real_signed")
-        state, _ = prepare_real(img, exact=gamma)
+        state, _, _ = run_preparation(m, 16, "real_signed", "ideal")
         vec = address_amplitudes(state)
         assert vec == pytest.approx(np.array([0.6, -0.8]), abs=1e-15)
 
 
 class TestMarkerCheck:
     def test_negative_control_corrupted_amplitude(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
         tree = build_weight_tree(squared_moduli(example))
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        run_preparation(example, 16, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
         good = seen[2]
         assert marker_check(good, 2, tree)
         label = next(iter(good.branches))
@@ -394,20 +377,18 @@ class TestMarkerCheck:
         assert not marker_check(bad, 2, tree)
 
     def test_negative_control_wrong_address(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
         tree = build_weight_tree(squared_moduli(example))
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        run_preparation(example, 16, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
         good = seen[1]
         moved = {label ^ 0b100: amp for label, amp in good.branches.items()}
         bad = BranchState(moved, t=good.t, aux_width=good.aux_width, k=good.k)
         assert not marker_check(bad, 1, tree)
 
     def test_final_level_requires_marker_set(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
         tree = build_weight_tree(squared_moduli(example))
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        run_preparation(example, 16, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
         assert marker_check(seen[3], 3, tree)
         stripped = {l & ~(1 << 3): a for l, a in seen[3].branches.items()}
         bad = BranchState(stripped, t=16, aux_width=16, k=3)
@@ -415,21 +396,19 @@ class TestMarkerCheck:
 
     def test_floor_carries_the_check_at_high_precision(self, example):
         # at t = 48 a half step is ~1e-14, so the 1e-10 floor is the tolerance
-        img, gamma = build_memory_image(example, 48, "complex")
         tree = build_weight_tree(squared_moduli(example))
         results = []
-        prepare_complex(
-            img, exact=gamma, on_iteration=lambda h, s: results.append(marker_check(s, h, tree))
-        )
+        run_preparation(example, 48,
+                        on_iteration=lambda h, s: results.append(marker_check(s, h, tree)))
         assert results == [True, True, True]
 
     def test_tolerance_is_k_half_magnitude_steps(self, example):
-        # at t = 8 a half step (2**-7) dwarfs the 1e-10 floor, so this pins k * grid / 2
-        img, gamma = build_memory_image(example, 8, "complex")
+        # at t = 8 a half step (2**-7) dwarfs the 1e-10 floor, so this pins k * grid / 2;
+        # the ideal state, read with t = 8 registers, is off by round-off alone
         tree = build_weight_tree(squared_moduli(example))
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
-        good = seen[2]
+        run_preparation(example, 8, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
+        good = BranchState(dict(seen[2].branches), t=8, aux_width=8, k=seen[2].k)
         assert marker_check(good, 2, tree)
         half_steps = good.k * 2.0 ** (2 - 8) / 2
         label = max(good.branches, key=lambda lab: abs(good.branches[lab]))
@@ -448,10 +427,9 @@ class TestMarkerCheck:
         assert not marker_check(state, 3, zero_tree)
 
     def test_dirty_work_registers(self, example):
-        img, gamma = build_memory_image(example, 16, "complex")
         tree = build_weight_tree(squared_moduli(example))
         seen = {}
-        prepare_complex(img, exact=gamma, on_iteration=lambda h, s: seen.update({h: s}))
+        run_preparation(example, 16, sim="ideal", on_iteration=lambda h, s: seen.update({h: s}))
         good = seen[3]
         dirty = {l | (1 << good.angle_shift): a for l, a in good.branches.items()}
         bad = BranchState(dirty, t=good.t, aux_width=good.aux_width, k=good.k)
@@ -479,8 +457,7 @@ class TestStateHygiene:
 
 class TestDumpState:
     def test_schema_and_order(self, example):
-        img, gamma = build_memory_image(example, 12, "complex")
-        state, _ = prepare_complex(img, exact=gamma)
+        state, _, _ = run_preparation(example, 12, sim="ideal")
         doc = dump_state(state)
         assert doc["k"] == 3
         addresses = [row["address"] for row in doc["branches"]]

@@ -10,7 +10,10 @@ the simulator worked before its registers became arrays. It lives here only.
 Both must agree on the label set and on every amplitude (1e-12) after each
 magnitude iteration and at the end, and on the query ledger. Its leaf step
 for real_signed images is its own sign flip, an independent check of the
-simulator's one-bit phase cascade.
+simulator's one-bit phase cascade. Given the angle structure, the reference
+reads each exact float64 angle and phase by address instead of the cells'
+codes: it is the reference for an ideal run, which the simulator makes as a
+fixed run on the t = 62 image.
 
 ``reference_rotate_pairs`` keeps the rotation kernel as it was before it
 became pair-free and address-ordered: it pairs every state through a
@@ -29,7 +32,7 @@ import numpy as np
 import pytest
 
 from qramprep import simulator
-from qramprep.angles import ComplexAngleTree
+from qramprep.angles import build_angle_structures
 from qramprep.cli import example_matrix
 from qramprep.matrix import random_matrix
 from qramprep.memory import build_memory_image
@@ -40,7 +43,6 @@ from qramprep.simulator import (
     dump_state,
     phase_cascade,
     prepare_complex,
-    prepare_real,
     ry_cascade_by_gates,
 )
 from qramprep.verify import run_preparation
@@ -182,15 +184,13 @@ CASES = [
 
 @pytest.mark.parametrize("m,mode,t,sim", CASES)
 def test_array_simulator_matches_dict_reference(m, mode, t, sim):
-    img, gamma = build_memory_image(m, t, mode)
-    exact = gamma if sim == "ideal" else None
-    prepare = prepare_complex if mode == "complex" else prepare_real
+    # an ideal run ignores t: at every t it must match the reference on the exact angles
     seen = []
-    state, ledger = prepare(
-        img, exact=exact, on_iteration=lambda h, s: seen.append(dict(s.branches))
+    state, ledger, img = run_preparation(
+        m, t, mode, sim, on_iteration=lambda h, s: seen.append(dict(s.branches))
     )
 
-    reference = DictReference(img, exact)
+    reference = DictReference(img, build_angle_structures(m, mode) if sim == "ideal" else None)
     steps, final = reference.run()
     assert len(seen) == len(steps) == img.k
     for h, (got, want) in enumerate(zip(seen, steps), start=1):
@@ -376,21 +376,15 @@ def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
     assert run() == got
 
 
-def reference_phase_cascade(state, exact=None):
+def reference_phase_cascade(state):
     """The phase kernel before it became one elementwise pass: gather, copy, scatter."""
     marked = np.flatnonzero(state.v)
-    if exact is None:
-        width = state.aux_width
-        bits = state.w_aux[marked]
-        phi = bits * (math.tau / (1 << width))
-        quarters = bits << 2
-        on_grid = (quarters & ((1 << width) - 1)) == 0
-        quarter = np.where(on_grid, (quarters >> width).astype(np.int64), -1)
-    else:
-        phi = exact.phases[state.addr[marked]]
-        turns = np.rint(phi / (0.5 * math.pi))
-        on_grid = turns * (0.5 * math.pi) == phi
-        quarter = turns.astype(np.int64)
+    width = state.aux_width
+    bits = state.w_aux[marked]
+    phi = bits * (math.tau / (1 << width))
+    quarters = bits << 2
+    on_grid = (quarters & ((1 << width) - 1)) == 0
+    quarter = np.where(on_grid, (quarters >> width).astype(np.int64), -1)
     units = np.array([1.0, 1.0j, -1.0, -1.0j])[quarter & 3]
     off_grid = np.flatnonzero(~on_grid)
     off_phi = phi[off_grid]
@@ -430,32 +424,6 @@ def test_phase_kernel_matches_reference_bit_for_bit(seed, aux_width):
     state = phase_state(rng, k=5, t=max(aux_width, 2), aux_width=aux_width)
     assert set(state.v.tolist()) == {0, 1}
     assert branch_bits(phase_cascade(state)) == branch_bits(reference_phase_cascade(state))
-
-
-# the largest phase an angle tree holds, which rounds to four quarter turns
-BELOW_TAU = np.nextafter(math.tau, 0.0)
-# whole quarter turns, and the top of [0, 2*pi) one ulp off the fourth
-QUARTER_PHASES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, BELOW_TAU]
-
-
-@pytest.mark.parametrize("phases", ["on-grid", "off-grid", "mixed"])
-@pytest.mark.parametrize("seed", range(4))
-def test_ideal_phase_kernel_matches_reference_bit_for_bit(seed, phases):
-    rng = np.random.default_rng(seed)
-    k = 5
-    state = phase_state(rng, k=k, t=16, aux_width=16)
-    on = rng.choice(QUARTER_PHASES, 1 << k)
-    near = np.nextafter(on, rng.choice([0.0, BELOW_TAU], 1 << k))  # one ulp off, in range
-    anywhere = rng.uniform(0.0, BELOW_TAU, 1 << k)
-    table = {
-        "on-grid": on,
-        "off-grid": np.where(rng.random(1 << k) < 0.5, near, anywhere),
-        "mixed": np.choose(rng.integers(0, 3, 1 << k), (on, near, anywhere)),
-    }
-    exact = ComplexAngleTree(thetas=np.zeros((1 << k) - 1), phases=table[phases], mode="complex")
-    assert branch_bits(phase_cascade(state, exact)) == branch_bits(
-        reference_phase_cascade(state, exact)
-    )
 
 
 @pytest.mark.parametrize("t", [2, 16, 32, 62])

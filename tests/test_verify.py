@@ -11,10 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 from qramprep.errors import QramPrepError
 from qramprep import simulator, verify
 from qramprep.angles import MODES, build_angle_structures
-from qramprep.fixedpoint import encode_magnitude_angles, encode_phases, magnitude_grid
+from qramprep.fixedpoint import (
+    MAX_PRECISION,
+    encode_magnitude_angles,
+    encode_phases,
+    magnitude_grid,
+)
 from qramprep.matrix import ComplexMatrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image
-from qramprep.simulator import BranchState, dump_state
+from qramprep.simulator import BranchState, dump_state, prepare_complex, prepare_real
 from qramprep.verify import (
     ERROR_SLACK,
     SIM_MODES,
@@ -192,7 +197,7 @@ class TestNumpyIntegerPrecision:
         for t in (8, 40):
             got, got_ledger, _ = run_preparation(m, dtype(t), mode, sim)
             want, want_ledger, _ = run_preparation(m, t, mode, sim)
-            assert (got.t, type(got.t)) == (t, int)
+            assert (got.t, type(got.t)) == (t if sim == "fixed" else MAX_PRECISION, int)
             assert dump_state(got) == dump_state(want)
             assert got_ledger.access_log == want_ledger.access_log
 
@@ -318,9 +323,9 @@ class TestPrecisionSweep:
 
 
 class TestRunPreparation:
-    @pytest.mark.parametrize("sim,kept", [("fixed", False), ("ideal", True)])
-    def test_angles_kept_only_for_an_ideal_run(self, example, monkeypatch, sim, kept):
-        # a fixed run reads only the image, so the angle structure is freed before it
+    @pytest.mark.parametrize("sim", SIM_MODES)
+    def test_no_angles_kept_while_simulating(self, example, monkeypatch, sim):
+        # a run of either kind reads only the image, so the angle structure is freed before it
         refs = []
 
         def building(m, t, mode):
@@ -331,7 +336,20 @@ class TestRunPreparation:
         monkeypatch.setattr(verify, "build_memory_image", building)
         alive = []
         run_preparation(example, 12, sim=sim, on_iteration=lambda h, s: alive.append(refs[0]()))
-        assert [gamma is not None for gamma in alive] == [kept] * example.depth
+        assert alive == [None] * example.depth
+
+    @pytest.mark.parametrize("t", [2, 12, MAX_PRECISION])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ideal_run_is_the_fixed_run_at_max_precision(self, mode, t):
+        m = random_matrix(8, 4, seed=29, real=mode == "real_signed", zero_fraction=0.25)
+        state, ledger, img = run_preparation(m, t, mode, "ideal")
+        want_img = build_memory_image(m, MAX_PRECISION, mode)[0]
+        want, want_ledger = (prepare_complex if mode == "complex" else prepare_real)(want_img)
+        assert img == want_img
+        for name in ("addr", "v", "w_angle", "w_aux"):
+            assert np.array_equal(getattr(state, name), getattr(want, name)), name
+        assert state.amp.tobytes() == want.amp.tobytes()
+        assert ledger.access_log == want_ledger.access_log
 
 
 # every finite float, plus the zeros and the extremes of scale
