@@ -10,7 +10,8 @@ fails it with its own error type and its own name for the value:
 * an array of numbers is an ndarray of int or float kind (or complex kind
   where complex numbers are allowed), converted with no pass per value and
   no copy where its dtype already fits; anything else is read element by
-  element, and an int past the float range or a masked element is refused;
+  element, and an int past the float range or a masked element, also one in
+  a masked array nested in lists, is refused;
 * a cell count is 2**k with k >= 1.
 """
 from __future__ import annotations
@@ -134,16 +135,16 @@ def number_array(values, dtype, error: type[QramPrepError], what: str) -> np.nda
     """``values`` as an array of ``dtype`` (float64 or complex128), in its own shape.
 
     An ndarray of int or float kind, or of complex kind for complex128, is
-    converted with ``astype(copy=False)``. A masked array with a masked
-    element is refused. Anything else is read as an object array and checked
-    element by element with :func:`is_number`, real for float64; the first
-    element refused is named in ``error``.
+    converted with ``astype(copy=False)``. A masked element is refused, also
+    in a masked array nested in lists or tuples. Anything else is read as an
+    object array and checked element by element with :func:`is_number`, real
+    for float64; the first element refused is named in ``error``.
     """
     real = np.dtype(dtype).kind == "f"
     if type(values) is np.ndarray and values.dtype.kind in ("iuf" if real else "iufc"):
         return values.astype(dtype, copy=False)
     noun = "real numbers" if real else "numbers"
-    if np.ma.is_masked(values):  # np.asarray would drop the mask and read what lies under it
+    if _holds_masked(values):  # np.asarray would drop the mask and read what lies under it
         raise error(f"{what} must be {noun}, got a masked element")
     try:
         items = np.asarray(values, dtype=object)
@@ -156,6 +157,22 @@ def number_array(values, dtype, error: type[QramPrepError], what: str) -> np.nda
         return items.astype(dtype)
     except OverflowError as exc:  # an int past the float range
         raise error(f"{what} must be {noun} within the float range") from exc
+
+
+def _holds_masked(values) -> bool:
+    """True if ``values``, or a list or tuple nested in it at any depth, masks an element.
+
+    A level is descended only if it holds a list, a tuple or a masked array,
+    so a flat list of numbers costs one pass over its types.
+    """
+    if np.ma.is_masked(values):
+        return True
+    if not isinstance(values, (list, tuple)):
+        return False
+    if not any(issubclass(kind, (list, tuple, np.ma.MaskedArray))
+               for kind in set(map(type, values))):
+        return False
+    return any(map(_holds_masked, values))
 
 
 def is_cell_count(n) -> bool:

@@ -303,16 +303,20 @@ def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "Branc
     ``ledger`` with the bitmap of the addresses it reached; a state or a
     ledger of another width than the image is refused before that.
     """
-    k = img.k
+    # k and the aux width as img.k and img.aux_width compute them, less the
+    # property calls: a query runs 2k + 2 times per preparation
+    angle, aux = img.field_arrays
+    k = angle.size.bit_length() - 1
     if state.k != k:
         raise WidthMismatchError(f"address width {state.k} != image width {k}")
-    if state.t != img.t or state.aux_width != img.aux_width:
+    t = img.t
+    aux_width = cell_width(t, img.mode) - t
+    if state.t != t or state.aux_width != aux_width:
         raise WidthMismatchError(
-            f"data registers {state.t}+{state.aux_width} bits, cells {img.t}+{img.aux_width}"
+            f"data registers {state.t}+{state.aux_width} bits, cells {t}+{aux_width}"
         )
     if ledger.k != k:
         raise WidthMismatchError(f"ledger width {ledger.k} != image width {k}")
-    angle, aux = img.field_arrays
     addr = state.addr
     reached = np.zeros(1 << k, dtype=bool)
     reached[addr] = True

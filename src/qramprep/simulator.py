@@ -6,9 +6,13 @@ A branch is one basis state of four registers,
 
 stored structure-of-arrays: ``BranchState`` keeps one array per register, the
 index registers ``addr`` and ``v`` as intp and the work registers ``w_angle``
-and ``w_aux`` as uint64, and a complex128 array ``amp``, entry i of each
+and ``w_aux`` as uint64, and an amplitude array ``amp``, entry i of each
 describing branch i. Every register is at most 62 bits wide (a state refuses
 wider k, t and aux_width), so no packed label is ever formed while simulating.
+The magnitude loop's rotations are real, so ``amp`` is float64 from
+``init_state`` through the k iterations, with no complex casts or zero
+imaginary parts to carry; the phase cascade makes it complex128. A state
+loaded from labels holds complex128 amplitudes.
 The state stays sparse: after every uncompute the work registers are zero on all
 branches and at most 2**k branches remain, whatever t is. A dense vector over
 k + 2t + 1 qubits would be hopeless for t = 32; the branch arrays are exact
@@ -62,7 +66,8 @@ that is not a mapping, a label that is not an int of k + 1 + aux_width + t bits
 and an amplitude that is not a finite number.
 
 State dump wire format: {"branches": [{"address": a, "amp": [re, im], "v":
-bit}], "k": k}, rows sorted by address; dumping demands clean work registers.
+bit}], "k": k}, rows sorted by address, a real amplitude written as [re, 0.0];
+dumping demands clean work registers.
 """
 from __future__ import annotations
 
@@ -134,7 +139,12 @@ class _Branches:
 
 @dataclass(init=False)
 class BranchState:
-    """Sparse register state: one entry per branch in each register array."""
+    """Sparse register state: one entry per branch in each register array.
+
+    ``amp`` is float64 through the magnitude loop and complex128 from the
+    phase cascade on, and in a state loaded from labels; ``branches`` maps
+    each label to a Python complex either way.
+    """
 
     branches: Mapping[int, complex] = _Branches()
     t: int
@@ -182,15 +192,19 @@ class BranchState:
                 | (self.v.astype(object) << self.k)
                 | self.addr.astype(object)
             )
-            self._labels = dict(zip(labels.tolist(), self.amp.tolist()))
+            amps = self.amp.astype(np.complex128, copy=False).tolist()
+            self._labels = dict(zip(labels.tolist(), amps))
         return self._labels
 
     def _evolve(self, **arrays: np.ndarray) -> "BranchState":
         """A state of the same widths with the named register or ``amp`` arrays replaced."""
-        out = object.__new__(BranchState)
-        out.__dict__.update(self.__dict__, _labels=None, **arrays)
+        fields = self.__dict__.copy()
+        fields.update(arrays)
+        fields["_labels"] = None
         for array in arrays.values():
-            _frozen(array)
+            array.setflags(False)  # read-only, as _frozen makes it, without the call
+        out = object.__new__(BranchState)
+        out.__dict__ = fields
         return out
 
     @property
@@ -234,7 +248,7 @@ def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
     state.k = checked_width(k, "address width k")
     zero = np.zeros(1, np.uint64)
     return state._evolve(addr=np.ones(1, np.intp), v=np.zeros(1, np.intp), w_angle=zero,
-                         w_aux=zero, amp=np.ones(1, np.complex128))
+                         w_aux=zero, amp=np.ones(1))
 
 
 def _half_angle_cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,32 +266,37 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     A pair is the v = 0 and v = 1 branch with equal address and work
     registers; a branch without a partner pairs with amplitude 0. When no
     branch has v = 1, as before every rotation of the preparation loop, each
-    branch is the v = 0 half of its own pair and nothing is paired. Otherwise
-    a sort on (address, w_angle, w_aux) finds the pairs. The two halves of
-    pair i land at 2i + v of one interleaved output, so a state sorted by
-    address stays sorted. Exactly zero results are dropped.
+    branch is the v = 0 half of its own pair and nothing is paired: its halves
+    are cos * a and sin * a. Otherwise a sort on (address, w_angle, w_aux)
+    finds the pairs. The two halves of pair i land at 2i + v of one
+    interleaved output in the amplitudes' dtype, so a state sorted by address
+    stays sorted and real amplitudes stay real. Exactly zero results are
+    dropped.
     """
+    amp = state.amp
     if np.count_nonzero(state.v):
         _, rep, group = np.unique(
             np.stack((state.addr.astype(np.uint64), state.w_angle, state.w_aux), axis=1),
             axis=0, return_index=True, return_inverse=True,
         )
-        pair = np.zeros((rep.size, 2), dtype=np.complex128)
-        pair[group.reshape(-1), state.v] = state.amp  # numpy 2.0.0 gives a 2-d inverse
-        theta, a0, a1 = theta[rep], pair[:, 0], pair[:, 1]
+        pair = np.zeros((rep.size, 2), dtype=amp.dtype)
+        pair[group.reshape(-1), state.v] = amp  # numpy 2.0.0 gives a 2-d inverse
+        theta, amp, a1 = theta[rep], pair[:, 0], pair[:, 1]
     else:
-        rep, a0, a1 = None, state.amp, 0.0
+        # a1 = 0: its terms only set the signs of zero parts, as the full 2x2
+        # product does. That matters for complex amplitudes alone, since a
+        # real zero is dropped
+        rep, a1 = None, (0.0 if amp.dtype.kind == "c" else None)
     c, s = _half_angle_cos_sin(theta)
-    rotated = np.empty((a0.size, 2), dtype=np.complex128)
+    rotated = np.empty((amp.size, 2), dtype=amp.dtype)
     n0, n1 = rotated[:, 0], rotated[:, 1]
-    # the a1 terms stay even where a1 = 0: they set the signs of zero parts
-    # exactly as the full 2x2 product does
-    np.multiply(c, a0, out=n0)
-    n0 -= s * a1
-    np.multiply(s, a0, out=n1)
-    n1 += c * a1
+    np.multiply(c, amp, out=n0)
+    np.multiply(s, amp, out=n1)
+    if a1 is not None:
+        n0 -= s * a1
+        n1 += c * a1
     rotated = rotated.reshape(-1)
-    keep = (rotated != 0.0).nonzero()[0]
+    keep = rotated.nonzero()[0]
     src = keep >> 1 if rep is None else rep[keep >> 1]
     return state._evolve(
         addr=state.addr[src],
@@ -312,20 +331,30 @@ def phase_cascade(state: BranchState) -> BranchState:
     mode, one bit (phi in {0, pi}) in real_signed mode. One elementwise pass:
     a phase on the quarter-turn grid is an exact unit (so pi is an exact sign
     flip), and only the marked branches off the grid cost a cosine and a sine.
+    Real amplitudes, as the magnitude loop leaves them, come out complex. When
+    every branch is marked, as in the preparation loop, the products are the
+    result; otherwise the unmarked amplitudes are copied back over theirs.
     """
-    marked = state.v == 1
     width = state.aux_width
     # phi is a whole number of quarter turns iff 2**width divides 4 * bits;
     # 4 * bits fits uint64 for width <= 62
     quarters = state.w_aux << 2
-    off = (marked & ((quarters & ((1 << width) - 1)) != 0)).nonzero()[0]
+    off_grid = quarters & ((1 << width) - 1)
+    unmarked = None
+    if np.count_nonzero(state.v) < state.v.size:
+        unmarked = (state.v == 0).nonzero()[0]
+        off_grid[unmarked] = 0  # an unmarked branch costs no cosine
+    off = off_grid.nonzero()[0]
+    del off_grid  # 8 B/branch freed before the 16 B units: the step peaks at ~56 B/branch
     quarters >>= width
     phi = state.w_aux[off] * phase_grid(width)
     units = _QUARTER_TURNS.take(quarters & 3)  # take casts a uint64 index ~2x faster than []
     units.real[off] = np.cos(phi)
     units.imag[off] = np.sin(phi)
     np.multiply(state.amp, units, out=units)
-    return state._evolve(amp=np.where(marked, units, state.amp))
+    if unmarked is not None:
+        units[unmarked] = state.amp[unmarked]
+    return state._evolve(amp=units)
 
 
 def circular_shift(state: BranchState) -> BranchState:
@@ -428,7 +457,8 @@ def dump_state(state: BranchState) -> dict:
             for a, v, pair in zip(
                 state.addr[order].tolist(),
                 state.v[order].tolist(),
-                state.amp[order].view(np.float64).reshape(-1, 2).tolist(),
+                state.amp[order].astype(np.complex128, copy=False).view(np.float64)
+                .reshape(-1, 2).tolist(),
             )
         ]
     finally:

@@ -96,8 +96,9 @@ READ_ONLY = "assignment destination is read-only"
 
 # Values that are not numbers. numpy reads the first five as numbers; every
 # entry point that reads a number refuses each one, with its own error type
-# and its own name for the value.
-NOT_NUMBERS = ["1", b"1", True, np.bool_(True), np.array([True]), None, object(), [1.0]]
+# and its own name for the value. The last one masks its second element.
+NOT_NUMBERS = ["1", b"1", True, np.bool_(True), np.array([True]), None, object(), [1.0],
+               np.ma.masked_array([1.0, 2.0], mask=[0, 1])]
 NOT_REAL = [*NOT_NUMBERS, 1j]
 NOT_INTS = [*NOT_REAL, 2.0]
 
@@ -108,12 +109,15 @@ def not_number_array_rows(call, args, values, error, must):
     One row per value as the first element of a list, and one per whole
     ndarray of it: numpy gives bools, strings, bytes and complex numbers
     dtypes of their own, and an ndarray of one must not pass unchecked
-    either. The message is ``must`` and the value. Three more rows: a nesting
-    numpy cannot hold even as objects, an int past the float range, and a
-    masked array that masks an element (``np.asarray`` would read the value
-    under the mask).
+    either. The message is ``must`` and the value, or "a masked element" for
+    a masked array, which is refused before any value is read. Four more
+    rows: a nesting numpy cannot hold even as objects, an int past the float
+    range, and a masked array that masks an element, alone and nested in a
+    list beside a row of numbers (``np.asarray`` would read the value under
+    the mask).
     """
-    rows = [row(call, *args([v, 1.0]), error=error, message=f"{must}, got {shown(v)}")
+    rows = [row(call, *args([v, 1.0]), error=error,
+                message=f"{must}, got " + ("a masked element" if np.ma.is_masked(v) else shown(v)))
             for v in values]
     for v in values:
         array = np.array([v, v])
@@ -124,8 +128,9 @@ def not_number_array_rows(call, args, values, error, must):
             row(call, *args([np.zeros((2, 2)), np.zeros(2)]), error=error,
                 message=f"{must} in a regular array"),
             row(call, *args([10 ** 400, 1]), error=error, message=f"{must} within the float range"),
-            row(call, *args(np.ma.masked_array([1.0, 1.0], mask=[0, 1])), error=error,
-                message=f"{must}, got a masked element")]
+            *(row(call, *args(masked), error=error, message=f"{must}, got a masked element")
+              for masked in [np.ma.masked_array([1.0, 1.0], mask=[0, 1]),
+                             [np.ma.masked_array([1.0, 2.0], mask=[0, 1]), [3.0, 4.0]]])]
 
 
 def entries_doc(numbers: list[str]) -> str:

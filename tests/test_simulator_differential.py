@@ -18,7 +18,9 @@ fixed run on the t = 62 image.
 ``reference_rotate_pairs`` keeps the rotation kernel as it was before it
 became pair-free and address-ordered: it pairs every state through a
 scatter and writes all v = 0 outputs before all v = 1 outputs. The kernel
-must give the same branches, bit for bit, in whatever order.
+must give the same branches, bit for bit, in whatever order. The magnitude
+loop holds float64 amplitudes; on those the kernel must give the real parts
+the reference gives on a complex copy, bit for bit for angles in [0, pi].
 
 ``reference_phase_cascade`` keeps the phase kernel as it was before it became
 one elementwise pass: it gathers the marked branches by index, computes their
@@ -306,6 +308,9 @@ def theta_per_pair(rng, state, kind):
         "pi": lambda n: np.full(n, math.pi),
         "grid": lambda n: rng.integers(0, 1 << t, n) * 2.0 ** (2 - t),
         "random": lambda n: rng.uniform(-4.0, 4.0, n),
+        "grid-in-range": lambda n: rng.integers(0, int(math.pi / 2.0 ** (2 - t)) + 1, n)
+        * 2.0 ** (2 - t),
+        "random-in-range": lambda n: rng.uniform(0.0, math.pi, n),
         "mixed": lambda n: rng.choice([0.0, math.pi, 2.0 ** (2 - t), rng.uniform(0, 4)], n),
     }
     keys = state.addr.astype(object) << t | state.w_angle.astype(object)
@@ -348,6 +353,39 @@ def test_bit_comparison_sees_signed_zeros():
     assert caught
 
 
+def as_complex(state):
+    return state._evolve(amp=state.amp.astype(np.complex128))
+
+
+def branch_values(state):
+    """Sorted (addr, v, w_angle, w_aux, amplitude) rows: equal values, whatever the zeros' signs."""
+    return sorted(zip(state.addr.tolist(), state.v.tolist(), state.w_angle.tolist(),
+                      state.w_aux.tolist(), state.amp.astype(np.complex128).tolist()))
+
+
+@pytest.mark.parametrize("kind", ["zero", "pi", "grid-in-range", "random-in-range",
+                                  "grid", "random"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["v0", "mixed-v"])
+@pytest.mark.parametrize("seed", range(6))
+def test_real_rotation_matches_reference_on_a_complex_copy(seed, mixed, kind):
+    # the magnitude loop rotates float64 amplitudes. For angles in [0, pi] the
+    # frozen complex kernel writes the same real parts, bit for bit, and +0.0
+    # imaginary parts; beyond that range it may write -0.0, equal in value
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, k=5, t=4, mixed=mixed)
+    n = state.amp.size
+    parts = np.where(rng.random(n) < 0.5, rng.choice(SIGNED_PARTS, n), rng.normal(size=n))
+    state = state._evolve(amp=parts)
+    theta = theta_per_pair(rng, state, kind)
+    got = _rotate_pairs(state, theta)
+    want = reference_rotate_pairs(as_complex(state), theta)
+    assert got.amp.dtype == np.float64
+    if kind in ("grid", "random"):  # angles up to 4 and down to -4
+        assert branch_values(got) == branch_values(want)
+    else:
+        assert branch_bits(as_complex(got)) == branch_bits(want)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_gate_cascade_matches_reference_kernel(monkeypatch, seed):
     rng = np.random.default_rng(seed)
@@ -374,6 +412,25 @@ def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
     got = run()
     monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
     assert run() == got
+
+
+@pytest.mark.parametrize("t", [2, 32])
+@pytest.mark.parametrize("m,mode,sim", DUMP_CASES)
+def test_amplitudes_are_real_until_the_phase_cascade(m, mode, sim, t):
+    # each magnitude-loop state holds float64 and dumps, byte for byte, as the
+    # complex128 state loaded from its labels; the final state is complex128
+    def check(h, state):
+        rebuilt = BranchState(dict(state.branches), t=state.t, aux_width=state.aux_width,
+                              k=state.k)
+        assert (state.amp.dtype, rebuilt.amp.dtype) == (np.float64, np.complex128)
+        assert {type(amp) for amp in state.branches.values()} == {complex}
+        dumps.append(json.dumps(dump_state(state), sort_keys=True).encode())
+        assert dumps[-1] == json.dumps(dump_state(rebuilt), sort_keys=True).encode(), h
+
+    dumps = []
+    state, _, img = run_preparation(m, t, mode, sim, on_iteration=check)
+    assert len(dumps) == img.k
+    assert state.amp.dtype == np.complex128
 
 
 def reference_phase_cascade(state):
@@ -433,6 +490,11 @@ def test_dumps_equal_under_reference_phase_kernel(monkeypatch, m, mode, sim, t):
         state, ledger, _ = run_preparation(m, t, mode=mode, sim=sim)
         return json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log
 
+    def reference_on_complex(state):
+        # the frozen kernel scatters into a copy of the amplitudes, so it needs
+        # them complex; the magnitude loop leaves them real
+        return reference_phase_cascade(as_complex(state))
+
     got = run()
-    monkeypatch.setattr(simulator, "phase_cascade", reference_phase_cascade)
+    monkeypatch.setattr(simulator, "phase_cascade", reference_on_complex)
     assert run() == got
