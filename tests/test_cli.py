@@ -497,9 +497,11 @@ class TestPrepare:
         state, _, _ = run_preparation(m, 16)
         err = state_error(state, oracle_state(m))
         tol = ERROR_SLACK * error_bound(m.depth, 16)
+        model_error = state_error(state, quantized_oracle(build_memory_image(m, 16)[0]))
         assert capsys.readouterr().out == (
-            f"queries: 8\nrouting_time: 24\nstate_error: {err:.6e}\ntolerance: {tol:.6e}\n"
-            f"status: PASS\nwrote {out_path}\n"
+            f"queries: 8\nrouting_time: 24\nnorm_error: {abs(state.norm() - 1.0):.6e}\n"
+            f"work_clean: True\nmarker_set: True\nmodel_error: {model_error:.6e}\n"
+            f"state_error: {err:.6e}\ntolerance: {tol:.6e}\nstatus: PASS\nwrote {out_path}\n"
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
@@ -533,20 +535,38 @@ class TestPrepare:
         assert "work_clean: True" in out and "marker_set: True" in out
         assert "status: PASS" in out
 
+    @pytest.mark.parametrize("source", [
+        ["--input", "{image}"],
+        ["--input", "{matrix}", "--t", "16"],
+        ["--input", "{matrix}", "--sim", "ideal"],
+        ["--random", "16x16", "--mode", "real_signed", "--t", "16"],
+        ["--random", "16x16", "--mode", "real_signed", "--sim", "ideal"],
+    ], ids=["image", "matrix-fixed", "matrix-ideal", "real-signed-fixed", "real-signed-ideal"])
     def test_image_run_fails_on_an_over_rotation(self, example_path, tmp_path, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch, source):
         # every angle 3e-9 too large (relative): the state stays a clean, marked unit
-        # vector, and only the image's own quantized state tells the run is wrong
+        # vector, and only the image's own quantized state tells the run is wrong; a
+        # fixed matrix run stays within its budget, which cannot see the fault
         img_path = tmp_path / "img.json"
         main(["preprocess", "--input", str(example_path), "--output", str(img_path)])
         capsys.readouterr()
         grid = simulator.magnitude_grid
         monkeypatch.setattr(simulator, "magnitude_grid", lambda t: (1 + 3e-9) * grid(t))
-        assert main(["prepare", "--input", str(img_path)]) == 1
+        argv = [arg.format(image=img_path, matrix=example_path) for arg in source]
+        assert main(["prepare", *argv]) == 1
         out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert float(out["norm_error"]) <= 1e-12
         assert (out["work_clean"], out["marker_set"], out["status"]) == ("True", "True", "FAIL")
         assert float(out["model_error"]) > 1e-9
+        assert "model_error" in out["failed"].split(", ")
+
+    def test_matrix_run_at_t62_fails_on_its_cells(self, capsys):
+        # the simulator matches the t = 62 cells, but float64 angles put the cells
+        # themselves outside the t = 62 budget: only state_error fails
+        assert main(["prepare", "--random", "32x32", "--t", "62"]) == 1
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(out["model_error"]) <= 1e-12
+        assert (out["failed"], out["status"]) == ("state_error", "FAIL")
 
     def test_image_run_fails_on_a_dropped_branch(self, example_path, tmp_path, capsys,
                                                  monkeypatch):
@@ -718,6 +738,12 @@ class TestSweep:
     def test_bad_range(self, example_path, capsys):
         rc = main(["sweep", "--input", str(example_path), "--t", "16:6"])
         assert rc == 1
+
+    def test_range_end_past_the_precision_limit(self, example_path, capsys):
+        # refused by its end before any list of 10**15 precisions is built
+        assert main(["sweep", "--input", str(example_path), "--t", "2:1000000000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: t must be an integer in [2, 62], got 1000000000000000\n")
 
     def test_range_of_one_precision(self, example_path, capsys):
         assert main(["sweep", "--input", str(example_path), "--t", "8:8"]) == 0

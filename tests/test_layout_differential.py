@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from qramprep.angles import build_phase_layer
-from qramprep.cli import example_matrix
 from qramprep.matrix import random_matrix, squared_moduli
 from qramprep.memory import build_memory_image
 from qramprep.weight_tree import build_weight_tree
+from test_simulator_differential import acceptance_matrices
 
 
 def reference_angle(tree, z: int) -> float:
@@ -46,16 +46,6 @@ def reference_cells(m, t: int, mode: str) -> tuple[int, ...]:
         else:
             cells.append((angle << 1) | int(entry.real < 0.0))
     return tuple(cells)
-
-
-def acceptance_matrices():
-    yield "example", example_matrix(), "complex"
-    yield "acceptance-8x4", random_matrix(8, 4, seed=55), "complex"
-    yield "acceptance-8x8-zeros", random_matrix(8, 8, seed=99, zero_fraction=0.2), "complex"
-    for seed in range(4):
-        m = random_matrix(4, 4, seed=seed, real=True, zero_fraction=0.25)
-        yield f"acceptance-real-{seed}", m, "real_signed"
-        yield f"acceptance-real-{seed}-as-complex", m, "complex"
 
 
 def random_k10_matrices():
