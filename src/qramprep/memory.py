@@ -25,8 +25,11 @@ reading JSON, writing cells wider than 64 bits as JSON,
 A query XORs the addressed cell into the data registers of every branch of
 a superposed state and bumps the query ledger; under pipelined routing one
 query costs k time units (one per tree level). It gathers from the field
-arrays. The ledger keeps the set of addresses each query reached as a
-bitmap of K bits (K/8 bytes); ``QueryLedger.access_log`` decodes them.
+arrays. A logging ledger also keeps the set of addresses each query reached
+as a bitmap of K bits (K/8 bytes); ``QueryLedger.access_log`` decodes them.
+A ledger made with ``reached=None`` counts queries and keeps no log: a
+precision sweep reads only its states, and the bitmap, a K-byte scatter and
+pack on every query, is most of a one-branch query's time at k = 16.
 ``query`` is the ledger's only writer, and it refuses a ledger of another
 address width than the image's before recording anything.
 
@@ -231,14 +234,20 @@ class QueryLedger:
     ``reached`` keeps one bitmap per query, K bits in ``np.packbits`` order
     (K/8 bytes): bit z is set iff the query reached address z. Only
     :func:`query` writes it, and only against an image of address width k.
+    With ``reached=None`` the ledger counts queries and keeps no log, and
+    its ``access_log`` is empty.
     """
 
     k: int
     query_count: int = 0
-    reached: list[bytes] = field(default_factory=list, repr=False)
+    reached: list[bytes] | None = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.k = checked_width(self.k, "address width k")
+        if self.reached is not None and not isinstance(self.reached, list):
+            raise WidthMismatchError(
+                f"reached must be a list or None, got {type(self.reached).__name__}"
+            )
 
     @property
     def routing_time(self) -> int:
@@ -246,10 +255,13 @@ class QueryLedger:
 
     @property
     def access_log(self) -> list[tuple[int, ...]]:
-        """The sorted distinct addresses each query reached, decoded from ``reached``."""
+        """The sorted distinct addresses each query reached, decoded from ``reached``.
+
+        Empty for a ledger that keeps no log.
+        """
         return [
             tuple(np.flatnonzero(np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8))).tolist())
-            for bitmap in self.reached
+            for bitmap in self.reached or ()
         ]
 
 
@@ -300,8 +312,9 @@ def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "Branc
 
     Amplitudes are untouched; the map permutes basis labels, so it preserves
     the norm exactly and is its own inverse. The query is counted in
-    ``ledger`` with the bitmap of the addresses it reached; a state or a
-    ledger of another width than the image is refused before that.
+    ``ledger``, and a logging ledger also gets the bitmap of the addresses it
+    reached; a state or a ledger of another width than the image is refused
+    before that.
     """
     # k and the aux width as img.k and img.aux_width compute them, less the
     # property calls: a query runs 2k + 2 times per preparation
@@ -318,8 +331,9 @@ def query(img: MemoryImage, state: "BranchState", ledger: QueryLedger) -> "Branc
     if ledger.k != k:
         raise WidthMismatchError(f"ledger width {ledger.k} != image width {k}")
     addr = state.addr
-    reached = np.zeros(1 << k, dtype=bool)
-    reached[addr] = True
     ledger.query_count += 1
-    ledger.reached.append(np.packbits(reached).tobytes())
+    if ledger.reached is not None:
+        reached = np.zeros(1 << k, dtype=bool)
+        reached[addr] = True
+        ledger.reached.append(np.packbits(reached).tobytes())
     return state._evolve(w_angle=state.w_angle ^ angle[addr], w_aux=state.w_aux ^ aux[addr])

@@ -153,10 +153,12 @@ def resource_report(K: int, t: int, mode: str = "complex") -> ResourceReport:
     )
 
 
-def _prepare(img: MemoryImage, on_iteration=None) -> tuple[BranchState, QueryLedger]:
+def _prepare(
+    img: MemoryImage, on_iteration=None, access_log: bool = True
+) -> tuple[BranchState, QueryLedger]:
     """Run the preparation procedure that matches the image's mode."""
     prepare = prepare_complex if img.mode == "complex" else prepare_real
-    return prepare(img, on_iteration=on_iteration)
+    return prepare(img, on_iteration=on_iteration, access_log=access_log)
 
 
 def run_preparation(
@@ -194,6 +196,8 @@ def precision_sweep(
     """Quantized-run error against the budget for each precision, sorted by t.
 
     The angle structure is built once; only the layout and the run repeat per t.
+    A row reads only the state, so each run counts its queries and keeps no
+    address log.
     """
     if not isinstance(t_values, Iterable):
         raise PrecisionOutOfRangeError(f"t_values must be iterable, got {t_values!r}")
@@ -203,7 +207,7 @@ def precision_sweep(
     rows = []
     for t in t_values:
         # keep neither the state nor the query ledger alive into the next run
-        error = state_error(_prepare(layout_image(gamma, t))[0], oracle)
+        error = state_error(_prepare(layout_image(gamma, t), access_log=False)[0], oracle)
         rows.append(SweepRow(t=t, measured_error=error, bound=error_bound(m.depth, t)))
     return rows
 

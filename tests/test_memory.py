@@ -200,24 +200,36 @@ class TestFootprint:
     """Retained bytes of one K=2^14, t=32 complex run, traced by tracemalloc."""
 
     SLACK = 8192  # object headers, and what numpy allocates once per process
+    SIZE, K = 1 << 14, 14
 
-    def test_image_and_ledger_stay_packed(self):
+    @staticmethod
+    def traced(access_log):
+        """(ledger, image bytes, ledger bytes) of one run, with or without the address log."""
         gamma = build_angle_structures(random_matrix(128, 128, seed=14), "complex")
-        size, k = 1 << 14, 14
         prepare_complex(layout_image(gamma, 32))  # let lazy set-up happen untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             img = layout_image(gamma, 32)
             image_bytes = tracemalloc.get_traced_memory()[0] - base
-            state, ledger = prepare_complex(img)
+            state, ledger = prepare_complex(img, access_log=access_log)
             del state
             ledger_bytes = tracemalloc.get_traced_memory()[0] - base - image_bytes
         finally:
             tracemalloc.stop()
-        assert ledger.query_count == 2 * k + 2
-        assert image_bytes <= 16 * size + self.SLACK
-        assert ledger_bytes <= (2 * k + 2) * size // 8 + self.SLACK
+        return ledger, image_bytes, ledger_bytes
+
+    def test_image_and_ledger_stay_packed(self):
+        ledger, image_bytes, ledger_bytes = self.traced(access_log=True)
+        assert ledger.query_count == 2 * self.K + 2
+        assert image_bytes <= 16 * self.SIZE + self.SLACK
+        assert ledger_bytes <= (2 * self.K + 2) * self.SIZE // 8 + self.SLACK
+
+    def test_a_ledger_without_the_log_keeps_nothing(self):
+        # a logging run keeps 30 bitmaps of 2 KB here
+        ledger, _, ledger_bytes = self.traced(access_log=False)
+        assert (ledger.query_count, ledger.reached, ledger.access_log) == (2 * self.K + 2, None, [])
+        assert ledger_bytes <= self.SLACK
 
 
 class TestQuery:
@@ -270,6 +282,16 @@ class TestLedger:
 
     def test_access_log(self):
         assert self.queried(2, [3, 1, 3]).access_log == [(1, 3)]
+
+    def test_a_ledger_without_the_log_counts(self):
+        img = MemoryImage(cells=(0,) * 8, t=12, mode="complex")
+        ledger = QueryLedger(3, reached=None)
+        for _ in range(5):
+            query(img, BranchState({1: 0.6 + 0j, 2: 0.8 + 0j}, t=12, aux_width=12, k=3), ledger)
+        assert (ledger.query_count, ledger.routing_time) == (5, 15)
+        assert (ledger.reached, ledger.access_log) == (None, [])
+        more = dataclasses.replace(ledger, query_count=6)
+        assert (more.routing_time, more.reached, more.access_log) == (18, None, [])
 
     def test_no_addresses_is_one_query_that_reached_nothing(self):
         ledger = self.queried(2, [])

@@ -434,6 +434,13 @@ ROWS = [
       for width in [2, 6]),
     *(row(QueryLedger, k, error=InvalidDimensionsError, message=ADDRESS_WIDTH + shown(k))
       for k in [-1, 0, 63, True, 3.0, None]),
+    # a reached log that is neither a list nor None died at the next query
+    # with a bare AttributeError from its append
+    *(row(make, reached, error=WidthMismatchError,
+          message=f"reached must be a list or None, got {type(reached).__name__}")
+      for reached in [5, "ab", (b"\x01",), {}]
+      for make in [lambda reached: QueryLedger(4, reached=reached),
+                   lambda reached: dataclasses.replace(QueryLedger(4), reached=reached)]),
     # --- simulator states
     row(init_state, 0, 8, "complex", error=InvalidDimensionsError, message=ADDRESS_WIDTH + "0"),
     *(row(make, k, error=InvalidDimensionsError, message=ADDRESS_WIDTH + str(k))

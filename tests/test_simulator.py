@@ -178,6 +178,31 @@ class TestPreparationInvariants:
         assert calls == {"query": 2 * k + 2, "ry_cascade": k, "circular_shift": k,
                          "phase_cascade": 1}
 
+    @pytest.mark.parametrize("t", [2, 16, MAX_PRECISION])
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    @pytest.mark.parametrize("zeros", [0.0, 0.5])
+    def test_a_run_without_the_address_log_differs_only_in_the_log(self, mode, t, zeros):
+        m = random_matrix(16, 16, seed=12, real=mode == "real_signed", zero_fraction=zeros)
+        img, _ = build_memory_image(m, t, mode)
+        prepare = prepare_complex if mode == "complex" else prepare_real
+        runs = [prepare(img, access_log=access_log) for access_log in (True, False)]
+        (logged, logged_ledger), (state, ledger) = runs
+        dump = json.dumps(dump_state(state), sort_keys=True).encode()
+        assert dump == json.dumps(dump_state(logged), sort_keys=True).encode()
+        assert (ledger.query_count, ledger.routing_time) == (
+            logged_ledger.query_count, logged_ledger.routing_time) == (2 * 8 + 2, 8 * (2 * 8 + 2))
+        assert (ledger.reached, ledger.access_log) == (None, [])
+        assert len(logged_ledger.access_log) == 2 * 8 + 2
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_norm_agrees_with_the_exactly_rounded_sum(self, mode, k):
+        m = random_matrix(1 << k // 2, 1 << (k + 1) // 2, seed=k, real=mode == "real_signed")
+        state, _, _ = run_preparation(m, 32, mode)
+        amp = state.amp
+        exact = math.sqrt(math.fsum((amp.real * amp.real + amp.imag * amp.imag).tolist()))
+        assert abs(state.norm() - exact) <= 1e-15
+
 
 class TestRyCascade:
     def test_direct_unitary_oracle(self):

@@ -18,11 +18,12 @@ from qramprep.fixedpoint import (
     magnitude_grid,
 )
 from qramprep.matrix import ComplexMatrix, random_matrix
-from qramprep.memory import MemoryImage, build_memory_image
+from qramprep.memory import MemoryImage, build_memory_image, layout_image
 from qramprep.simulator import BranchState, dump_state, prepare_complex, prepare_real
 from qramprep.verify import (
     ERROR_SLACK,
     SIM_MODES,
+    SweepRow,
     error_bound,
     oracle_state,
     precision_sweep,
@@ -32,6 +33,7 @@ from qramprep.verify import (
     state_error,
     sweep_csv,
 )
+from test_simulator_differential import acceptance_matrices
 
 
 def state_from_vector(vec):
@@ -300,6 +302,46 @@ class TestPrecisionSweep:
         for row in precision_sweep(m, range(6, 22), mode):
             state, _, _ = run_preparation(m, row.t, mode=mode, sim="fixed")
             assert row.measured_error == state_error(state, oracle)
+
+    @pytest.mark.parametrize("m,mode", [
+        *(pytest.param(m, mode, id=name) for name, m, mode in acceptance_matrices()),
+        # the benchmark's sweep matrix: K = 2^12, half zero
+        *(pytest.param(random_matrix(64, 64, seed=12, real=True, zero_fraction=0.5), mode,
+                       id=f"sweep-workload-{mode}") for mode in MODES),
+    ])
+    def test_csv_equals_rows_of_logging_runs(self, m, mode):
+        # the sweep's runs keep no address log; the rows must not notice
+        ts = [2, 6, 16, 21, 32, MAX_PRECISION]
+        oracle, gamma = oracle_state(m), build_angle_structures(m, mode)
+        prepare = prepare_complex if mode == "complex" else prepare_real
+        want = []
+        for t in ts:
+            state, ledger = prepare(layout_image(gamma, t))
+            assert len(ledger.access_log) == 2 * m.depth + 2
+            want.append(SweepRow(t, state_error(state, oracle), error_bound(m.depth, t)))
+        assert sweep_csv(precision_sweep(m, ts, mode)) == sweep_csv(want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_run_is_called_through_the_module_without_the_log(self, monkeypatch, mode):
+        # the benchmark's tracer times the sweep's runs by wrapping these names
+        calls = []
+
+        def counted(name):
+            prepare = getattr(verify, name)
+
+            def wrapper(img, **kwargs):
+                state, ledger = prepare(img, **kwargs)
+                calls.append((name, img.t, kwargs["access_log"], ledger.query_count,
+                              ledger.access_log))
+                return state, ledger
+            return wrapper
+
+        for name in ("prepare_complex", "prepare_real"):
+            monkeypatch.setattr(verify, name, counted(name))
+        m = random_matrix(4, 8, seed=6, real=mode == "real_signed")
+        precision_sweep(m, [9, 6, 7, 6], mode)
+        name = "prepare_complex" if mode == "complex" else "prepare_real"
+        assert calls == [(name, t, False, 2 * 5 + 2, []) for t in (6, 7, 9)]
 
     def test_csv_format(self, example):
         rows = precision_sweep(example, [8, 6, 7])
