@@ -29,6 +29,8 @@ from .verify import (
     ERROR_SLACK,
     SIM_MODES,
     _prepare,
+    _vector_error,
+    address_amplitudes,
     error_bound,
     oracle_state,
     precision_sweep,
@@ -133,10 +135,11 @@ def cmd_prepare(args) -> int:
     checks = {"norm_error": (f"{norm_error:.6e}", norm_error <= NORM_TOL),
               "work_clean": (clean, clean), "marker_set": (marked, marked)}
     if clean and marked:
-        model_error = state_error(state, quantized_oracle(img))
+        vec = address_amplitudes(state)  # one K-long vector for both oracles
+        model_error = _vector_error(vec, quantized_oracle(img))
         checks["model_error"] = (f"{model_error:.6e}", model_error <= MODEL_TOL)
         if m is not None:
-            err = state_error(state, oracle_state(m))
+            err = _vector_error(vec, oracle_state(m))
             tol = FINAL_TOL if args.sim == "ideal" else ERROR_SLACK * error_bound(m.depth, args.t)
             checks["state_error"] = (f"{err:.6e}", err <= tol)
             checks["tolerance"] = (f"{tol:.6e}", True)

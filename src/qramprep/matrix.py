@@ -11,7 +11,7 @@ Accepted input formats:
   and a comma, no string holding a bracket, comma or backslash; every
   ``json.dumps`` layout) is read flat: orjson reads it with its pair
   brackets blanked, as one list of parts with no list per entry, and its
-  values are checked by four byte scans of the array, with no pass per
+  values are checked by three byte scans of the array, with no pass per
   value. Any other document (a row-broken one such as
   ``data/example_matrix.json`` too) is read by the stdlib's ``json.loads``,
   the reference reading, and its entries are checked pair by pair.
@@ -185,15 +185,16 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     """The matrix of a regular document, parsed as one flat list; None for any other document.
 
     Regular: ``data`` holds no backslash, its structural bytes ``[]{}",``
-    read ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` are
-    dropped (so no string holds a structural byte, and the object's one
-    array is n >= 1 pairs), and in that array one gap of JSON whitespace and
-    a comma parts all pairs (see :func:`_blank_pairs`). A pair can then hold
-    only numbers, strings and the literals ``true``, ``false`` and ``null``,
-    and no JSON number holds any of the bytes ``"tfn``: four ``bytes.find``
-    scans of the array, first ``[`` to last ``]``, find every value that is
-    not a number, with no pass per value. orjson then reads the text with
-    the pair brackets blanked, which nests two levels deep, ``entries`` as
+    read ``{,..,[[,],[,],..,[,]],..,}`` once the empty strings ``""`` before
+    the first ``[`` and after the last ``]`` are dropped (so no string holds a
+    structural byte, the array holds no string, and the object's one array
+    is n >= 1 pairs), and in that array one gap of JSON whitespace and a
+    comma parts all pairs (see :func:`_blank_pairs`). A pair can then hold
+    only numbers and the literals ``true``, ``false`` and ``null``, and no
+    JSON number holds any of the bytes ``tfn``: three ``bytes.find`` scans of
+    the array, first ``[`` to last ``]``, find every value that is not a
+    number, with no pass per value. orjson then reads the text with the pair
+    brackets blanked, which nests two levels deep, ``entries`` as
     ``[re0, im0, re1, im1, ...]``. The matrix is built only if that parse
     succeeds and rows, cols and the 2 rows*cols parts are what
     :meth:`ComplexMatrix.from_json_dict` accepts; every other document is
@@ -201,15 +202,16 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
     """
     if b"\\" in data:
         return None
-    marks = data.translate(None, _NOT_MARK).replace(b'""', b"")
+    marks = data.translate(None, _NOT_MARK)
     first, last = marks.find(b"["), marks.rfind(b"]")
     n = (last - first) // 4
-    if n < 1 or marks[:first] != b"{".ljust(first, b",") \
+    head, tail = marks[:first].replace(b'""', b""), marks[last + 1:].replace(b'""', b"")
+    if n < 1 or head != b"{".ljust(len(head), b",") \
             or marks[first:last + 1] != b"[[,]" + b",[,]" * (n - 1) + b"]" \
-            or marks[last + 1:] != b"}".rjust(len(marks) - last - 1, b","):
+            or tail != b"}".rjust(len(tail), b","):
         return None
     outer, close = data.find(b"["), data.rfind(b"]")
-    if any(data.find(byte, outer, close) != -1 for byte in b'"tfn'):
+    if any(data.find(byte, outer, close) != -1 for byte in b"tfn"):
         return None
     flat = _blank_pairs(data, n)
     if flat is None:
@@ -239,13 +241,16 @@ def _regular_matrix(data: bytes) -> ComplexMatrix | None:
 def _blank_pairs(data: bytes, n: int) -> bytearray | None:
     """``data`` with the brackets of its n pairs blanked; None unless one gap parts them all.
 
-    No string of ``data`` holds a bracket (see :func:`_regular_matrix`), so
-    its first and last bracket enclose the array. Once the brackets are gone,
-    a value outside the pairs would read as an empty part beside it
+    No string of ``data`` holds a bracket and its array holds no string (see
+    :func:`_regular_matrix`), so its first and last bracket enclose the array
+    and every ``[`` between them opens a pair. Once the brackets are gone, a
+    value outside the pairs would read as an empty part beside it
     (``[1[, 2], ...]``), so the gap between pairs must be whitespace and one
-    comma. The first gap is blanked everywhere with one ``bytes.replace``; a
-    pair bracket left over means a gap that differs from it (a row break,
-    say), and such a document is left to the stdlib reading.
+    comma. Each of the n - 1 pair opens after the first must follow ``]`` and
+    the first gap, byte for byte: one gather of the array per byte of that
+    junction. A document with any other gap (a row break, say) is left to
+    the stdlib reading; otherwise the junction brackets and the first and
+    last pair bracket are blanked in one copy of ``data``.
     """
     outer, close = data.find(b"["), data.rfind(b"]")
     start, end = data.find(b"[", outer + 1), data.rfind(b"]", outer, close)
@@ -253,11 +258,20 @@ def _blank_pairs(data: bytes, n: int) -> bytearray | None:
         return None
     if n > 1:
         stop = data.find(b"]", start)
-        gap = data[stop + 1:data.find(b"[", stop)]
-        data = data.replace(b"]" + gap + b"[", b" " + gap + b" ")
-        if gap.strip(_JSON_SPACE) != b"," or data.find(b"[", start + 1, end) != -1:
+        junction = data[stop:data.find(b"[", stop)]  # the first pair's "]" and the first gap
+        if junction[1:].strip(_JSON_SPACE) != b",":
+            return None
+        text = np.frombuffer(data, dtype=np.uint8)[stop:end]
+        # the n - 1 opens in text increase from the first, at len(junction),
+        # so no junction start (and no gathered index back + j) is negative:
+        # numpy would read a negative one from the far end without a word
+        back = np.flatnonzero(text == ord("[")) - len(junction)
+        if not all((text[j:][back] == byte).all() for j, byte in enumerate(junction)):
             return None
     flat = bytearray(data)
+    if n > 1:
+        blank = np.frombuffer(flat, dtype=np.uint8)[stop:end]
+        blank[back] = blank[back + len(junction)] = ord(" ")
     flat[start] = flat[end] = ord(" ")
     return flat
 

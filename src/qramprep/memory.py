@@ -244,6 +244,11 @@ class QueryLedger:
 
     def __post_init__(self):
         self.k = checked_width(self.k, "address width k")
+        if not is_int(self.query_count) or self.query_count < 0:
+            raise WidthMismatchError(
+                f"query_count must be a non-negative int, got {self.query_count!r}"
+            )
+        self.query_count = int(self.query_count)
         if self.reached is not None and not isinstance(self.reached, list):
             raise WidthMismatchError(
                 f"reached must be a list or None, got {type(self.reached).__name__}"

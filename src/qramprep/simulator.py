@@ -198,9 +198,7 @@ class BranchState:
 
     def _evolve(self, **arrays: np.ndarray) -> "BranchState":
         """A state of the same widths with the named register or ``amp`` arrays replaced."""
-        fields = self.__dict__.copy()
-        fields.update(arrays)
-        fields["_labels"] = None
+        fields = {**self.__dict__, **arrays, "_labels": None}
         for array in arrays.values():
             array.setflags(False)  # read-only, as _frozen makes it, without the call
         out = object.__new__(BranchState)
@@ -298,7 +296,8 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
         n0 -= s * a1
         n1 += c * a1
     rotated = rotated.reshape(-1)
-    keep = rotated.nonzero()[0]
+    # nonzero of the bool mask is ~2x faster than of the floats, and drops the same zeros
+    keep = (rotated != 0.0).nonzero()[0]
     src = keep >> 1 if rep is None else rep[keep >> 1]
     return state._evolve(
         addr=state.addr[src],
@@ -366,7 +365,7 @@ def circular_shift(state: BranchState) -> BranchState:
             "shift with nonzero work registers: uncompute did not run or failed"
         )
     word = (state.addr << 1) | state.v  # (v, a) rotated left: bit k is the new v
-    return state._evolve(addr=word & state.addr_mask, v=word >> state.k)
+    return state._evolve(addr=word & ((1 << state.k) - 1), v=word >> state.k)
 
 
 def _prepare(

@@ -89,7 +89,11 @@ def state_error(prepared: BranchState, oracle: np.ndarray) -> float:
     No global phase is factored out: the procedure applies each leaf phase
     absolutely, so the prepared state must match the oracle outright.
     """
-    vec = address_amplitudes(prepared)
+    return _vector_error(address_amplitudes(prepared), oracle)
+
+
+def _vector_error(vec: np.ndarray, oracle) -> float:
+    """l2 distance between an address amplitude vector and the oracle."""
     return float(np.linalg.norm(vec - _oracle_vector(oracle, vec.size)))
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qramprep
-from qramprep import cli, matrix, simulator
+from qramprep import cli, matrix, simulator, verify
 from qramprep.cli import build_parser, main
 from qramprep.matrix import ComplexMatrix, load_matrix, random_matrix
 from qramprep.memory import MemoryImage, build_memory_image, cell_width
@@ -504,6 +504,19 @@ class TestPrepare:
             f"state_error: {err:.6e}\ntolerance: {tol:.6e}\nstatus: PASS\nwrote {out_path}\n"
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("sim", ["fixed", "ideal"])
+    def test_matrix_input_builds_one_address_vector(self, example_path, monkeypatch, capsys,
+                                                    sim):
+        # the model and oracle checks compare one K-long vector, not one each
+        calls, vector = [], verify.address_amplitudes
+        counting = lambda state: calls.append(state) or vector(state)  # noqa: E731
+        monkeypatch.setattr(verify, "address_amplitudes", counting)
+        monkeypatch.setattr(cli, "address_amplitudes", counting)
+        assert main(["prepare", "--input", str(example_path), "--t", "16", "--sim", sim]) == 0
+        out = capsys.readouterr().out
+        assert "model_error: " in out and "state_error: " in out
+        assert len(calls) == 1
 
     def test_image_input_output_bytes(self, example_path, tmp_path, capsys):
         img_path, out_path = tmp_path / "img.json", tmp_path / "state.json"

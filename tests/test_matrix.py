@@ -148,6 +148,11 @@ def _with_entries(text: str) -> str:
     return SMALL.replace("[[1, 0], [0, 1]]", text)
 
 
+def _cols(n: int, pairs: str) -> str:
+    """A 1 x n matrix document whose entries array holds ``pairs``."""
+    return f'{{"rows": 1, "cols": {n}, "entries": [{pairs}]}}'
+
+
 LAYOUTS = _layouts({"rows": 4, "cols": 4, "entries": _pairs(random_matrix(4, 4, seed=9))})
 # documents that load_matrix reads flat, with no list per entry
 FLAT_READABLE = [
@@ -166,11 +171,29 @@ FLAT_READABLE = [
     '{"t": true, "n": null, "f": "fnt", "rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}',
     '{"entries": [[1e0, 0], [0, 1E+0]], "rows": 1, "on": true, "cols": 2, "off": false,'
     ' "none": null, "fn": "nft"}',
+    # one gap of whitespace other than spaces around the comma, at n = 2 and 3
+    *(_with_entries(gap.join(["[1, 0]", "[0, 1]"])) for gap in ["\t,\t", "\n,\n", "\r,\r"]),
+    *(_cols(3, gap.join(["[1, 0]", "[0, 1]", "[2, 2]"])) for gap in ["\t,", ",\n", "\r\n,\r\n"]),
+    # one long gap: the junction gather reaches far back from each pair open
+    _with_entries("[[1, 0]," + " " * 40 + "[0, 1]]"),
+    _cols(4, ("," + " " * 40).join(["[1, 0]", "[0, 1]", "[2, 2]", "[3, 3]"])),
+    # empty strings next to the object's braces and commas, before and after the array
+    '{"":"","rows": 1, "cols": 2,"": "", "entries":[[1, 0], [0, 1]],"":""}',
+    '{"": 1, "rows": 1, "": "", "cols": 2, "entries": [[1, 0], [0, 1]], "": ""}',
 ]
 # documents whose gaps between pairs differ, read by the stdlib
 ROW_BROKEN = [
     EXAMPLE_FILE,  # a row break is a second gap between pairs
     _with_entries("[[1, 0], [0, 1] ,[1, 1], [2, 2]]").replace('"cols": 2', '"cols": 4'),
+    # a long first gap and compact later ones, and the reverse: each pair open
+    # is checked against the first gap, so a later one gathers from inside the
+    # pair before it, and never from before the first pair's close
+    *(_cols(n, "[1, 0]," + " " * 40 + ",".join(["[0, 1]", "[2, 2]", "[3, 3]"][:n - 1]))
+      for n in [3, 4]),
+    *(_cols(n, ",".join(["[1, 0]", "[0, 1]", "[2, 2]"][:n - 1]) + "," + " " * 40 + "[3, 3]")
+      for n in [3, 4]),
+    _cols(3, "[1, 0],[0, 1],\n[2, 2]"),
+    _cols(3, "[1, 0],\t[0, 1],\n[2, 2]"),
 ]
 
 READER_CORPUS = [
@@ -289,6 +312,21 @@ READER_CORPUS = [
     '["]]]]", [[[]]]]',
     '{"a": "[[[[{{{{"}',
     '["", "[", "]"] [[',
+    # one gap, n = 2: a long one either side of the comma
+    _with_entries("[[1, 0]" + " " * 40 + ", [0, 1]]"),
+    _with_entries("[[1, 0] ,\t\t\t\t\t\t\t\t\t\t[0, 1]]"),
+    # strings beside the outer brackets and inside the array
+    '{"rows": 1, "cols": 2, "entries":[""[1, 0], [0, 1]]}',
+    '{"rows": 1, "cols": 2, "entries":["", [1, 0], [0, 1]]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1], ""]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]""]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]""}',
+    '{"rows": 1, "cols": 2, "entries""[[1, 0], [0, 1]]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]],"""":""}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], """}',
+    '{"""rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, ""], [0, 1]]}',
+    '{"rows": 1, "cols": 2, "entries": [[1, 0],"" [0, 1]]}',
 ]
 
 BYTE_CORPUS = [
@@ -412,6 +450,16 @@ class TestFlatReading:
         want = _outcome(_stdlib_reading, doc)
         _refuse_nested_reading(monkeypatch)
         assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
+
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")], ids=["spaced", "compact"])
+    def test_large_document_read_flat(self, separators, monkeypatch):
+        # 65,536 pairs: the junction gather checks 65,535 gaps
+        m = random_matrix(256, 256, seed=33)
+        doc = json.dumps({"rows": 256, "cols": 256, "entries": _pairs(m)}, separators=separators)
+        want = _outcome(_stdlib_reading, doc)
+        _refuse_nested_reading(monkeypatch)
+        assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
+        assert want[-1] == m.entries.tobytes()
 
     @pytest.mark.parametrize("doc", ROW_BROKEN, ids=range(len(ROW_BROKEN)))
     def test_row_broken_document_is_read_by_the_stdlib(self, doc, monkeypatch):

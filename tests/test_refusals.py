@@ -441,6 +441,13 @@ ROWS = [
       for reached in [5, "ab", (b"\x01",), {}]
       for make in [lambda reached: QueryLedger(4, reached=reached),
                    lambda reached: dataclasses.replace(QueryLedger(4), reached=reached)]),
+    # a count that is not a non-negative int gave a routing time of 'aaaa',
+    # -12 or 10.0, or a bare TypeError
+    *(row(make, count, error=WidthMismatchError,
+          message="query_count must be a non-negative int, got " + shown(count))
+      for count in [*NOT_INTS, -3, -1, 2.5]
+      for make in [lambda count: QueryLedger(4, query_count=count),
+                   lambda count: dataclasses.replace(QueryLedger(4), query_count=count)]),
     # --- simulator states
     row(init_state, 0, 8, "complex", error=InvalidDimensionsError, message=ADDRESS_WIDTH + "0"),
     *(row(make, k, error=InvalidDimensionsError, message=ADDRESS_WIDTH + str(k))

@@ -386,6 +386,57 @@ def test_real_rotation_matches_reference_on_a_complex_copy(seed, mixed, kind):
         assert branch_bits(as_complex(got)) == branch_bits(want)
 
 
+def nonzero_rotate_pairs(state, theta):
+    """``_rotate_pairs`` as it was when it kept what ``rotated.nonzero()`` finds."""
+    amp = state.amp
+    if np.count_nonzero(state.v):
+        _, rep, group = np.unique(
+            np.stack((state.addr.astype(np.uint64), state.w_angle, state.w_aux), axis=1),
+            axis=0, return_index=True, return_inverse=True,
+        )
+        pair = np.zeros((rep.size, 2), dtype=amp.dtype)
+        pair[group.reshape(-1), state.v] = amp
+        theta, amp, a1 = theta[rep], pair[:, 0], pair[:, 1]
+    else:
+        rep, a1 = None, (0.0 if amp.dtype.kind == "c" else None)
+    c, s = _half_angle_cos_sin(theta)
+    rotated = np.empty((amp.size, 2), dtype=amp.dtype)
+    n0, n1 = rotated[:, 0], rotated[:, 1]
+    np.multiply(c, amp, out=n0)
+    np.multiply(s, amp, out=n1)
+    if a1 is not None:
+        n0 -= s * a1
+        n1 += c * a1
+    rotated = rotated.reshape(-1)
+    keep = rotated.nonzero()[0]
+    src = keep >> 1 if rep is None else rep[keep >> 1]
+    return state._evolve(addr=state.addr[src], v=keep & 1, w_angle=state.w_angle[src],
+                         w_aux=state.w_aux[src], amp=rotated[keep])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("mixed", [False, True], ids=["v0", "mixed-v"])
+def test_underflow_to_signed_zero_dropped_as_nonzero_drops_it(dtype, mixed):
+    # near theta = pi, cos(theta / 2) ~ 3e-16, and times a part of ~1e-309 it
+    # underflows to +0.0 or -0.0: a mask of rotated != 0 must drop exactly the
+    # outputs whose parts are all zero, as nonzero() did
+    rng = np.random.default_rng(7)
+    state = random_state(rng, k=5, t=4, mixed=mixed)
+    n = state.amp.size
+    tiny = rng.choice([1e-309, -1e-309, 3e-310, -5e-324, 1.0, -0.5], (n, 2))
+    parts = tiny[:, 0] if dtype is np.float64 else tiny.view(np.complex128).reshape(-1)
+    state = state._evolve(amp=parts)
+    theta = np.full(n, np.nextafter(math.pi, 0.0))
+    c, _ = _half_angle_cos_sin(theta)
+    products = (c * parts).view(np.float64)
+    underflow = products[(products == 0.0) & (parts.view(np.float64) != 0.0)]
+    assert set(np.signbit(underflow).tolist()) == {False, True}  # to +0.0 and to -0.0
+    got = _rotate_pairs(state, theta)
+    assert got.amp.dtype == dtype
+    want = nonzero_rotate_pairs(state, theta)
+    assert branch_bits(as_complex(got)) == branch_bits(as_complex(want))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_gate_cascade_matches_reference_kernel(monkeypatch, seed):
     rng = np.random.default_rng(seed)
