@@ -87,17 +87,17 @@ def _read_input(args) -> tuple[ComplexMatrix | None, MemoryImage | None]:
         raise ParseError("no input: pass --input PATH (or --random ROWSxCOLS)")
     path = Path(args.input)
     data = path.read_bytes()
-    if path.suffix.lower() == ".csv":
-        return load_matrix(data, "csv"), None
-    try:
+    try:  # every refusal of the file's content names the file
+        if path.suffix.lower() == ".csv":
+            return load_matrix(data, "csv"), None
         doc = _read_matrix_json(data)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if isinstance(doc, ComplexMatrix):
-        return doc, None
-    if isinstance(doc, dict) and "cells" in doc:
-        return None, MemoryImage.from_json_dict(doc)
-    return ComplexMatrix.from_json_dict(doc), None
+        if isinstance(doc, ComplexMatrix):
+            return doc, None
+        if isinstance(doc, dict) and "cells" in doc:
+            return None, MemoryImage.from_json_dict(doc)
+        return ComplexMatrix.from_json_dict(doc), None
+    except QramPrepError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -229,8 +229,8 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     ok = all(r.measured_error <= ERROR_SLACK * r.bound for r in rows)
-    print(f"status: {'PASS' if ok else 'FAIL'} "
-          f"(all errors within {ERROR_SLACK} x bound: {ok})")
+    print(f"status: {'PASS' if ok else 'FAIL'} (all errors within {ERROR_SLACK} x bound: {ok})",
+          file=sys.stdout if args.output else sys.stderr)  # stdout: the CSV alone
     return 0 if ok else 1
 
 

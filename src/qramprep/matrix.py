@@ -17,7 +17,8 @@ Accepted input formats:
   the reference reading, and its entries are checked pair by pair.
 * CSV: one matrix row per line, entries written as complex literals of the
   form ``a+bi`` / ``a-bi`` with either part optional (``3``, ``-i``, ``2i``,
-  ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...).
+  ``1+i``, ``-1+2i``, ``1e-3+2.5i``, ...) in ASCII digits, with spaces only
+  at the ends and around the sign that joins the parts (``2 + 1i``).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +169,9 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
 
 _NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}",')))
 _JSON_SPACE = b" \t\n\r"
+# a CSV entry, stripped: the README literal forms in ASCII digits
+_DECIMAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_LITERAL = re.compile(rf"[+-]?(?:{_DECIMAL}(?: *[+-] *(?:{_DECIMAL})?i)?|(?:{_DECIMAL})?i)")
 
 
 def _read_matrix_json(source: str | bytes):
@@ -318,14 +323,13 @@ def _entry_array(entries: list) -> np.ndarray:
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse ``a+bi`` style complex literals (either part optional)."""
-    compact = text.strip().replace(" ", "")
+    """Parse ``a+bi`` style complex literals (either part optional; spaces as the CSV allows)."""
+    compact = text.strip()
     if not compact:
         raise ParseError("empty complex literal")
-    try:
-        value = complex(compact.replace("i", "j"))
-    except ValueError as exc:
-        raise ParseError(f"bad complex literal {text!r}") from exc
+    if not _LITERAL.fullmatch(compact):
+        raise ParseError(f"bad complex literal {text!r}")
+    value = complex(compact.replace(" ", "").replace("i", "j"))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError(f"non-finite complex literal {text!r}")
     return value

@@ -17,7 +17,7 @@ level from the cells alone, and a fixed run must match it to round-off.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,23 +53,34 @@ def oracle_state(m: ComplexMatrix) -> np.ndarray:
     return ent / math.sqrt(math.fsum((ent.real ** 2 + ent.imag ** 2).tolist()))
 
 
+def level_amplitudes(half: np.ndarray, phases: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the node amplitudes of tree levels h = 1..k, then the leaf vector.
+
+    From K half-angles in cell order (entry 0 unused) and K leaf phases: node
+    (h, p) gets the product of cos (left turn) or sin (right turn) of the
+    half-angles along its root path, and leaf z then e^{i phi_z}.
+    """
+    cos, sin = np.cos(half), np.sin(half)
+    amp = np.ones(1)
+    while amp.size < half.size:
+        n = amp.size  # cells n..2n-1 split the n nodes of this level
+        amp = np.stack((amp * cos[n:2 * n], amp * sin[n:2 * n]), axis=1).reshape(-1)
+        yield amp
+    del cos, sin  # the leaf step, the peak, needs neither
+    yield amp * np.exp(1j * phases)
+
+
 def quantized_oracle(img: MemoryImage) -> np.ndarray:
     """Address amplitudes a fixed run from ``img`` must produce, length K.
 
-    The image's angle fields are decoded on the magnitude grid and its phase
-    fields on the phase grid (one-bit fields hold phi / pi). Leaf z gets the
-    product of cos (left turn) or sin (right turn) of the decoded half-angles
-    along its root path, one array pass per level, times e^{i phi~_z}.
-    Nothing is shared with the simulator, so the two check each other.
+    The leaves of the image's angle fields decoded on the magnitude grid and
+    phase fields on the phase grid (a one-bit field holds phi / pi).
     """
     angle, aux = img.field_arrays
-    half = 0.5 * magnitude_grid(img.t) * angle  # cell 0's angle field is never used
-    cos, sin = np.cos(half), np.sin(half)
-    amp = np.ones(1)
-    for _ in range(img.k):
-        n = amp.size  # cells n..2n-1 split the n nodes of this level
-        amp = np.stack((amp * cos[n:2 * n], amp * sin[n:2 * n]), axis=1).reshape(-1)
-    return amp * np.exp(1j * (phase_grid(img.aux_width) * aux))
+    for amp in level_amplitudes(0.5 * magnitude_grid(img.t) * angle,
+                                phase_grid(img.aux_width) * aux):
+        pass
+    return amp
 
 
 def address_amplitudes(state: BranchState) -> np.ndarray:

@@ -23,10 +23,12 @@ from qramprep.verify import (
     ERROR_SLACK,
     error_bound,
     oracle_state,
+    precision_sweep,
     quantized_oracle,
     resource_report,
     run_preparation,
     state_error,
+    sweep_csv,
 )
 from test_matrix import BYTE_CORPUS, READER_CORPUS
 
@@ -332,7 +334,8 @@ class TestJsonInput:
         src = tmp_path / "m.json"
         src.write_text('{"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]], "cells": 3}')
         assert main(["preprocess", "--input", str(src)]) == 1
-        assert capsys.readouterr().err == "error: memory image document missing key: 'mode'\n"
+        assert capsys.readouterr().err == (
+            f"error: {src}: memory image document missing key: 'mode'\n")
 
     @pytest.mark.parametrize(
         "mode,t", [("complex", 16), ("complex", 32), ("complex", 40), ("real_signed", 62)]
@@ -383,7 +386,7 @@ class TestJsonInput:
         src = tmp_path / "img.json"
         src.write_text(json.dumps(doc))
         assert main(["prepare", "--input", str(src)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
     @pytest.mark.parametrize("cell,shown", [(1.5, "1.5"), (True, "True"), (None, "None"),
                                             ([1], "[1]")])
@@ -391,7 +394,21 @@ class TestJsonInput:
         src = tmp_path / "img.json"
         src.write_text(json.dumps({"mode": "complex", "t": 4, "k": 1, "cells": [cell, 0]}))
         assert main(["prepare", "--input", str(src)]) == 1
-        assert capsys.readouterr().err == f"error: cell 0 is not an unsigned integer: {shown}\n"
+        assert capsys.readouterr().err == (
+            f"error: {src}: cell 0 is not an unsigned integer: {shown}\n")
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("m.json", '{"cols": 2, "entries": []}', "missing key 'rows'"),
+        ("img.json", '{"mode": "complex", "t": 4, "k": 3, "cells": [0, 3]}',
+         "k = 3 needs 2**k cells, got 2"),
+        ("m.csv", "1,2x\n", "bad complex literal '2x'"),
+        ("m.csv", "1 2,3\n", "bad complex literal '1 2'"),
+    ])
+    def test_every_input_refusal_names_the_file(self, tmp_path, capsys, name, text, message):
+        src = tmp_path / name
+        src.write_text(text)
+        assert main(["prepare", "--input", str(src)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
     def test_non_object_document_refused(self, tmp_path, capsys):
         src = tmp_path / "m.json"
@@ -433,8 +450,10 @@ class TestEveryInputEndsCleanly:
                 broken.append((z, repr(exc)))
                 continue
             out, err = capsys.readouterr()
+            # a sweep that writes its CSV to stdout reports FAIL on stderr
             clean = rc == 0 or rc == 1 and (
-                err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                err.startswith(("error: ", "status: FAIL")) and err.count("\n") == 1
+                and err.endswith("\n")
                 or not err and "status: FAIL" in out
             )
             if not clean:
@@ -737,10 +756,13 @@ class TestSweep:
         )
 
     def test_stdout_when_no_output(self, example_path, capsys):
+        # stdout is the CSV alone, so `sweep > s.csv` writes a CSV file
         rc = main(["sweep", "--input", str(example_path), "--t", "8"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert out.startswith("t,measured_error,bound")
+        out, err = capsys.readouterr()
+        m = load_matrix(example_path.read_bytes(), "json")
+        assert out == sweep_csv(precision_sweep(m, [8]))
+        assert err == "status: PASS (all errors within 4.0 x bound: True)\n"
 
     def test_deterministic(self, example_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -762,14 +784,14 @@ class TestSweep:
         assert main(["sweep", "--input", str(example_path), "--t", "8:8"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,measured_error,bound"
-        assert [line.split(",")[0] for line in lines[1:-1]] == ["8"]
+        assert [line.split(",")[0] for line in lines[1:]] == ["8"]
 
     def test_failing_sweep_exits_1(self, example_path, capsys):
         # at t = 62 the float64 floor exceeds 4 x the budget (README)
         assert main(["sweep", "--input", str(example_path), "--t", "62"]) == 1
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == "status: FAIL (all errors within 4.0 x bound: False)"
-        assert err == ""
+        assert out.splitlines()[0] == "t,measured_error,bound"
+        assert err == "status: FAIL (all errors within 4.0 x bound: False)\n"
 
 
 class TestResources:

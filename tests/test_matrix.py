@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qramprep import errors, matrix
@@ -472,6 +472,29 @@ class TestFlatReading:
         assert len(calls) == 1
 
 
+CSV_PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -1e308]))
+CSV_FORMS = ["repr", "exponent", "spaced", "real", "imaginary", "unit"]
+
+
+def csv_literal(re, im, form):
+    """(value, README literal) of the parts ``re`` and ``im`` in ``form``.
+
+    Both parts in ``repr`` or 17-digit exponent notation, with or without
+    spaces around the joining sign; or one part, the other +0.0; or +-i.
+    """
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
+    if form == "real":
+        return complex(re, 0.0), repr(re)
+    if form == "imaginary":
+        return complex(0.0, im), f"{im!r}i"
+    if form == "unit":
+        return complex(0.0, float(f"{sign}1")), sign.lstrip("+") + "i"
+    number = "{:.16e}".format if form == "exponent" else repr
+    gap = " " if form == "spaced" else ""
+    return complex(re, im), f"{gap}{number(re)}{gap}{sign}{gap}{number(abs(im))}i{gap}"
+
+
 class TestComplexLiteral:
     @pytest.mark.parametrize(
         "text,value",
@@ -489,6 +512,33 @@ class TestComplexLiteral:
     )
     def test_forms(self, text, value):
         assert parse_complex_literal(text) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.data())
+    def test_csv_reads_every_form_back_bit_identical(self, rows, cols, data):
+        # a one-part form denotes +0.0 for the other part, as complex() reads it
+        n = rows * cols
+        parts = data.draw(st.lists(st.tuples(CSV_PARTS, CSV_PARTS), min_size=n, max_size=n))
+        forms = data.draw(st.lists(st.sampled_from(CSV_FORMS), min_size=n, max_size=n))
+        values, cells = zip(*(csv_literal(re, im, form) for (re, im), form in zip(parts, forms)))
+        assume(any(values))
+
+        def document(cells):
+            return "".join(",".join(cells[i:i + cols]) + "\n" for i in range(0, n, cols))
+
+        m = load_matrix(document(cells), "csv")
+        got = m.entries.reshape(m.rows, m.cols)[:rows, :cols].reshape(-1)
+        assert got.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+        # the same values with a space inside one number are refused
+        z = values[data.draw(st.integers(0, n - 1))]
+        numbers = [repr(abs(z.real)), repr(abs(z.imag))]
+        which = data.draw(st.integers(0, 1))
+        cut = data.draw(st.integers(1, len(numbers[which]) - 1))
+        numbers[which] = numbers[which][:cut] + " " + numbers[which][cut:]
+        sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+        bad = f"{'-' if math.copysign(1.0, z.real) < 0 else ''}{numbers[0]}{sign}{numbers[1]}i"
+        with pytest.raises(ParseError, match="^bad complex literal"):
+            load_matrix(document([bad, *cells[1:]]), "csv")
 
 
 class TestSquaredModuli:

@@ -222,6 +222,7 @@ ROWS = [
     row(load_matrix, "1,2\n3\n", "csv", error=ParseError,
         message=r"CSV rows have inconsistent lengths \[1, 2\]"),
     row(load_matrix, "1,2\n3,4x\n", "csv", error=ParseError, message="bad complex literal '4x'"),
+    row(load_matrix, "1 2,3\n", "csv", error=ParseError, message="bad complex literal '1 2'"),
     *(row(load_matrix, "1,2\n", fmt, error=ParseError,
           message=f"unknown matrix format '{fmt}'")
       for fmt in ["tsv", "yaml"]),
@@ -232,7 +233,11 @@ ROWS = [
     row(parse_complex_literal, "", error=ParseError, message="empty complex literal"),
     *(row(parse_complex_literal, text, error=ParseError,
           message=f"bad complex literal {shown(text)}")
-      for text in ["abc", "1+", "inf", "1+2x"]),
+      for text in ["abc", "1+", "inf", "1+2x",
+                   # a space only at the ends and around the joining sign; only the
+                   # README grammar, in ASCII digits
+                   "1 2", "1e3 5i", "- 2", "2 i", "1 e3", "1+ 2 i", "1\t+2i", "1_000",
+                   "(1+2i)", "2j", "2J", "\u0661", "1+-2i", "i2"]),
     *(row(parse_complex_literal, text, error=ParseError,
           message=f"non-finite complex literal {shown(text)}") for text in ["1e999", "-1e999i"]),
     # --- matrix arrays

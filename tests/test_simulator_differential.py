@@ -1,19 +1,14 @@
-"""The array simulator against a per-branch dict reference, step by step.
+"""The simulator against the closed form of its tree, and its rotation kernel against a frozen one.
 
-The reference below runs the whole preparation procedure on a dict from the
-packed basis label
-
-    [ w_angle : t bits | w_aux : t or 1 bits | v : 1 bit | a : k bits ]
-
-to its amplitude, one branch at a time with scalar ``math`` calls, the way
-the simulator worked before its registers became arrays. It lives here only.
-Both must agree on the label set and on every amplitude (1e-12) after each
-magnitude iteration and at the end, and on the query ledger. Its leaf step
-for real_signed images is its own sign flip, an independent check of the
-simulator's one-bit phase cascade. Given the angle structure, the reference
-reads each exact float64 angle and phase by address instead of the cells'
-codes: it is the reference for an ideal run, which the simulator makes as a
-fixed run on the t = 62 image.
+After magnitude iteration h < k of a run, node (h, p) of the segment tree sits
+on address 2**h + p with v = 0, and its amplitude is the product of cos (left
+turn) or sin (right turn) of the half-angles along p's root path; after
+iteration k it sits on address p with v = 1, and the leaf phases then give the
+final state. ``verify.level_amplitudes`` computes exactly these level vectors
+with no simulation machinery. Every iteration, the final state and the query
+log of a run must match them: within 1e-12 on the same support, with clean
+work registers. A fixed run is held to its image's decoded fields, and an ideal
+run, the same loop on the t = 62 image, to the exact float64 tree.
 
 ``reference_rotate_pairs`` keeps the rotation kernel as it was before it
 became pair-free and address-ordered: it pairs every state through a
@@ -26,6 +21,9 @@ the reference gives on a complex copy, bit for bit for angles in [0, pi].
 one elementwise pass: it gathers the marked branches by index, computes their
 units, and scatters the products into a copy of the amplitudes. The kernel
 must give the same amplitudes, bit for bit.
+
+Only these bit-for-bit comparisons see the signs of zero parts and the
+paired path's source index.
 """
 import json
 import math
@@ -36,127 +34,19 @@ import pytest
 from qramprep import simulator
 from qramprep.angles import build_angle_structures
 from qramprep.cli import example_matrix
+from qramprep.fixedpoint import magnitude_grid, phase_grid
 from qramprep.matrix import random_matrix
-from qramprep.memory import build_memory_image
 from qramprep.simulator import (
     BranchState,
     _half_angle_cos_sin,
     _rotate_pairs,
     dump_state,
     phase_cascade,
-    prepare_complex,
     ry_cascade_by_gates,
 )
-from qramprep.verify import run_preparation
+from qramprep.verify import level_amplitudes, run_preparation
 
 AMP_TOL = 1e-12
-
-
-class DictReference:
-    """The preparation procedure over ``dict[label, complex]``."""
-
-    def __init__(self, img, exact):
-        self.img, self.exact = img, exact
-        self.cells = img.cells  # built from the field arrays on each read: read it once
-        self.k, self.t, self.aux = img.k, img.t, img.aux_width
-        self.addr_mask = (1 << self.k) - 1
-        self.v_mask = 1 << self.k
-        self.aux_shift = self.k + 1
-        self.angle_shift = self.k + 1 + self.aux
-        self.access_log = []
-
-    def query(self, branches):
-        self.access_log.append(tuple(sorted({label & self.addr_mask for label in branches})))
-        cells = self.cells
-        return {label ^ (cells[label & self.addr_mask] << self.aux_shift): amp
-                for label, amp in branches.items()}
-
-    def theta(self, base):
-        if self.exact is None:
-            return (base >> self.angle_shift) * 2.0 ** (2 - self.t)
-        z = base & self.addr_mask
-        return 0.0 if z == 0 else float(self.exact.thetas[z - 1])  # z = 0 is the dummy
-
-    def ry_cascade(self, branches):
-        out, done = {}, set()
-        for label in branches:
-            base = label & ~self.v_mask
-            if base in done:
-                continue
-            done.add(base)
-            a0 = branches.get(base, 0.0j)
-            a1 = branches.get(base | self.v_mask, 0.0j)
-            theta = self.theta(base)
-            if theta == 0.0:
-                c, s = 1.0, 0.0
-            elif theta == math.pi:
-                c, s = 0.0, 1.0
-            else:
-                c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-            n0, n1 = c * a0 - s * a1, s * a0 + c * a1
-            if n0 != 0.0:
-                out[base] = n0
-            if n1 != 0.0:
-                out[base | self.v_mask] = n1
-        return out
-
-    def shift(self, branches):
-        out = {}
-        for label, amp in branches.items():
-            assert label >> (self.k + 1) == 0, "work registers dirty at the shift"
-            v = (label >> self.k) & 1
-            addr = label & self.addr_mask
-            new_v = (addr >> (self.k - 1)) & 1
-            out[(new_v << self.k) | ((addr << 1) & self.addr_mask) | v] = amp
-        return out
-
-    def phase(self, branches):
-        out = {}
-        for label, amp in branches.items():
-            if label & self.v_mask:
-                if self.exact is None:
-                    bits = (label >> self.aux_shift) & ((1 << self.aux) - 1)
-                    quarters, rem = divmod(4 * bits, 1 << self.t)
-                    if rem == 0:
-                        unit = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[quarters & 3]
-                    else:
-                        phi = bits * (math.tau / (1 << self.t))
-                        unit = complex(math.cos(phi), math.sin(phi))
-                else:
-                    phi = float(self.exact.phases[label & self.addr_mask])
-                    if phi == 0.0 or phi == math.pi:
-                        unit = 1.0 + 0.0j if phi == 0.0 else -1.0 + 0.0j
-                    else:
-                        unit = complex(math.cos(phi), math.sin(phi))
-                amp = amp * unit
-            out[label] = amp
-        return out
-
-    def sign(self, branches):
-        flip = self.v_mask | (1 << self.aux_shift)
-        return {label: (-amp if label & flip == flip else amp) for label, amp in branches.items()}
-
-    def run(self):
-        steps = []
-        branches = {1: 1.0 + 0.0j}
-        for _ in range(self.k):
-            branches = self.query(branches)
-            branches = self.ry_cascade(branches)
-            branches = self.query(branches)
-            branches = self.shift(branches)
-            steps.append(branches)
-        branches = self.query(branches)
-        if self.img.mode == "complex":
-            branches = self.phase(branches)
-        else:
-            branches = self.sign(branches)
-        return steps, self.query(branches)
-
-
-def assert_same_state(got, want, where):
-    assert set(got) == set(want), f"{where}: label sets differ"
-    worst = max((abs(got[label] - amp) for label, amp in want.items()), default=0.0)
-    assert worst <= AMP_TOL, f"{where}: amplitudes differ by {worst:.3e}"
 
 
 def acceptance_matrices():
@@ -184,39 +74,59 @@ CASES = [
 ]
 
 
+def closed_form(img, gamma):
+    """(half-angles in cell order, leaf phases) of the image's decoded fields, or of ``gamma``."""
+    if gamma is None:
+        angle, aux = img.field_arrays
+        return 0.5 * magnitude_grid(img.t) * angle, phase_grid(img.aux_width) * aux
+    return 0.5 * np.concatenate(([0.0], gamma.thetas)), gamma.phases
+
+
+def supports(half, levels):
+    """The nonzero nodes of each level, under the simulator's full-split rule.
+
+    The simulator writes cos = 0 where a decoded angle is exactly pi, so a
+    left turn there, and every node below it, holds no branch, while the
+    closed form keeps cos(pi / 2) ~ 6e-17 as it is.
+    """
+    open_left = half != 0.5 * math.pi
+    keep = np.ones(1, dtype=bool)
+    for level in levels:
+        n = keep.size
+        if level.size > n:  # the leaf vector sits on the nodes of level k
+            keep = np.stack((keep & open_left[n:2 * n], keep), axis=1).reshape(-1)
+        keep = keep & (level != 0.0)
+        yield keep
+
+
+def assert_level(state, level, keep, offset, v, where):
+    assert state.work_clean() and bool((state.v == v).all()), f"{where}: registers"
+    # the branches stay sorted by address, so the supports compare as arrays
+    assert np.array_equal(state.addr - offset, np.flatnonzero(keep)), f"{where}: supports differ"
+    worst = np.abs(state.amp - level[state.addr - offset]).max()
+    assert worst <= AMP_TOL, f"{where}: amplitudes differ by {worst:.3e}"
+
+
 @pytest.mark.parametrize("m,mode,t,sim", CASES)
-def test_array_simulator_matches_dict_reference(m, mode, t, sim):
-    # an ideal run ignores t: at every t it must match the reference on the exact angles
+def test_every_iteration_is_its_level_of_the_closed_form(m, mode, t, sim):
+    # an ideal run ignores t: at every t it must match the exact tree
     seen = []
-    state, ledger, img = run_preparation(
-        m, t, mode, sim, on_iteration=lambda h, s: seen.append(dict(s.branches))
-    )
-
-    reference = DictReference(img, build_angle_structures(m, mode) if sim == "ideal" else None)
-    steps, final = reference.run()
-    assert len(seen) == len(steps) == img.k
-    for h, (got, want) in enumerate(zip(seen, steps), start=1):
-        assert_same_state(got, want, f"iteration {h}")
-    assert_same_state(dict(state.branches), final, "final state")
-    assert ledger.query_count == len(reference.access_log) == 2 * img.k + 2
-    assert ledger.access_log == reference.access_log
-
-
-def test_reference_exercises_zero_pairs_and_tiny_amplitudes():
-    # the comparison covers dropped zero-weight branches ...
-    m = random_matrix(32, 32, seed=7, zero_fraction=0.9)
-    img, gamma = build_memory_image(m, 48, "complex")
-    _, ideal = DictReference(img, gamma).run()
-    assert len(ideal) == np.count_nonzero(m.entries)  # zero entries never materialize
-    # ... and the residues of quantized full splits, far below 1e-15 at t = 46,
-    # which a fixed run keeps like any other amplitude
-    m = random_matrix(32, 32, seed=7, zero_fraction=0.5)
-    img, _ = build_memory_image(m, 46, "complex")
-    _, want = DictReference(img, None).run()
-    state, _ = prepare_complex(img)
-    tiny = int(np.count_nonzero(np.abs(state.amp) < 1e-15))
-    assert tiny == sum(abs(amp) < 1e-15 for amp in want.values()) > 0
-    assert_same_state(dict(state.branches), want, "t = 46")
+    state, ledger, img = run_preparation(m, t, mode, sim,
+                                         on_iteration=lambda h, s: seen.append(s))
+    half, phases = closed_form(img, build_angle_structures(m, mode) if sim == "ideal" else None)
+    levels = list(level_amplitudes(half, phases))
+    keeps = list(supports(half, levels))
+    k = img.k
+    assert len(seen) == len(levels) - 1 == k
+    for h, (s, level, keep) in enumerate(zip(seen, levels, keeps), start=1):
+        assert_level(s, level, keep, *((1 << h, 0) if h < k else (0, 1)), f"iteration {h}")
+    assert_level(state, levels[k], keeps[k], 0, 1, "final state")
+    # queries 2h - 1 and 2h reach the nodes of level h - 1, the last two the leaves
+    nodes = [(1 << h if h < k else 0) + np.flatnonzero(keep)
+             for h, keep in enumerate([[True], *keeps[:k]])]
+    log = [tuple(a.tolist()) for a in nodes for _ in range(2)]
+    assert ledger.query_count == len(log) == 2 * k + 2
+    assert ledger.access_log == log
 
 
 REAL_MATRICES = [
