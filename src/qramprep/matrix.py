@@ -336,7 +336,10 @@ def parse_complex_literal(text: str) -> complex:
 
 
 def _load_csv(text: str) -> ComplexMatrix:
-    raw_rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    # a spreadsheet's byte-order mark is no part of the first entry; an empty
+    # or whitespace-only line is no row, while " , " is a row of blank entries
+    lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    raw_rows = [row for row in lines if len(row) > 1 or row and row[0].strip()]
     if not raw_rows:
         raise EmptyMatrixError("CSV input has no rows")
     widths = {len(r) for r in raw_rows}

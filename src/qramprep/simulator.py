@@ -55,7 +55,12 @@ Cascades are applied as the composed single-qubit unitary per branch pair,
 which is mathematically identical to the bit-by-bit product of controlled
 rotations (the rotations commute and their angles sum to the decoded register
 value); :func:`ry_cascade_by_gates` keeps the bit-by-bit form as a reference
-for equivalence tests.
+for equivalence tests. The cascade decodes theta / 2 straight from the
+register. A full split (theta = pi) sends all weight to v = 1, but cos(pi / 2)
+is 6e-17, not 0, so there the cosine is set to 0. Only t >= 50 needs that
+rule: float(pi) is an odd integer times 2**-48, on no coarser grid; from
+t = 54 on, the uint64 -> float64 conversion rounds the pi code's neighbours
+onto it too.
 
 ``state.branches`` presents the arrays as a read-only mapping from the packed
 label (address in the low bits, a_{k-1} most significant inside its field) to
@@ -251,17 +256,17 @@ def init_state(k: int, t: int, mode: str = "complex") -> BranchState:
                          w_aux=zero, amp=np.ones(1))
 
 
-def _half_angle_cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exact at full and zero splits so zero-weight branches never materialize:
-    # cos(0) = 1, sin(0) = 0 and sin(pi/2) = 1 already are, cos(pi/2) is not
-    half = 0.5 * theta
+def _half_angle_cos_sin(half: np.ndarray, full_split: bool) -> tuple[np.ndarray, np.ndarray]:
+    # cos(0) = 1, sin(0) = 0 and sin(pi/2) = 1 are exact; full_split sets cos(pi/2)
+    # to 0, so a full split's zero-weight branch never materializes. Sines overwrite half
     cos = np.cos(half)
-    cos[theta == math.pi] = 0.0
+    if full_split:
+        cos[half == math.pi / 2] = 0.0
     return cos, np.sin(half, out=half)
 
 
-def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
-    """Rotate the marker of every branch pair by ``theta`` (one angle per branch).
+def _rotate_pairs(state: BranchState, half: np.ndarray, full_split: bool) -> BranchState:
+    """Rotate the marker of every branch pair by ``2 * half`` (one half-angle per branch).
 
     A pair is the v = 0 and v = 1 branch with equal address and work
     registers; a branch without a partner pairs with amplitude 0. When no
@@ -271,7 +276,8 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
     finds the pairs. The two halves of pair i land at 2i + v of one
     interleaved output in the amplitudes' dtype, so a state sorted by address
     stays sorted and real amplitudes stay real. Exactly zero results are
-    dropped.
+    dropped. ``full_split`` applies the exact rule of
+    :func:`_half_angle_cos_sin`; ``half`` may be overwritten.
     """
     amp = state.amp
     if np.count_nonzero(state.v):
@@ -281,13 +287,13 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
         )
         pair = np.zeros((rep.size, 2), dtype=amp.dtype)
         pair[group.reshape(-1), state.v] = amp  # numpy 2.0.0 gives a 2-d inverse
-        theta, amp, a1 = theta[rep], pair[:, 0], pair[:, 1]
+        half, amp, a1 = half[rep], pair[:, 0], pair[:, 1]
     else:
         # a1 = 0: its terms only set the signs of zero parts, as the full 2x2
         # product does. That matters for complex amplitudes alone, since a
         # real zero is dropped
         rep, a1 = None, (0.0 if amp.dtype.kind == "c" else None)
-    c, s = _half_angle_cos_sin(theta)
+    c, s = _half_angle_cos_sin(half, full_split)
     rotated = np.empty((amp.size, 2), dtype=amp.dtype)
     n0, n1 = rotated[:, 0], rotated[:, 1]
     np.multiply(c, amp, out=n0)
@@ -310,7 +316,9 @@ def _rotate_pairs(state: BranchState, theta: np.ndarray) -> BranchState:
 
 def ry_cascade(state: BranchState) -> BranchState:
     """Rotate the marker qubit of every branch by the angle in its w_angle register."""
-    return _rotate_pairs(state, state.w_angle * magnitude_grid(state.t))
+    t = state.t
+    # theta / 2 on the grid halved exactly; t = 50 is the first grid that holds pi
+    return _rotate_pairs(state, state.w_angle * (0.5 * magnitude_grid(t)), t >= 50)
 
 
 def ry_cascade_by_gates(state: BranchState) -> BranchState:
@@ -318,7 +326,8 @@ def ry_cascade_by_gates(state: BranchState) -> BranchState:
     current = state
     for j in range(state.t):
         control = (current.w_angle >> j) & 1
-        current = _rotate_pairs(current, control * magnitude_grid(state.t - j))
+        # the top bit turns by 2, a half-angle of 1 < pi/2: no full split
+        current = _rotate_pairs(current, control * (0.5 * magnitude_grid(state.t - j)), False)
     return current
 
 

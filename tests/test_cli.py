@@ -732,6 +732,13 @@ class TestPrepare:
         assert rc == 0
         assert "queries: 4" in capsys.readouterr().out
 
+    def test_csv_input_with_byte_order_mark_and_blank_line(self, tmp_path, capsys):
+        src = tmp_path / "m.csv"
+        src.write_bytes(b"\xef\xbb\xbf3,-4\n \n1,2i\n")
+        assert main(["prepare", "--input", str(src), "--t", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "queries: 6" in out and "status: PASS" in out
+
 
 class TestSweep:
     def test_csv_output(self, example_path, tmp_path, capsys):

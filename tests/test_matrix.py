@@ -78,6 +78,16 @@ class TestLoadMatrix:
             load_matrix(EXAMPLE_JSON, "json").entries,
         )
 
+    @pytest.mark.parametrize("text", [
+        "\ufeff1,2\n3,4\n",  # a spreadsheet export's byte-order mark
+        " \n1,2\n\t\n3,4\n  \n",  # whitespace-only lines, as empty lines, are no rows
+        "\ufeff\n1,2\n \n3,4",
+    ])
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_csv_skips_a_byte_order_mark_and_blank_lines(self, text, as_bytes):
+        m = load_matrix(text.encode() if as_bytes else text, "csv")
+        assert m.entries.tolist() == [1, 2, 3, 4] and (m.rows, m.cols) == (2, 2)
+
     def test_bytes_input(self):
         m = load_matrix(EXAMPLE_JSON.encode(), "json")
         assert m.size == 8

@@ -176,8 +176,12 @@ ROWS = [
     *(row(load_matrix, matrix_doc(rows, cols, []), "json", error=EmptyMatrixError,
           message=f"rows={rows}, cols={cols}") for rows, cols in [(0, 4), (4, 0)]),
     *(row(load_matrix, text, "csv", error=EmptyMatrixError, message="CSV input has no rows")
-      for text in ["", "\n\n"]),
+      for text in ["", "\n\n", " \n\t\n", "\ufeff"]),
     row(load_matrix, "1,\n", "csv", error=ParseError, message="empty complex literal"),
+    # a line of blank entries is a row, not a blank line; only one mark is dropped
+    row(load_matrix, " , \n1,2\n", "csv", error=ParseError, message="empty complex literal"),
+    row(load_matrix, "\ufeff\ufeff1,2\n", "csv", error=ParseError,
+        message=r"bad complex literal '\\ufeff1'"),
     *(row(load_matrix, doc, "json", error=ParseError, message="invalid JSON: .+")
       for doc in ["{not json", entries_doc(["1" + "0" * 5000, "1"])]),
     row(load_matrix, "[1, 2]", "json", error=ParseError,

@@ -12,10 +12,15 @@ run, the same loop on the t = 62 image, to the exact float64 tree.
 
 ``reference_rotate_pairs`` keeps the rotation kernel as it was before it
 became pair-free and address-ordered: it pairs every state through a
-scatter and writes all v = 0 outputs before all v = 1 outputs. The kernel
-must give the same branches, bit for bit, in whatever order. The magnitude
-loop holds float64 amplitudes; on those the kernel must give the real parts
-the reference gives on a complex copy, bit for bit for angles in [0, pi].
+scatter and writes all v = 0 outputs before all v = 1 outputs. It takes the
+full angle theta and halves it itself, with its own frozen copy of the
+cos/sin helper, which sets cos = 0 wherever theta is pi, at any t. The
+kernel takes the half-angle and applies that full-split rule only when
+asked, as the cascade asks from t = 50 on, the first t whose grid holds
+float(pi). It must give the same branches, bit for bit, in whatever order.
+The magnitude loop holds float64 amplitudes; on those the kernel must give
+the real parts the reference gives on a complex copy, bit for bit for
+angles in [0, pi].
 
 ``reference_phase_cascade`` keeps the phase kernel as it was before it became
 one elementwise pass: it gathers the marked branches by index, computes their
@@ -34,14 +39,17 @@ import pytest
 from qramprep import simulator
 from qramprep.angles import build_angle_structures
 from qramprep.cli import example_matrix
-from qramprep.fixedpoint import magnitude_grid, phase_grid
+from qramprep.fixedpoint import encode_magnitude_angle, magnitude_grid, phase_grid
 from qramprep.matrix import random_matrix
+from qramprep.memory import MemoryImage, QueryLedger, query
 from qramprep.simulator import (
     BranchState,
-    _half_angle_cos_sin,
     _rotate_pairs,
     dump_state,
+    init_state,
     phase_cascade,
+    prepare_complex,
+    ry_cascade,
     ry_cascade_by_gates,
 )
 from qramprep.verify import level_amplitudes, run_preparation
@@ -148,6 +156,14 @@ def test_real_signed_dump_is_the_complex_dump(m, t, sim):
     assert runs[0] == runs[1]
 
 
+def reference_half_angle_cos_sin(theta):
+    """cos and sin of theta / 2 as the kernel once computed them: cos = 0 wherever theta is pi."""
+    half = 0.5 * theta
+    cos = np.cos(half)
+    cos[theta == math.pi] = 0.0
+    return cos, np.sin(half, out=half)
+
+
 def reference_rotate_pairs(state, theta):
     """The rotation kernel before it became pair-free (markers written as intp)."""
     n = state.amp.size
@@ -165,7 +181,7 @@ def reference_rotate_pairs(state, theta):
     rep = order[starts]
     pair = np.zeros((rep.size, 2), dtype=np.complex128)
     pair[group, state.v[order]] = state.amp[order]
-    c, s = _half_angle_cos_sin(theta[rep])
+    c, s = reference_half_angle_cos_sin(theta[rep])
     a0, a1 = pair[:, 0], pair[:, 1]
     n0 = c * a0 - s * a1
     n1 = s * a0 + c * a1
@@ -182,6 +198,16 @@ def reference_rotate_pairs(state, theta):
     )
 
 
+def rotate(state, theta):
+    """The kernel on full angles, with the full-split rule on, as the reference has it."""
+    return _rotate_pairs(state, 0.5 * theta, True)
+
+
+def theta_form(state, half, full_split):
+    """``reference_rotate_pairs`` behind the kernel's signature: theta = 2 * half, rule at any t."""
+    return reference_rotate_pairs(state, 2.0 * half)
+
+
 def branch_bits(state):
     """Sorted (addr, v, w_angle, w_aux, re bits, im bits) rows; the bits keep signed zeros."""
     parts = state.amp.view(np.float64).view(np.uint64).reshape(-1, 2)
@@ -194,13 +220,19 @@ def branch_bits(state):
 SIGNED_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, -5e-324])
 
 
-def random_state(rng, k, t, mixed):
+def random_state(rng, k, t, mixed, codes=None):
     """Distinct branches over a few (address, w_angle) bases; v = 0 only unless ``mixed``.
 
     Amplitude parts mix random normals with signed zeros, tiny values and
-    exact zeros, so every rotation output has a zero part somewhere.
+    exact zeros, so every rotation output has a zero part somewhere. With
+    ``codes``, half the w_angle fields are drawn from it, the rest anywhere.
     """
-    bases = {(int(rng.integers(1 << k)), int(rng.integers(1 << t))) for _ in range(40)}
+    def code():
+        if codes is not None and rng.random() < 0.5:
+            return codes[rng.integers(len(codes))]
+        return int(rng.integers(1 << t))
+
+    bases = {(int(rng.integers(1 << k)), code()) for _ in range(40)}
     labels = {}
     for addr, w_angle in sorted(bases):
         for v in ((0, 1), (0,), (1,))[rng.integers(3)] if mixed else (0,):
@@ -235,7 +267,7 @@ def test_rotation_kernel_matches_reference_bit_for_bit(seed, mixed, kind):
     rng = np.random.default_rng(seed)
     state = random_state(rng, k=5, t=4, mixed=mixed)
     theta = theta_per_pair(rng, state, kind)
-    assert branch_bits(_rotate_pairs(state, theta)) == branch_bits(
+    assert branch_bits(rotate(state, theta)) == branch_bits(
         reference_rotate_pairs(state, theta)
     )
 
@@ -245,7 +277,7 @@ def test_bit_comparison_sees_signed_zeros():
     # differs from the reference only in the signs of zero parts; the inputs
     # above must be able to tell
     def products_only(state, theta):
-        c, s = _half_angle_cos_sin(theta)
+        c, s = reference_half_angle_cos_sin(theta)
         rotated = np.stack((c * state.amp, s * state.amp), axis=1).reshape(-1)
         keep = np.flatnonzero(rotated != 0.0)
         src = keep >> 1
@@ -287,7 +319,7 @@ def test_real_rotation_matches_reference_on_a_complex_copy(seed, mixed, kind):
     parts = np.where(rng.random(n) < 0.5, rng.choice(SIGNED_PARTS, n), rng.normal(size=n))
     state = state._evolve(amp=parts)
     theta = theta_per_pair(rng, state, kind)
-    got = _rotate_pairs(state, theta)
+    got = rotate(state, theta)
     want = reference_rotate_pairs(as_complex(state), theta)
     assert got.amp.dtype == np.float64
     if kind in ("grid", "random"):  # angles up to 4 and down to -4
@@ -309,7 +341,7 @@ def nonzero_rotate_pairs(state, theta):
         theta, amp, a1 = theta[rep], pair[:, 0], pair[:, 1]
     else:
         rep, a1 = None, (0.0 if amp.dtype.kind == "c" else None)
-    c, s = _half_angle_cos_sin(theta)
+    c, s = reference_half_angle_cos_sin(theta)
     rotated = np.empty((amp.size, 2), dtype=amp.dtype)
     n0, n1 = rotated[:, 0], rotated[:, 1]
     np.multiply(c, amp, out=n0)
@@ -337,14 +369,90 @@ def test_underflow_to_signed_zero_dropped_as_nonzero_drops_it(dtype, mixed):
     parts = tiny[:, 0] if dtype is np.float64 else tiny.view(np.complex128).reshape(-1)
     state = state._evolve(amp=parts)
     theta = np.full(n, np.nextafter(math.pi, 0.0))
-    c, _ = _half_angle_cos_sin(theta)
+    c, _ = reference_half_angle_cos_sin(theta)
     products = (c * parts).view(np.float64)
     underflow = products[(products == 0.0) & (parts.view(np.float64) != 0.0)]
     assert set(np.signbit(underflow).tolist()) == {False, True}  # to +0.0 and to -0.0
-    got = _rotate_pairs(state, theta)
+    got = rotate(state, theta)
     assert got.amp.dtype == dtype
     want = nonzero_rotate_pairs(state, theta)
     assert branch_bits(as_complex(got)) == branch_bits(as_complex(want))
+
+
+PI_NUMERATOR, PI_DENOMINATOR = math.pi.as_integer_ratio()
+
+
+def pi_code(t):
+    """The t-bit angle code c with c * 2**(2 - t) == float(pi), or None if there is none."""
+    code, rest = divmod(PI_NUMERATOR << (t - 2), PI_DENOMINATOR)
+    return None if rest else code
+
+
+def test_a_code_decodes_to_pi_exactly_from_t_50():
+    # float(pi) is an odd numerator over 2**48, so the grid 2**(2 - t) holds
+    # it from t = 50 on; from t = 54 on the uint64 -> float64 conversion also
+    # rounds both neighbours of the pi code onto it
+    assert PI_NUMERATOR % 2 == 1 and PI_DENOMINATOR == 1 << 48
+    held = [t for t in range(2, 63) if pi_code(t) is not None]
+    assert held == list(range(50, 63))
+    for t in range(2, 63):
+        near = int(math.pi / magnitude_grid(t))  # exact scaling, floored
+        codes = np.array([near - 1, near, near + 1], dtype=np.uint64)
+        hits = (codes * magnitude_grid(t) == math.pi).tolist()
+        if t < 50:
+            assert hits == [False] * 3, t
+        else:
+            assert near == pi_code(t) and hits == [t >= 54, True, t >= 54], t
+
+
+@pytest.mark.parametrize("t", [49, 50, 53, 54, 62])
+def test_a_full_split_leaves_no_left_child(t):
+    # the root cell holds the code a full split encodes to. From t = 50 on it
+    # decodes to pi, and the rule turns cos(pi / 2) ~ 6e-17 into 0, so the
+    # left child (v = 0) never appears; at t = 49 the nearest code is off pi
+    # and both children stay
+    code = encode_magnitude_angle(math.pi, t)
+    assert (code == pi_code(t)) == (t >= 50) and np.cos(math.pi / 2) != 0.0
+    img = MemoryImage._from_fields(np.array([0, code], dtype=np.uint64),
+                                   np.zeros(2, dtype=np.uint64), t, "complex")
+    state = ry_cascade(query(img, init_state(1, t), QueryLedger(1)))
+    if t >= 50:
+        assert state.v.tolist() == [1] and state.amp.tolist() == [1.0]
+    else:
+        assert state.v.tolist() == [0, 1] and 0.0 < abs(state.amp[0]) < 1e-14
+    final, _ = prepare_complex(img)
+    assert final.amp.size == (1 if t >= 50 else 2)
+
+
+def real_part(state):
+    return state._evolve(amp=np.ascontiguousarray(state.amp.real))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("t", [2, 16, 32, 49, 50, 54, 62])
+@pytest.mark.parametrize("mixed", [False, True], ids=["v0", "mixed-v"])
+@pytest.mark.parametrize("seed", range(3))
+def test_cascade_matches_theta_form_bit_for_bit(seed, mixed, t, dtype):
+    # the cascade decodes half-angles and applies the full-split rule from
+    # t = 50 on; the frozen theta form decodes theta and applies it at every
+    # t. Codes at 0, 1, the top and around pi mix with random ones. The
+    # frozen kernel rotates a complex copy of real amplitudes: its real parts
+    # must be the cascade's, bit for bit, and its imaginary parts zero
+    rng = np.random.default_rng(seed)
+    near = int(math.pi / magnitude_grid(t))
+    codes = [c for c in (0, 1, near - 1, near, near + 1, (1 << t) - 1) if c < 1 << t]
+    state = random_state(rng, k=5, t=t, mixed=mixed, codes=codes)
+    theta = state.w_angle * magnitude_grid(t)
+    assert bool((theta == math.pi).any()) == (t >= 50)
+    if dtype is np.float64:
+        state = real_part(state)
+    got = ry_cascade(state)
+    want = reference_rotate_pairs(as_complex(state), theta)
+    assert got.amp.dtype == dtype
+    if dtype is np.float64:
+        assert not want.amp.imag.any()
+        want = as_complex(real_part(want))
+    assert branch_bits(as_complex(got)) == branch_bits(want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -352,7 +460,7 @@ def test_gate_cascade_matches_reference_kernel(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     state = random_state(rng, k=4, t=6, mixed=True)
     want = branch_bits(ry_cascade_by_gates(state))
-    monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
+    monkeypatch.setattr(simulator, "_rotate_pairs", theta_form)
     assert branch_bits(ry_cascade_by_gates(state)) == want
 
 
@@ -363,7 +471,7 @@ DUMP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("t", [2, 16, 32, 62])
+@pytest.mark.parametrize("t", [2, 16, 32, 49, 50, 54, 62])
 @pytest.mark.parametrize("m,mode,sim", DUMP_CASES)
 def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
     def run():
@@ -371,7 +479,7 @@ def test_dumps_equal_under_reference_kernel(monkeypatch, m, mode, sim, t):
         return json.dumps(dump_state(state), sort_keys=True).encode(), ledger.access_log
 
     got = run()
-    monkeypatch.setattr(simulator, "_rotate_pairs", reference_rotate_pairs)
+    monkeypatch.setattr(simulator, "_rotate_pairs", theta_form)
     assert run() == got
 
 
