@@ -167,6 +167,7 @@ def load_matrix(source, fmt: str) -> ComplexMatrix:
     raise ParseError(f"unknown matrix format {fmt!r}")
 
 
+_UTF8_BOM = "\ufeff".encode()
 _NOT_MARK = bytes(sorted(set(range(256)) - set(b'[]{}",')))
 _JSON_SPACE = b" \t\n\r"
 # a CSV entry, stripped: the README literal forms in ASCII digits
@@ -179,9 +180,14 @@ def _read_matrix_json(source: str | bytes):
 
     Any other document is read by :func:`read_json_stdlib`, the reference
     reading, so each refusal keeps the stdlib's type and message and every
-    integer stays exact.
+    integer stays exact. One leading UTF-8 byte-order mark, as editors and
+    spreadsheet exports write, is dropped before either reading.
     """
-    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+    if isinstance(source, str):
+        source = source.removeprefix("\ufeff")
+        data = source.encode("utf-8", "surrogatepass")
+    else:  # removeprefix returns the bytes themselves when there is no mark: no copy
+        data = source = source.removeprefix(_UTF8_BOM)
     m = _regular_matrix(data)
     return read_json_stdlib(source) if m is None else m
 

@@ -58,8 +58,16 @@ def level_amplitudes(half: np.ndarray, phases: np.ndarray) -> Iterator[np.ndarra
 
     From K half-angles in cell order (entry 0 unused) and K leaf phases: node
     (h, p) gets the product of cos (left turn) or sin (right turn) of the
-    half-angles along its root path, and leaf z then e^{i phi_z}.
+    half-angles along its root path, and leaf z then e^{i phi_z}. Both must
+    be 1-d arrays of one length K = 2**k >= 2, checked before the first level
+    is yielded: numpy would otherwise broadcast one phase onto every leaf.
     """
+    if np.ndim(half) != 1 or not is_cell_count(np.size(half)):
+        raise NotPowerOfTwoError(
+            f"half-angles must be K = 2**k >= 2 values, got shape {np.shape(half)}"
+        )
+    if np.shape(phases) != np.shape(half):
+        raise LengthMismatchError(f"{np.size(half)} half-angles, phases shape {np.shape(phases)}")
     cos, sin = np.cos(half), np.sin(half)
     amp = np.ones(1)
     while amp.size < half.size:
@@ -122,7 +130,8 @@ def error_bound(k: int, t: int) -> float:
     """Worst-case quantization error (k + pi) * 2**(-t) for exact cascades."""
     if not is_int(k) or k < 1:
         raise NotPowerOfTwoError(f"k must be a positive integer, got {k!r}")
-    return (k + math.pi) * 2.0 ** -check_precision(t)
+    # a numpy k would make the bound a numpy float, written into sweep CSVs by its repr
+    return (int(k) + math.pi) * 2.0 ** -check_precision(t)
 
 
 @dataclass(frozen=True)

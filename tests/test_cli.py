@@ -369,6 +369,21 @@ class TestJsonInput:
         )
         assert out_path.read_text() == json.dumps(dump_state(state), sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("kind", ["matrix", "image"])
+    def test_file_with_byte_order_mark(self, example_path, tmp_path, capsys, kind):
+        # an editor's UTF-8 byte-order mark changes no line of the run
+        src = example_path
+        if kind == "image":
+            src = tmp_path / "img.json"
+            assert main(["preprocess", "--input", str(example_path), "--output", str(src)]) == 0
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        capsys.readouterr()
+        assert main(["prepare", "--input", str(src), "--t", "16"]) == 0
+        want = capsys.readouterr().out
+        assert main(["prepare", "--input", str(marked), "--t", "16"]) == 0
+        assert capsys.readouterr().out == want and "status: PASS" in want
+
     @pytest.mark.parametrize("key,value,message", [
         ("cells", 2**64, "cell 2 does not fit in 64 bits"),
         ("cells", -2**63 - 1, "cell 2 does not fit in 64 bits"),

@@ -337,6 +337,12 @@ READER_CORPUS = [
     '{"""rows": 1, "cols": 2, "entries": [[1, 0], [0, 1]]}',
     '{"rows": 1, "cols": 2, "entries": [[1, ""], [0, 1]]}',
     '{"rows": 1, "cols": 2, "entries": [[1, 0],"" [0, 1]]}',
+    # byte-order marks: one leading mark is dropped before either reading, a
+    # second one or one after a space is refused
+    "\ufeff" + EXAMPLE_FILE,
+    "\ufeff\ufeff" + SMALL,
+    " \ufeff" + SMALL,
+    "\ufeff" + json.dumps({"rows": 1, "cols": 1, "entries": [[1, 0]], "note": "\ufeff"}),
 ]
 
 BYTE_CORPUS = [
@@ -344,6 +350,9 @@ BYTE_CORPUS = [
     SMALL.encode()[:-1] + b', "note": "\xff"}',
     SMALL.encode()[:-1] + b', "note": "\xc3"}',
     b"\xff" + SMALL.encode(),
+    b"\xef\xbb\xbf" * 2 + SMALL.encode(),
+    b"\xef\xbb\xbf" + EXAMPLE_FILE.encode(),
+    b"\xef\xbb" + SMALL.encode(),  # a mark cut short is not UTF-8
 ]
 
 
@@ -356,7 +365,9 @@ def _outcome(read, source):
 
 
 def _stdlib_reading(source):
-    return ComplexMatrix.from_json_dict(read_json_stdlib(source))
+    # the reference: one leading byte-order mark dropped, as load_matrix drops it, then the stdlib
+    mark = "\ufeff" if isinstance(source, str) else "\ufeff".encode()
+    return ComplexMatrix.from_json_dict(read_json_stdlib(source.removeprefix(mark)))
 
 
 def assert_reads_like_stdlib(source):
@@ -480,6 +491,41 @@ class TestFlatReading:
         monkeypatch.setattr(matrix, "_entry_array", lambda e: calls.append(e) or entry_array(e))
         assert _outcome(lambda s: load_matrix(s, "json"), doc) == want
         assert len(calls) == 1
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped before the JSON is read, flat or by the
+    stdlib; the matrix is the one read without it."""
+
+    @staticmethod
+    def refuse(text):
+        raise AssertionError("json.loads called on a regular document")
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_flat_reading(self, as_bytes, monkeypatch):
+        want = load_matrix(EXAMPLE_JSON, "json")
+        _refuse_nested_reading(monkeypatch)
+        monkeypatch.setattr(json, "loads", self.refuse)
+        doc = "\ufeff" + EXAMPLE_JSON
+        got = load_matrix(doc.encode() if as_bytes else doc, "json")
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_stdlib_reading(self, as_bytes, monkeypatch):
+        want = load_matrix(EXAMPLE_FILE, "json")
+        texts, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: texts.append(text) or loads(text))
+        doc = "\ufeff" + EXAMPLE_FILE  # row-broken: read by the stdlib
+        got = load_matrix(doc.encode() if as_bytes else doc, "json")
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert texts == [EXAMPLE_FILE]
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_second_mark_is_refused(self, as_bytes):
+        doc = "\ufeff\ufeff" + SMALL
+        with pytest.raises(ParseError, match="^invalid JSON: Unexpected UTF-8 BOM"):
+            load_matrix(doc.encode() if as_bytes else doc, "json")
 
 
 CSV_PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

@@ -70,6 +70,7 @@ from qramprep.simulator import (
 )
 from qramprep.verify import (
     error_bound,
+    level_amplitudes,
     oracle_state,
     precision_sweep,
     resource_report,
@@ -77,6 +78,11 @@ from qramprep.verify import (
     state_error,
 )
 from qramprep.weight_tree import build_weight_tree
+
+
+def first_level(half, phases):
+    """The first level ``level_amplitudes`` yields: its checks run before it."""
+    return next(level_amplitudes(half, phases))
 
 
 def row(call, *args, error, message, **kwargs):
@@ -565,6 +571,13 @@ ROWS = [
     row(build_parser().parse_args, ["example", "--t", "16"], error=SystemExit, message="2"),
     *(row(_parse_t_range, spec, error=ParseError, message=f"--t expects N or LO:HI, got '{spec}'")
       for spec in ["16:6", "6:x", "x"]),
+    # --- verify.level_amplitudes: numpy broadcast one phase onto every leaf
+    *(row(first_level, np.zeros(shape), np.zeros(shape), error=NotPowerOfTwoError,
+          message=rf"half-angles must be K = 2\*\*k >= 2 values, got shape {shown(shape)}")
+      for shape in [(0,), (1,), (3,), (6,), (2, 2)]),
+    *(row(first_level, np.zeros(4), np.zeros(shape), error=LengthMismatchError,
+          message=rf"4 half-angles, phases shape {shown(shape)}")
+      for shape in [(1,), (2,), (8,), (4, 1), ()]),
 ]
 
 

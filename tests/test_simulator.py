@@ -485,6 +485,83 @@ class TestStateHygiene:
                 assert not getattr(state, name).flags.writeable, name
 
 
+REGISTERS = ("addr", "v", "w_angle", "w_aux", "amp")
+
+
+def snapshot(state: BranchState):
+    """The state's label mapping, its dict's values (arrays, widths, label cache) and copies
+    of its arrays."""
+    labels = dict(state.branches)  # fills the label cache first, so the dict holds it
+    fields = dict(state.__dict__)
+    return labels, fields, {name: fields[name].copy() for name in REGISTERS}
+
+
+def assert_unchanged(state: BranchState, snap) -> None:
+    labels, fields, arrays = snap
+    assert state.__dict__.keys() == fields.keys()
+    for key, value in fields.items():
+        assert state.__dict__[key] is value, key
+    for name, array in arrays.items():
+        now = getattr(state, name)
+        assert now.dtype == array.dtype and now.tobytes() == array.tobytes(), name
+        assert not now.flags.writeable, name
+    assert dict(state.branches) == labels
+
+
+class TestStepsLeaveTheirInput:
+    """Every step returns a new state and leaves its input as it was: the same array
+    objects with the same values, the same widths and the same label mapping. States
+    share arrays, so a step that wrote into its input's dict would change every state
+    built from it."""
+
+    @pytest.mark.parametrize("mode", ["complex", "real_signed"])
+    def test_preparation_steps(self, mode):
+        img, _ = build_memory_image(random_matrix(4, 4, seed=5, real=mode == "real_signed"),
+                                    8, mode)
+        ledger = QueryLedger(img.k)
+        ask = lambda s: query(img, s, ledger)  # noqa: E731
+        ops = [ask, ry_cascade, ask, circular_shift] * img.k + [ask, phase_cascade, ask]
+        state = init_state(img.k, 8, mode)
+        first_query = ask(state)
+        # the bit-by-bit cascade pairs v = 0 and v = 1 branches
+        steps = [(ry_cascade_by_gates, first_query)]
+        for op in ops:
+            steps.append((op, state))
+            state = op(state)
+        # a state loaded from labels, with a v = 1 branch beside a v = 0 one
+        loaded = make_state(img.k, 8, img.aux_width, {1: 0.6 + 0j, 1 | 1 << img.k: 0.8j})
+        steps += [(op, loaded) for op in (ask, ry_cascade, ry_cascade_by_gates,
+                                          circular_shift, phase_cascade)]
+        for op, before in steps:
+            snap = snapshot(before)
+            after = op(before)
+            assert after is not before
+            assert_unchanged(before, snap)
+
+
+class TestCountNonzeroBinding:
+    """The simulator counts with numpy's C ``count_nonzero``, a private binding: it must
+    count as ``np.count_nonzero`` does, or a numpy release that moved or changed it
+    fails here by name."""
+
+    ARRAYS = {
+        "empty": np.zeros(0, np.intp),
+        "empty_uint64": np.zeros(0, np.uint64),
+        "bool": np.array([True, False, True, True]),
+        "intp": np.array([0, -1, 5, 0, 1 << 40], np.intp),
+        "uint64": np.array([0, 1 << 63, (1 << 64) - 1, 1, 0], np.uint64),
+        "uint64_zero": np.zeros(7, np.uint64),
+        "float": np.array([0.0, -0.0, math.nan, 5e-324, math.inf, -1.0]),
+        "strided": np.arange(10.0)[::3],
+    }
+
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    def test_agrees_with_numpy(self, name):
+        array = self.ARRAYS[name]
+        got, want = simulator._count_nonzero(array), np.count_nonzero(array)
+        assert got == want and type(got) is type(want)
+
+
 class TestDumpState:
     def test_schema_and_order(self, example):
         state, _, _ = run_preparation(example, 12, sim="ideal")

@@ -163,6 +163,11 @@ class TestErrorBound:
 
     def test_numpy_integer_k(self):
         assert error_bound(np.int64(3), 10) == error_bound(3, 10)
+        # a numpy float bound would reach a sweep CSV as "np.float64(...)"
+        for dtype in (np.int8, np.int64, np.uint64):
+            bound = error_bound(dtype(5), 8)
+            assert type(bound) is float and bound == error_bound(5, 8)
+            assert sweep_csv([SweepRow(8, 0.01, bound)]).splitlines()[1] == f"8,0.01,{bound!r}"
 
 
 NUMPY_INTS = [np.int8, np.int16, np.int32, np.uint8, np.uint64]
